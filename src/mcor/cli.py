@@ -39,14 +39,6 @@ class RunConfig:
     max_sweeps: int = DEFAULT_MAX_SWEEPS
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    report_a: McorReport
-    report_b: McorReport
-    more_correlated: str  # "A", "B" or "tie"
-    delta: float
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -225,7 +217,7 @@ def _load_report(path: str, kind: str, config: RunConfig) -> McorReport:
     return mcor(data, max_sweeps=config.max_sweeps)
 
 
-def _run_single(config: RunConfig, kind: str) -> int:
+def _run_single(config: RunConfig) -> int:
     path = config.input_paths[0]
     report = _load_report(path, "matrix" if config.command == "matrix" else "data", config)
     _emit(
@@ -252,7 +244,6 @@ def _run_compare(config: RunConfig) -> int:
         verdict = "B"
     else:
         verdict = "tie"
-    comparison = ComparisonReport(report_a, report_b, verdict, delta)
     result = {
         "report_a": _report_dict(report_a),
         "report_b": _report_dict(report_b),
@@ -268,7 +259,7 @@ def _run_compare(config: RunConfig) -> int:
         f"  B ({kind_b}): {path_b}",
         f"      mcor: {report_b.mcor:.4f}   eigenvalues: {_fmt_eigs(report_b.eigenvalues)}",
         f"  delta (A - B):   {delta:.4f}",
-        f"  more correlated: {comparison.more_correlated}",
+        f"  more correlated: {verdict}",
     ] + [f"  warning: {w}" for w in warnings])
     _emit("comparison", [path_a, path_b], result, warnings, config, text)
     return 0
@@ -352,7 +343,7 @@ def _run_validate(config: RunConfig) -> int:
 def run(config: RunConfig) -> int:
     """Execute a validated RunConfig; returns the process exit code."""
     if config.command in ("compute", "matrix"):
-        return _run_single(config, config.command)
+        return _run_single(config)
     if config.command == "compare":
         return _run_compare(config)
     if config.command == "simulate":

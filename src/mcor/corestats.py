@@ -12,6 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import fsum
+from operator import mul
 
 from .errors import (
     BadArguments,
@@ -27,15 +28,60 @@ from .linalg import SymmetricMatrix, make_symmetric
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """n observations by d variables of finite real measurements."""
+    """n observations by d variables of finite real measurements, stored
+    by column: ``columns[j]`` holds the n values of variable j."""
 
     n_obs: int
     n_vars: int
-    values: tuple[tuple[float, ...], ...]
+    columns: tuple[tuple[float, ...], ...]
     var_names: tuple[str, ...]
 
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Sequence[Sequence[float]],
+        var_names: Sequence[str] | None = None,
+    ) -> "DataMatrix":
+        """Validate columns into a DataMatrix (d >= 1, n >= 2, equal
+        lengths, finite); every producer of a DataMatrix goes through here."""
+        d = len(columns)
+        if d < 1:
+            raise BadArguments("rows must have at least one column")
+        n = len(columns[0])
+        if n < 2:
+            raise TooFewRows(f"need at least 2 observations, got {n}")
+        for j, col in enumerate(columns):
+            if len(col) != n:
+                raise LengthMismatch(
+                    f"column {j + 1} has {len(col)} values, expected {n}"
+                )
+        if not all(all(map(math.isfinite, col)) for col in columns):
+            # Name the first offender in row-major order, as a reader of rows would.
+            i, j = min(
+                (i, j)
+                for j, col in enumerate(columns)
+                for i, v in enumerate(col)
+                if not math.isfinite(v)
+            )
+            raise NonFiniteEntry(f"row {i + 1}, column {j + 1} is not finite")
+        if var_names is None:
+            names = tuple(f"v{j + 1}" for j in range(d))
+        else:
+            if len(var_names) != d:
+                raise LengthMismatch(
+                    f"got {len(var_names)} variable names for {d} columns"
+                )
+            names = tuple(str(name) for name in var_names)
+        frozen = tuple(tuple(map(float, col)) for col in columns)
+        return cls(n_obs=n, n_vars=d, columns=frozen, var_names=names)
+
+    @property
+    def values(self) -> tuple[tuple[float, ...], ...]:
+        """Row view: n tuples of d values, rebuilt on each access."""
+        return tuple(zip(*self.columns))
+
     def column(self, j: int) -> list[float]:
-        return [row[j] for row in self.values]
+        return list(self.columns[j])
 
 
 def make_data_matrix(
@@ -47,30 +93,23 @@ def make_data_matrix(
     if n < 2:
         raise TooFewRows(f"need at least 2 observations, got {n}")
     d = len(rows[0])
-    if d < 1:
-        raise BadArguments("rows must have at least one column")
-    frozen = []
     for i, row in enumerate(rows):
         if len(row) != d:
             raise LengthMismatch(f"row {i + 1} has {len(row)} cells, expected {d}")
-        for j, v in enumerate(row):
-            if not math.isfinite(v):
-                raise NonFiniteEntry(f"row {i + 1}, column {j + 1} is not finite")
-        frozen.append(tuple(float(v) for v in row))
-    if var_names is None:
-        names = tuple(f"v{j + 1}" for j in range(d))
-    else:
-        if len(var_names) != d:
-            raise LengthMismatch(
-                f"got {len(var_names)} variable names for {d} columns"
-            )
-        names = tuple(str(name) for name in var_names)
-    return DataMatrix(n_obs=n, n_vars=d, values=tuple(frozen), var_names=names)
+    return DataMatrix.from_columns(list(zip(*rows)), var_names)
 
 
-def _centered(xs: Sequence[float]) -> list[float]:
+def _centered(xs: Sequence[float], label: str) -> tuple[list[float], float]:
+    """Centred values and their sum of squares; ZeroVariance(label) for a
+    constant series or one whose centred squares all underflow."""
+    if xs.count(xs[0]) == len(xs):
+        raise ZeroVariance(label)
     mean = fsum(xs) / len(xs)
-    return [x - mean for x in xs]
+    centered = [x - mean for x in xs]
+    sum_sq = fsum(map(mul, centered, centered))
+    if sum_sq == 0.0:
+        raise ZeroVariance(label)
+    return centered, sum_sq
 
 
 def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
@@ -82,7 +121,7 @@ def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
         denom = math.sqrt(denom_sq)
     else:
         denom = math.sqrt(sxx) * math.sqrt(syy)
-    r = fsum(a * b for a, b in zip(cx, cy)) / denom
+    r = fsum(map(mul, cx, cy)) / denom
     if not math.isfinite(r):
         raise NumericInconsistency(f"correlation evaluated to {r!r}")
     if r > 1.0:
@@ -108,20 +147,12 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise TooFewValues(f"need at least 2 paired observations, got {n}")
+    moments = []
     for name, series in (("x", x), ("y", y)):
-        for v in series:
-            if not math.isfinite(v):
-                raise NonFiniteEntry(f"series {name} contains a non-finite value")
-        if all(v == series[0] for v in series):
-            raise ZeroVariance(f"series {name}")
-    cx = _centered(x)
-    cy = _centered(y)
-    sxx = fsum(v * v for v in cx)
-    syy = fsum(v * v for v in cy)
-    if sxx == 0.0:
-        raise ZeroVariance("series x")
-    if syy == 0.0:
-        raise ZeroVariance("series y")
+        if not all(map(math.isfinite, series)):
+            raise NonFiniteEntry(f"series {name} contains a non-finite value")
+        moments.append(_centered(series, f"series {name}"))
+    (cx, sxx), (cy, syy) = moments
     return _corr_from_centered(cx, cy, sxx, syy)
 
 
@@ -132,24 +163,16 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     first constant column found.
     """
     d = data.n_vars
-    centered = []
-    sums_sq = []
-    for j in range(d):
-        col = data.column(j)
-        if all(v == col[0] for v in col):
-            raise ZeroVariance(f"column {data.var_names[j]}")
-        c = _centered(col)
-        s = fsum(v * v for v in c)
-        if s == 0.0:
-            raise ZeroVariance(f"column {data.var_names[j]}")
-        centered.append(c)
-        sums_sq.append(s)
+    moments = [
+        _centered(col, f"column {name}")
+        for col, name in zip(data.columns, data.var_names)
+    ]
     tri = []
     for i in range(d):
+        cx, sxx = moments[i]
         for j in range(i):
-            tri.append(
-                _corr_from_centered(centered[i], centered[j], sums_sq[i], sums_sq[j])
-            )
+            cy, syy = moments[j]
+            tri.append(_corr_from_centered(cx, cy, sxx, syy))
         tri.append(1.0)
     return make_symmetric(d, tri)
 
@@ -159,8 +182,7 @@ def sample_sd(xs: Sequence[float]) -> float:
     m = len(xs)
     if m < 2:
         raise TooFewValues(f"standard deviation needs at least 2 values, got {m}")
-    for v in xs:
-        if not math.isfinite(v):
-            raise NonFiniteEntry("value list contains a non-finite entry")
+    if not all(map(math.isfinite, xs)):
+        raise NonFiniteEntry("value list contains a non-finite entry")
     mean = fsum(xs) / m
     return math.sqrt(fsum((v - mean) ** 2 for v in xs) / (m - 1))

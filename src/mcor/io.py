@@ -11,9 +11,10 @@ import csv
 import math
 from collections.abc import Sequence
 from importlib.resources import files
+from itertools import compress
 from pathlib import Path
 
-from .corestats import DataMatrix, make_data_matrix
+from .corestats import DataMatrix
 from .errors import (
     EmptySelection,
     FileError,
@@ -36,8 +37,10 @@ def bundled_fixture(name: str) -> Path:
 
 def _read_cells(path) -> list[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
+        # utf-8-sig drops the byte-order mark spreadsheet exports put
+        # before the first header name.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = [list(map(str.strip, row)) for row in csv.reader(handle)]
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -54,6 +57,33 @@ def _parse_number(token: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
+    """Floats of a column and the ascending indices of the cells that
+    _parse_number rejects (0.0 stands in for those).
+
+    float() runs over the cells at C speed and resumes after each bad
+    token, so only bad tokens cost a Python-level step: list.extend keeps
+    the items it appended before the exception, and the shared iterator
+    has already consumed the rejected cell.
+    """
+    rest = iter(cells)
+    values: list[float] = []
+    bad: list[int] = []
+    while True:
+        try:
+            values.extend(map(float, rest))
+            break
+        except ValueError:
+            bad.append(len(values))
+            values.append(0.0)
+    if not all(map(math.isfinite, values)):
+        bad = sorted(set(bad).union(
+            i for i, v in enumerate(values) if not math.isfinite(v)))
+        for i in bad:
+            values[i] = 0.0
+    return values, bad
+
+
 def read_csv_data(
     path,
     columns: Sequence[str] | None = None,
@@ -67,6 +97,25 @@ def read_csv_data(
     ``drop_na=False`` makes such a cell a hard error naming its row and
     column. Row numbers in errors count the header as row 1.
     """
+    names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na)
+    if bad_rows:
+        keep = [i not in bad_rows for i in range(len(cols[0]))]
+        cols = [list(compress(col, keep)) for col in cols]
+    n = len(cols[0])
+    if n < 2:
+        raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
+    return DataMatrix.from_columns(cols, names)
+
+
+def _parse_selected_columns(
+    path, columns: Sequence[str] | None, drop_na: bool
+) -> tuple[list[str], list[list[float]], set[int]]:
+    """Names, parsed values and bad row indices of the selected columns.
+
+    Without ``drop_na`` a bad row is an error instead. A function of its
+    own so that the cell strings, the largest allocation, are freed before
+    the DataMatrix is built.
+    """
     cells = _read_cells(path)
     if not cells:
         raise ParseError(f"{path} is empty")
@@ -78,6 +127,8 @@ def read_csv_data(
             raise ParseError(
                 f"row {offset + 2}: expected {width} cells, found {len(row)}"
             )
+    # Transposed once; each selected column is parsed once.
+    by_column = list(zip(*body)) if body else [()] * width
     if columns is not None:
         missing = [name for name in columns if name not in header]
         if missing:
@@ -85,34 +136,28 @@ def read_csv_data(
                 f"column(s) not in header: {', '.join(sorted(missing))}"
             )
         selected = [header.index(name) for name in columns]
+        parsed = {j: _parse_column(by_column[j]) for j in selected}
     else:
-        selected = [
-            j
-            for j in range(width)
-            if any(_parse_number(row[j]) is not None for row in body)
-        ]
+        parsed = {
+            j: column
+            for j, column in enumerate(map(_parse_column, by_column))
+            if len(column[1]) < len(body)
+        }
+        selected = list(parsed)
     if not selected:
         raise EmptySelection("no numeric columns to select")
 
-    rows = []
-    for offset, raw in enumerate(body):
-        parsed = []
-        for j in selected:
-            value = _parse_number(raw[j])
-            if value is None:
-                if drop_na:
-                    parsed = None
-                    break
-                raise ParseError(
-                    f"row {offset + 2}, column {header[j]}: "
-                    f"cannot use cell {raw[j]!r}"
-                )
-            parsed.append(value)
-        if parsed is not None:
-            rows.append(tuple(parsed))
-    if len(rows) < 2:
-        raise TooFewRows(f"{len(rows)} usable rows after deletion, need at least 2")
-    return make_data_matrix(rows, [header[j] for j in selected])
+    bad_rows = set()
+    for j in selected:
+        bad_rows.update(parsed[j][1])
+    if bad_rows and not drop_na:
+        # The first bad cell in row-major order, columns in selection order.
+        i = min(bad_rows)
+        j = next(j for j in selected if i in parsed[j][1])
+        raise ParseError(
+            f"row {i + 2}, column {header[j]}: cannot use cell {body[i][j]!r}"
+        )
+    return [header[j] for j in selected], [parsed[j][0] for j in selected], bad_rows
 
 
 def _numeric_grid(path) -> list[list[float]]:

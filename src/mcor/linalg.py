@@ -28,9 +28,6 @@ class SymmetricMatrix:
     dim: int
     rows: tuple[tuple[float, ...], ...]
 
-    def entry(self, i: int, j: int) -> float:
-        return self.rows[i][j]
-
     def trace(self) -> float:
         return fsum(self.rows[i][i] for i in range(self.dim))
 

@@ -62,8 +62,11 @@ class SplitMix64:
         return mix64(self._state)
 
     def uniform(self) -> float:
-        """One double strictly inside (0, 1)."""
-        return ((self.next_u64() >> 11) + 0.5) * _U53_SCALE
+        """One double strictly inside (0, 1): next_u64() mixed inline."""
+        s = self._state = (self._state + GOLDEN_GAMMA) & MASK64
+        z = ((s ^ (s >> 30)) * _MULT1) & MASK64
+        z = ((z ^ (z >> 27)) * _MULT2) & MASK64
+        return (((z ^ (z >> 31)) >> 11) + 0.5) * _U53_SCALE
 
     def uniforms(self, count: int) -> list[float]:
         """``count`` uniforms; same stream as repeated uniform() calls."""
@@ -80,16 +83,25 @@ class SplitMix64:
         return out
 
     def normal(self) -> float:
-        """One standard normal via the polar method (see module docstring)."""
+        """One standard normal via the polar method (see module docstring);
+        the two uniforms of each attempt are mixed inline, as in uniform()."""
         spare = self._spare
         if spare is not None:
             self._spare = None
             return spare
+        state = self._state
         while True:
-            v1 = 2.0 * self.uniform() - 1.0
-            v2 = 2.0 * self.uniform() - 1.0
+            state = (state + GOLDEN_GAMMA) & MASK64
+            z = ((state ^ (state >> 30)) * _MULT1) & MASK64
+            z = ((z ^ (z >> 27)) * _MULT2) & MASK64
+            v1 = 2.0 * ((((z ^ (z >> 31)) >> 11) + 0.5) * _U53_SCALE) - 1.0
+            state = (state + GOLDEN_GAMMA) & MASK64
+            z = ((state ^ (state >> 30)) * _MULT1) & MASK64
+            z = ((z ^ (z >> 27)) * _MULT2) & MASK64
+            v2 = 2.0 * ((((z ^ (z >> 31)) >> 11) + 0.5) * _U53_SCALE) - 1.0
             s = v1 * v1 + v2 * v2
             if 0.0 < s < 1.0:
+                self._state = state
                 factor = math.sqrt(-2.0 * math.log(s) / s)
                 self._spare = v2 * factor
                 return v1 * factor

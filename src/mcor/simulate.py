@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import fsum
 
-from .corestats import DataMatrix, make_data_matrix, sample_sd
+from .corestats import DataMatrix, sample_sd
 from .errors import BadArguments
 from .multiway import mcor
 from .rng import SplitMix64, derive_seed
@@ -81,29 +81,27 @@ def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
         raise BadArguments(f"n_obs must be >= 2, got {n_obs}")
     rng = SplitMix64(seed)
     if scenario is Scenario.ALL_LINEAR:
-        rows = [(u, 2.0 * u, u) for u in rng.uniforms(n_obs)]
+        xs = rng.uniforms(n_obs)
+        ys = [2.0 * u for u in xs]
+        zs = xs
     elif scenario is Scenario.LINEAR_COMBO:
         us = rng.uniforms(2 * n_obs)
-        rows = [
-            (us[2 * i], us[2 * i + 1], us[2 * i] + 2.0 * us[2 * i + 1])
-            for i in range(n_obs)
-        ]
+        xs, ys = us[0::2], us[1::2]
+        zs = [x + 2.0 * y for x, y in zip(xs, ys)]
     elif scenario is Scenario.INDEPENDENT:
         us = rng.uniforms(3 * n_obs)
-        rows = [(us[3 * i], us[3 * i + 1], us[3 * i + 2]) for i in range(n_obs)]
-    elif scenario is Scenario.NOISY_COMBO:
-        rows = []
-        for _ in range(n_obs):
-            x = rng.uniform()
-            y = rng.uniform()
-            rows.append((x, y, x + 2.0 * y + rng.normal()))
+        xs, ys, zs = us[0::3], us[1::3], us[2::3]
     else:
-        rows = []
+        uniform, normal = rng.uniform, rng.normal
+        chained = scenario is Scenario.CHAINED
+        xs, ys, zs = [], [], []
         for _ in range(n_obs):
-            x = rng.uniform()
-            y = 5.0 * x + rng.normal()
-            rows.append((x, y, x + 2.0 * y + rng.normal()))
-    return make_data_matrix(rows, ("x", "y", "z"))
+            x = uniform()
+            y = 5.0 * x + normal() if chained else uniform()
+            xs.append(x)
+            ys.append(y)
+            zs.append(x + 2.0 * y + normal())
+    return DataMatrix.from_columns((xs, ys, zs), ("x", "y", "z"))
 
 
 def population_mcor(scenario: Scenario) -> float:

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcor import SplitMix64, correlation_matrix, make_data_matrix, pearson_r, sample_sd
+from mcor import (
+    DataMatrix,
+    SplitMix64,
+    correlation_matrix,
+    make_data_matrix,
+    pearson_r,
+    sample_sd,
+)
 from mcor.errors import (
+    BadArguments,
     LengthMismatch,
     NonFiniteEntry,
     TooFewRows,
@@ -156,6 +164,31 @@ class TestDataMatrix:
     def test_default_names(self):
         data = make_data_matrix([(1.0, 2.0), (3.0, 4.0)])
         assert data.var_names == ("v1", "v2")
+
+    def test_stored_by_column_with_a_row_view(self):
+        data = make_data_matrix([(1, 2.0), (3.0, 4), (5.0, 6.0)])
+        assert data.columns == ((1.0, 3.0, 5.0), (2.0, 4.0, 6.0))
+        assert all(type(v) is float for col in data.columns for v in col)
+        assert data.values == ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))
+        assert data.column(1) == [2.0, 4.0, 6.0]
+        assert data == DataMatrix.from_columns([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+    def test_non_finite_named_in_row_major_order(self):
+        nan = float("nan")
+        with pytest.raises(NonFiniteEntry, match="row 2, column 3"):
+            make_data_matrix([(1.0, 2.0, 3.0), (1.0, 2.0, nan), (1.0, nan, 3.0)])
+        with pytest.raises(NonFiniteEntry, match="row 2, column 2"):
+            DataMatrix.from_columns([[1.0, 2.0, 3.0], [4.0, nan, 6.0], [7.0, 8.0, nan]])
+
+    def test_from_columns_checks(self):
+        with pytest.raises(LengthMismatch, match="column 2"):
+            DataMatrix.from_columns([[1.0, 2.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(TooFewRows):
+            DataMatrix.from_columns([[1.0], [2.0]])
+        with pytest.raises(BadArguments):
+            DataMatrix.from_columns([])
+        with pytest.raises(LengthMismatch, match="variable names"):
+            DataMatrix.from_columns([[1.0, 2.0]], ("a", "b"))
 
 
 class TestSampleSd:

@@ -10,7 +10,14 @@ from mcor.errors import (
     ParseError,
     TooFewRows,
 )
-from mcor.io import bundled_fixture, read_csv_data, read_matrix, sniff_kind
+from mcor.io import (
+    _parse_column,
+    _parse_number,
+    bundled_fixture,
+    read_csv_data,
+    read_matrix,
+    sniff_kind,
+)
 
 
 def write(tmp_path, name, text):
@@ -84,6 +91,53 @@ class TestReadCsvData:
     def test_quoted_cells(self, tmp_path):
         path = write(tmp_path, "d.csv", 'a,b\n"1.5","2"\n"3","4"\n')
         assert read_csv_data(path).values == ((1.5, 2.0), (3.0, 4.0))
+
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        # Bad cells in column a at row 7 and column b at row 4 (the header
+        # is row 1): parsed column by column, the error still names row 4.
+        lines = ["a,b,c"] + [f"{i},{i * i},{i % 3}" for i in range(1, 9)]
+        lines[6] = "x,36,0"
+        lines[3] = "3,NA,0"
+        path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"^row 4, column b: cannot use cell 'NA'$"):
+            read_csv_data(path)
+        data = read_csv_data(path, drop_na=True)
+        assert data.n_obs == 6
+        assert data.column(0) == [1.0, 2.0, 4.0, 5.0, 7.0, 8.0]
+
+    def test_same_row_reports_first_selected_column(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\nx,y\n")
+        with pytest.raises(ParseError, match="row 4, column b: cannot use cell 'y'"):
+            read_csv_data(path, columns=("b", "a"))
+
+    def test_utf8_bom_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes("\ufeffa,b\n1,2\n3,5\n4,4\n".encode("utf-8"))
+        data = read_csv_data(path, columns=("a",))
+        assert data.var_names == ("a",)
+        assert data.columns == ((1.0, 3.0, 4.0),)
+        assert read_csv_data(path).var_names == ("a", "b")
+
+    def test_bom_before_a_headerless_matrix(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("\ufeff1,0.5\n0.5,1\n".encode("utf-8"))
+        assert read_matrix(path).rows == ((1.0, 0.5), (0.5, 1.0))
+
+
+class TestParseColumn:
+    @pytest.mark.parametrize("cells", [
+        ("1", "2.5", "-3e2"),
+        ("NA", "1", "", "x", "2", "nan", "inf", "-inf", "3", "NA"),
+        ("a", "b", "c"),
+        ("1_000", " 4 ", "0x10", "1e400", "5"),
+        (),
+    ])
+    def test_matches_parse_number_cell_by_cell(self, cells):
+        values, bad = _parse_column(cells)
+        expected = [_parse_number(c) for c in cells]
+        assert bad == [i for i, v in enumerate(expected) if v is None]
+        assert values == [0.0 if v is None else v for v in expected]
 
 
 class TestReadMatrix:

@@ -53,6 +53,13 @@ class TestUniforms:
         b = SplitMix64(1234)
         assert a.uniforms(500) == [b.uniform() for _ in range(500)]
 
+    def test_uniform_is_the_top_53_bits_of_next_u64(self):
+        # uniform() mixes inline; a twin stream pins it to the documented map.
+        a = SplitMix64(31415)
+        b = SplitMix64(31415)
+        for _ in range(10000):
+            assert a.uniform() == ((b.next_u64() >> 11) + 0.5) * 2.0 ** -53
+
     def test_mean_near_half(self):
         rng = SplitMix64(2024)
         us = rng.uniforms(50000)
@@ -83,6 +90,25 @@ class TestNormals:
         for _ in range(5):
             pairs.extend((b.normal(), b.normal()))
         assert singles == pairs
+
+
+    def test_polar_method_on_next_u64(self):
+        # normal() mixes inline; rebuild the polar method from next_u64().
+        def reference(rng):
+            while True:
+                v1 = 2.0 * (((rng.next_u64() >> 11) + 0.5) * 2.0 ** -53) - 1.0
+                v2 = 2.0 * (((rng.next_u64() >> 11) + 0.5) * 2.0 ** -53) - 1.0
+                s = v1 * v1 + v2 * v2
+                if 0.0 < s < 1.0:
+                    factor = math.sqrt(-2.0 * math.log(s) / s)
+                    return v1 * factor, v2 * factor
+
+        a = SplitMix64(2718)
+        b = SplitMix64(2718)
+        for _ in range(2000):
+            assert (a.normal(), a.normal()) == reference(b)
+            # interleaved uniforms continue from the same state
+            assert a.uniform() == b.uniform()
 
 
 class TestDeriveSeed:

@@ -6,6 +6,7 @@ import pytest
 
 from mcor import (
     Scenario,
+    SplitMix64,
     correlation_matrix,
     generate,
     mcor,
@@ -67,6 +68,22 @@ class TestGenerate:
         combo = generate(Scenario.LINEAR_COMBO, 20, 3)
         for x, y, z in combo.values:
             assert z == x + 2.0 * y
+
+    @pytest.mark.parametrize("scenario", [Scenario.NOISY_COMBO, Scenario.CHAINED])
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    def test_columns_follow_the_draw_by_draw_stream(self, scenario, seed):
+        # Reference: one row at a time, variates in recipe order.
+        rng = SplitMix64(seed)
+        rows = []
+        for _ in range(50):
+            x = rng.uniform()
+            if scenario is Scenario.NOISY_COMBO:
+                y = rng.uniform()
+            else:
+                y = 5.0 * x + rng.normal()
+            rows.append((x, y, x + 2.0 * y + rng.normal()))
+        data = generate(scenario, 50, seed)
+        assert data.columns == tuple(zip(*rows))
 
     def test_too_few_observations(self):
         with pytest.raises(BadArguments):
