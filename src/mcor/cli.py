@@ -15,8 +15,15 @@ import sys
 from dataclasses import dataclass
 
 from .errors import McorError, UsageError
-from .io import read_csv_data, read_matrix, sniff_kind
-from .linalg import DEFAULT_MAX_SWEEPS, eigenvalues_symmetric, make_symmetric
+from .io import (
+    DIAGONAL_TOL,
+    SYMMETRY_TOL,
+    read_checked_matrix,
+    read_csv_data,
+    read_matrix,
+    sniff_kind,
+)
+from .linalg import DEFAULT_MAX_SWEEPS, eigenvalues_symmetric
 from .multiway import McorReport, mcor, mcor_from_matrix
 from .simulate import Scenario, monte_carlo
 
@@ -293,26 +300,16 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _run_validate(config: RunConfig) -> int:
-    from .io import _numeric_grid  # diagnostics need the raw, unmirrored grid
-
     path = config.input_paths[0]
-    grid = _numeric_grid(path)
-    d = len(grid)
-    max_asym = max(
-        (abs(grid[i][j] - grid[j][i]) for i in range(d) for j in range(i + 1, d)),
-        default=0.0,
-    )
-    max_diag_dev = max(abs(grid[i][i] - 1.0) for i in range(d))
-    tri = []
-    for i in range(d):
-        for j in range(i):
-            tri.append(0.5 * (grid[i][j] + grid[j][i]))
-        tri.append(grid[i][i])
-    spectrum = eigenvalues_symmetric(make_symmetric(d, tri), max_sweeps=config.max_sweeps)
+    checked = read_checked_matrix(path)
+    d = checked.dim
+    max_asym = checked.max_asymmetry
+    max_diag_dev = checked.max_diagonal_deviation
+    spectrum = eigenvalues_symmetric(checked.matrix(), max_sweeps=config.max_sweeps)
     min_eig = spectrum.values[-1]
     checks = {
-        "symmetric": max_asym <= 1e-9,
-        "unit_diagonal": max_diag_dev <= 1e-9,
+        "symmetric": max_asym <= SYMMETRY_TOL,
+        "unit_diagonal": max_diag_dev <= DIAGONAL_TOL,
         "psd": min_eig >= -1e-8,
     }
     warnings = [f"failed check: {name}" for name, ok in checks.items() if not ok]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 from importlib.resources import files
 from itertools import compress
 from pathlib import Path
@@ -191,13 +192,27 @@ def _numeric_grid(path) -> list[list[float]]:
     return grid
 
 
-def read_matrix(path) -> SymmetricMatrix:
-    """Load a correlation-matrix CSV.
+@dataclass(frozen=True)
+class CheckedMatrix:
+    """A square matrix CSV with its two triangles averaged, and how far the
+    file itself was from symmetric with a unit diagonal."""
 
-    Asymmetry beyond 1e-9 is an error naming the worst entry pair; within
-    tolerance the two triangles are averaged so the result is exactly
-    symmetric.
-    """
+    dim: int
+    lower_triangle: list[float]  # row-major, mirrored entries averaged
+    max_asymmetry: float
+    max_diagonal_deviation: float
+    # (i, j, entry (i, j), entry (j, i)) of the first pair, i < j in
+    # row-major order, whose gap is max_asymmetry; indices are 0-based.
+    worst_pair: tuple[int, int, float, float]
+
+    def matrix(self) -> SymmetricMatrix:
+        """The averaged matrix (NonFiniteEntry if an average overflows)."""
+        return make_symmetric(self.dim, self.lower_triangle)
+
+
+def read_checked_matrix(path) -> CheckedMatrix:
+    """Load a square matrix CSV without judging it: the averaged entries
+    plus the asymmetry and diagonal deviation the file had."""
     grid = _numeric_grid(path)
     d = len(grid)
     worst = 0.0
@@ -208,18 +223,36 @@ def read_matrix(path) -> SymmetricMatrix:
             if gap > worst:
                 worst = gap
                 worst_at = (i, j)
-    if worst > SYMMETRY_TOL:
-        i, j = worst_at
-        raise NotSymmetric(
-            f"entries ({i + 1},{j + 1}) = {grid[i][j]!r} and "
-            f"({j + 1},{i + 1}) = {grid[j][i]!r} differ by {worst:.3e}"
-        )
     tri = []
     for i in range(d):
         for j in range(i):
             tri.append(0.5 * (grid[i][j] + grid[j][i]))
         tri.append(grid[i][i])
-    return make_symmetric(d, tri)
+    i, j = worst_at
+    return CheckedMatrix(
+        dim=d,
+        lower_triangle=tri,
+        max_asymmetry=worst,
+        max_diagonal_deviation=max(abs(grid[k][k] - 1.0) for k in range(d)),
+        worst_pair=(i, j, grid[i][j], grid[j][i]),
+    )
+
+
+def read_matrix(path) -> SymmetricMatrix:
+    """Load a correlation-matrix CSV.
+
+    Asymmetry beyond 1e-9 is an error naming the worst entry pair; within
+    tolerance the two triangles are averaged so the result is exactly
+    symmetric.
+    """
+    checked = read_checked_matrix(path)
+    if checked.max_asymmetry > SYMMETRY_TOL:
+        i, j, upper, lower = checked.worst_pair
+        raise NotSymmetric(
+            f"entries ({i + 1},{j + 1}) = {upper!r} and "
+            f"({j + 1},{i + 1}) = {lower!r} differ by {checked.max_asymmetry:.3e}"
+        )
+    return checked.matrix()
 
 
 def sniff_kind(path) -> str:

@@ -8,6 +8,10 @@ the off-diagonal root-mean-square identity, checks the coefficient value
 without any eigensolver at all. A third, for a given spectrum, computes the
 coefficient in exact rational arithmetic (``fractions``) followed by one
 high-precision ``decimal`` square root, so it carries no float rounding.
+
+``ScalarSplitMix64`` is the seeded generator written one word at a time,
+straight from the description in the package's ``rng`` docstring, so the
+package's block-mixed stream can be checked against it.
 """
 
 from __future__ import annotations
@@ -142,3 +146,45 @@ def exact_spectrum_mcor(values) -> float:
     q = sum((v - mean) ** 2 for v in lam) / (d - 1) / d
     ctx = Context(prec=40)
     return float(ctx.divide(q.numerator, q.denominator).sqrt(ctx))
+
+
+class ScalarSplitMix64:
+    """SplitMix64 with uniform and polar-normal variates, one word at a time.
+
+    The state advances by 0x9E3779B97F4A7C15 modulo 2**64; an output word
+    is the new state through two xor-shift-multiply rounds (multipliers
+    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB, shifts 30/27/31). A uniform
+    is (top 53 bits + 0.5) * 2**-53. A normal is Marsaglia's polar method
+    on consecutive uniforms, returning v1 * factor and keeping v2 * factor
+    for the next call.
+    """
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+        self.spare = None
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
+
+    def uniforms(self, count: int) -> list[float]:
+        return [self.uniform() for _ in range(count)]
+
+    def normal(self) -> float:
+        if self.spare is not None:
+            value, self.spare = self.spare, None
+            return value
+        while True:
+            v1 = 2.0 * self.uniform() - 1.0
+            v2 = 2.0 * self.uniform() - 1.0
+            s = v1 * v1 + v2 * v2
+            if 0.0 < s < 1.0:
+                factor = math.sqrt(-2.0 * math.log(s) / s)
+                self.spare = v2 * factor
+                return v1 * factor

@@ -1,11 +1,12 @@
 """Golden outputs: exact CLI stdout and exact library floats.
 
 The expected files under ``tests/golden/`` were recorded from the
-row-major implementation that preceded the column layout of DataMatrix;
-any refactor of parsing, data layout, generation or correlation must
-reproduce them byte for byte. Input paths are machine-dependent, so each
-occurrence of the input path in stdout is replaced by ``{path}`` before
-the comparison.
+row-major implementation that preceded the column layout of DataMatrix,
+and the ``validate-*`` files from the command before it shared
+``io.read_checked_matrix``; any refactor of parsing, data layout, generation,
+correlation or matrix checks must reproduce them byte for byte. Input
+paths are machine-dependent, so each occurrence of the input path in
+stdout is replaced by ``{path}`` before the comparison.
 """
 
 import json
@@ -38,6 +39,17 @@ def golden_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def near_symmetric_csv(csv_path: str) -> str:
+    """Headerless 4x4 correlation matrix of the golden data, repr digits,
+    with two mirrored pairs and one diagonal entry off by less than 1e-9."""
+    rows = correlation_matrix(read_csv_data(csv_path, drop_na=True)).rows
+    grid = [list(row) for row in rows]
+    grid[0][1] += 4e-10
+    grid[3][2] -= 7e-10
+    grid[2][2] += 3e-10
+    return "".join(",".join(repr(v) for v in row) + "\n" for row in grid)
+
+
 def _cases():
     cases = {}
     for scenario in Scenario:
@@ -46,21 +58,24 @@ def _cases():
     cases["simulate-noisy-combo.txt"] = (None, ["simulate", "noisy-combo", *SIM_ARGS])
     for fixture in ("tb_area1", "tb_area2"):
         path = str(bundled_fixture(f"{fixture}.csv"))
-        cases[f"matrix-{fixture}.json"] = (path, ["matrix", path, "--output", "json"])
-        cases[f"matrix-{fixture}.txt"] = (path, ["matrix", path])
+        for command in ("matrix", "validate"):
+            cases[f"{command}-{fixture}.json"] = (path, [command, path, "--output", "json"])
+            cases[f"{command}-{fixture}.txt"] = (path, [command, path])
     cases["compute-drop-na.json"] = ("{csv}", ["compute", "{csv}", "--drop-na", "--output", "json"])
     cases["compute-drop-na.txt"] = ("{csv}", ["compute", "{csv}", "--drop-na"])
+    cases["validate-near-symmetric.json"] = (
+        "{matrix}", ["validate", "{matrix}", "--output", "json"])
+    cases["validate-near-symmetric.txt"] = ("{matrix}", ["validate", "{matrix}"])
     return cases
 
 
 CASES = _cases()
 
 
-def cli_stdout(name: str, csv_path: str, capsys) -> str:
+def cli_stdout(name: str, inputs: dict, capsys) -> str:
     path, argv = CASES[name]
-    if path == "{csv}":
-        path = csv_path
-    argv = [csv_path if arg == "{csv}" else arg for arg in argv]
+    path = inputs.get(path, path)
+    argv = [inputs.get(arg, arg) for arg in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out
     return out.replace(path, "{path}") if path else out
@@ -85,10 +100,17 @@ def csv_path(tmp_path) -> str:
     return str(path)
 
 
+@pytest.fixture
+def inputs(csv_path, tmp_path) -> dict:
+    matrix = tmp_path / "near-symmetric.csv"
+    matrix.write_text(near_symmetric_csv(csv_path), encoding="utf-8")
+    return {"{csv}": csv_path, "{matrix}": str(matrix)}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_stdout_is_unchanged(name, csv_path, capsys):
+def test_cli_stdout_is_unchanged(name, inputs, capsys):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
-    assert cli_stdout(name, csv_path, capsys) == expected
+    assert cli_stdout(name, inputs, capsys) == expected
 
 
 def test_library_floats_are_unchanged(csv_path):

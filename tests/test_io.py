@@ -168,6 +168,11 @@ class TestReadMatrix:
         with pytest.raises(NotSymmetric, match=r"\(1,2\)"):
             read_matrix(path)
 
+    def test_asymmetry_is_reported_before_an_overflowing_average(self, tmp_path):
+        path = write(tmp_path, "m.csv", "1,1e308\n1.5e308,1\n")
+        with pytest.raises(NotSymmetric, match=r"\(1,2\) = 1e\+308"):
+            read_matrix(path)
+
     def test_tiny_asymmetry_averaged(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5000000001\n0.4999999999,1\n")
         m = read_matrix(path)

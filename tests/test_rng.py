@@ -1,12 +1,24 @@
 """The seeded generator: reference vectors, determinism, variate shape."""
 
+import copy
 import math
 from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcor import rng
 from mcor.errors import BadArguments
 from mcor.rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
+from oracles import ScalarSplitMix64
+
+# 0, 1, the top bit alone, the largest seed (its first state wraps), and a
+# seed whose fifth state wraps to 0, the one state whose word is 0.
+EDGE_SEEDS = (0, 1, 2**63, 2**64 - 1, (-5 * GOLDEN_GAMMA) % 2**64)
+# Enough words to run through every smaller block and then three
+# largest-size blocks and into a fourth.
+SPAN = sum(rng._SIZES[:-1]) + 3 * rng._MAX_BLOCK + 7
 
 
 class TestCoreGenerator:
@@ -34,6 +46,12 @@ class TestCoreGenerator:
         b = SplitMix64(987654321)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
+    def test_a_copy_continues_the_stream_on_its_own(self):
+        a = SplitMix64(77)
+        a.uniforms(15)  # part way into a block
+        b = copy.copy(a)
+        assert [a.next_u64() for _ in range(40)] == [b.next_u64() for _ in range(40)]
+
     def test_seed_is_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
@@ -54,7 +72,8 @@ class TestUniforms:
         assert a.uniforms(500) == [b.uniform() for _ in range(500)]
 
     def test_uniform_is_the_top_53_bits_of_next_u64(self):
-        # uniform() mixes inline; a twin stream pins it to the documented map.
+        # uniform() reads the word buffer itself; a twin stream pins it to
+        # the documented map.
         a = SplitMix64(31415)
         b = SplitMix64(31415)
         for _ in range(10000):
@@ -93,7 +112,8 @@ class TestNormals:
 
 
     def test_polar_method_on_next_u64(self):
-        # normal() mixes inline; rebuild the polar method from next_u64().
+        # normal() reads the word buffer itself; rebuild the polar method
+        # from next_u64().
         def reference(rng):
             while True:
                 v1 = 2.0 * (((rng.next_u64() >> 11) + 0.5) * 2.0 ** -53) - 1.0
@@ -109,6 +129,62 @@ class TestNormals:
             assert (a.normal(), a.normal()) == reference(b)
             # interleaved uniforms continue from the same state
             assert a.uniform() == b.uniform()
+
+
+class TestAgainstScalarOracle:
+    """The block-mixed stream against tests/oracles.py, which mixes one
+    word at a time and shares no code with the package."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_next_u64(self, seed):
+        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert [a.next_u64() for _ in range(SPAN)] == [b.next_u64() for _ in range(SPAN)]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_uniform(self, seed):
+        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert [a.uniform() for _ in range(SPAN)] == b.uniforms(SPAN)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_uniforms(self, seed):
+        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert a.uniforms(SPAN) == b.uniforms(SPAN)
+
+    @pytest.mark.parametrize("lead", (0, 1))
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_normal(self, seed, lead):
+        # Block sizes are even, so lead = 1 puts the second word of some
+        # polar attempts first in a new block. Each normal uses about 1.27
+        # words on average.
+        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert a.uniforms(lead) == b.uniforms(lead)
+        count = SPAN * 4 // 5
+        assert [a.normal() for _ in range(count)] == [b.normal() for _ in range(count)]
+
+    def test_the_zero_word(self):
+        stream = SplitMix64((-5 * GOLDEN_GAMMA) % 2**64)
+        assert [stream.next_u64() for _ in range(6)][4:] == [0, mix64(GOLDEN_GAMMA)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, MASK64)),
+        calls=st.lists(
+            st.one_of(
+                st.sampled_from(["next_u64", "uniform", "normal"]),
+                st.integers(0, 3 * rng._MAX_BLOCK),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_any_interleaving(self, seed, calls):
+        # an integer stands for uniforms(count), from 0 past the block cap
+        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
+        for call in calls:
+            if isinstance(call, int):
+                assert a.uniforms(call) == b.uniforms(call)
+            else:
+                assert getattr(a, call)() == getattr(b, call)()
+        assert a.next_u64() == b.next_u64()
 
 
 class TestDeriveSeed:
