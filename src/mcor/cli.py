@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import McorError, UsageError
 from .io import (
@@ -24,26 +23,11 @@ from .io import (
     sniff_kind,
 )
 from .linalg import DEFAULT_MAX_SWEEPS, eigenvalues_symmetric
-from .multiway import McorReport, mcor, mcor_from_matrix
+from .multiway import PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .simulate import Scenario, monte_carlo
 
 TIE_THRESHOLD = 1e-9
 U64_MAX = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_paths: tuple[str, ...] = ()
-    columns: tuple[str, ...] | None = None
-    drop_na: bool = False
-    output_format: str = "text"
-    seed: int = 0
-    n_obs: int = 1000
-    replicates: int = 100
-    scenario: Scenario | None = None
-    as_kind: str | None = None
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,49 +55,50 @@ def _positive(text: str) -> int:
     return value
 
 
-def _add_output_flag(parser):
-    parser.add_argument(
-        "--output", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-
-
-def _add_sweeps_flag(parser):
-    parser.add_argument(
-        "--max-sweeps", type=_positive, default=DEFAULT_MAX_SWEEPS, metavar="N",
-        help="eigensolver sweep limit (default: %(default)s)",
-    )
+def _column_names(text: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    if not names:
+        raise UsageError("--columns needs at least one name")
+    return names
 
 
 def _build_parser() -> _Parser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("text", "json"), default="text",
+                        help="report format (default: text)")
+    sweeps = argparse.ArgumentParser(add_help=False)
+    sweeps.add_argument("--max-sweeps", type=_positive, default=DEFAULT_MAX_SWEEPS,
+                        metavar="N", help="eigensolver sweep limit (default: %(default)s)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--columns", type=_column_names, metavar="A,B,...",
+                      help="comma-separated column names (default: all numeric)")
+    data.add_argument("--drop-na", action="store_true",
+                      help="listwise-delete rows with missing cells")
+
     parser = _Parser(prog="mcor", description="Multi-way correlation toolkit")
+    parser.set_defaults(run=None)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    compute = sub.add_parser("compute", help="coefficient of a data CSV")
+    compute = sub.add_parser("compute", parents=[data, output, sweeps],
+                             help="coefficient of a data CSV")
     compute.add_argument("path")
-    compute.add_argument("--columns", metavar="A,B,...",
-                         help="comma-separated column names (default: all numeric)")
-    compute.add_argument("--drop-na", action="store_true",
-                         help="listwise-delete rows with missing cells")
-    _add_output_flag(compute)
-    _add_sweeps_flag(compute)
+    compute.set_defaults(run=_run_single, kind="data")
 
-    matrix = sub.add_parser("matrix", help="coefficient of a correlation-matrix CSV")
+    matrix = sub.add_parser("matrix", parents=[output, sweeps],
+                            help="coefficient of a correlation-matrix CSV")
     matrix.add_argument("path")
-    _add_output_flag(matrix)
-    _add_sweeps_flag(matrix)
+    matrix.set_defaults(run=_run_single, kind="matrix")
 
-    compare = sub.add_parser("compare", help="which of two inputs is more correlated")
+    compare = sub.add_parser("compare", parents=[data, output, sweeps],
+                             help="which of two inputs is more correlated")
     compare.add_argument("path_a")
     compare.add_argument("path_b")
     compare.add_argument("--as", dest="as_kind", choices=("matrix", "data"),
                          help="force both inputs to one kind (default: auto-detect)")
-    compare.add_argument("--columns", metavar="A,B,...")
-    compare.add_argument("--drop-na", action="store_true")
-    _add_output_flag(compare)
-    _add_sweeps_flag(compare)
+    compare.set_defaults(run=_run_compare)
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo run of a bundled scenario")
+    simulate = sub.add_parser("simulate", parents=[output],
+                              help="Monte Carlo run of a bundled scenario")
     simulate.add_argument("scenario", choices=[s.value for s in Scenario])
     simulate.add_argument("--n", type=_positive, default=1000, metavar="N",
                           help="observations per replicate (default: %(default)s)")
@@ -121,43 +106,21 @@ def _build_parser() -> _Parser:
                           help="replicates (default: %(default)s)")
     simulate.add_argument("--seed", type=_u64, default=0, metavar="S",
                           help="master seed (default: %(default)s)")
-    _add_output_flag(simulate)
+    simulate.set_defaults(run=_run_simulate)
 
-    validate = sub.add_parser("validate", help="correlation-matrix diagnostics")
+    validate = sub.add_parser("validate", parents=[output, sweeps],
+                              help="correlation-matrix diagnostics")
     validate.add_argument("path")
-    _add_output_flag(validate)
-    _add_sweeps_flag(validate)
+    validate.set_defaults(run=_run_validate)
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    namespace = _build_parser().parse_args(argv)
-    if namespace.command is None:
+def parse_args(argv) -> argparse.Namespace:
+    """Parsed options; ``run`` is the command's handler, called with them."""
+    args = _build_parser().parse_args(argv)
+    if args.run is None:
         raise UsageError("a command is required (compute, matrix, compare, simulate, validate)")
-    columns = None
-    if getattr(namespace, "columns", None):
-        columns = tuple(name.strip() for name in namespace.columns.split(",") if name.strip())
-        if not columns:
-            raise UsageError("--columns needs at least one name")
-    kwargs = dict(command=namespace.command, columns=columns)
-    if namespace.command == "compute":
-        kwargs.update(input_paths=(namespace.path,), drop_na=namespace.drop_na,
-                      output_format=namespace.output, max_sweeps=namespace.max_sweeps)
-    elif namespace.command == "matrix":
-        kwargs.update(input_paths=(namespace.path,), output_format=namespace.output,
-                      max_sweeps=namespace.max_sweeps)
-    elif namespace.command == "compare":
-        kwargs.update(input_paths=(namespace.path_a, namespace.path_b),
-                      drop_na=namespace.drop_na, output_format=namespace.output,
-                      as_kind=namespace.as_kind, max_sweeps=namespace.max_sweeps)
-    elif namespace.command == "simulate":
-        kwargs.update(scenario=Scenario.from_cli_name(namespace.scenario),
-                      n_obs=namespace.n, replicates=namespace.reps,
-                      seed=namespace.seed, output_format=namespace.output)
-    else:
-        kwargs.update(input_paths=(namespace.path,), output_format=namespace.output,
-                      max_sweeps=namespace.max_sweeps)
-    return RunConfig(**kwargs)
+    return args
 
 
 def _round12(value):
@@ -184,8 +147,8 @@ def _report_dict(report: McorReport) -> dict:
     }
 
 
-def _emit(kind: str, inputs, result: dict, warnings, config: RunConfig, text: str) -> None:
-    if config.output_format == "json":
+def _emit(kind: str, inputs, result: dict, warnings, args: argparse.Namespace, text: str) -> None:
+    if args.output == "json":
         payload = {
             "kind": kind,
             "inputs": list(inputs),
@@ -217,33 +180,32 @@ def _report_text(report: McorReport, source: str) -> str:
     return "\n".join(lines)
 
 
-def _load_report(path: str, kind: str, config: RunConfig) -> McorReport:
+def _load_report(path: str, kind: str, args: argparse.Namespace) -> McorReport:
     if kind == "matrix":
-        return mcor_from_matrix(read_matrix(path), max_sweeps=config.max_sweeps)
-    data = read_csv_data(path, columns=config.columns, drop_na=config.drop_na)
-    return mcor(data, max_sweeps=config.max_sweeps)
+        return mcor_from_matrix(read_matrix(path), max_sweeps=args.max_sweeps)
+    data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na)
+    return mcor(data, max_sweeps=args.max_sweeps)
 
 
-def _run_single(config: RunConfig) -> int:
-    path = config.input_paths[0]
-    report = _load_report(path, "matrix" if config.command == "matrix" else "data", config)
+def _run_single(args: argparse.Namespace) -> int:
+    report = _load_report(args.path, args.kind, args)
     _emit(
         "mcor_report",
-        [path],
+        [args.path],
         _report_dict(report),
         report.warnings,
-        config,
-        _report_text(report, path),
+        args,
+        _report_text(report, args.path),
     )
     return 0
 
 
-def _run_compare(config: RunConfig) -> int:
-    path_a, path_b = config.input_paths
-    kind_a = config.as_kind or sniff_kind(path_a)
-    kind_b = config.as_kind or sniff_kind(path_b)
-    report_a = _load_report(path_a, kind_a, config)
-    report_b = _load_report(path_b, kind_b, config)
+def _run_compare(args: argparse.Namespace) -> int:
+    path_a, path_b = args.path_a, args.path_b
+    kind_a = args.as_kind or sniff_kind(path_a)
+    kind_b = args.as_kind or sniff_kind(path_b)
+    report_a = _load_report(path_a, kind_a, args)
+    report_b = _load_report(path_b, kind_b, args)
     delta = report_a.mcor - report_b.mcor
     if delta > TIE_THRESHOLD:
         verdict = "A"
@@ -268,12 +230,13 @@ def _run_compare(config: RunConfig) -> int:
         f"  delta (A - B):   {delta:.4f}",
         f"  more correlated: {verdict}",
     ] + [f"  warning: {w}" for w in warnings])
-    _emit("comparison", [path_a, path_b], result, warnings, config, text)
+    _emit("comparison", [path_a, path_b], result, warnings, args, text)
     return 0
 
 
-def _run_simulate(config: RunConfig) -> int:
-    summary = monte_carlo(config.scenario, config.n_obs, config.replicates, config.seed)
+def _run_simulate(args: argparse.Namespace) -> int:
+    scenario = Scenario.from_cli_name(args.scenario)
+    summary = monte_carlo(scenario, args.n, args.reps, args.seed)
     result = {
         "scenario": summary.scenario.value,
         "n_obs": summary.n_obs,
@@ -295,22 +258,22 @@ def _run_simulate(config: RunConfig) -> int:
         f"  mcor min:   {summary.mcor_min:.4f}",
         f"  mcor max:   {summary.mcor_max:.4f}",
     ])
-    _emit("monte_carlo", [f"scenario:{summary.scenario.value}"], result, [], config, text)
+    _emit("monte_carlo", [f"scenario:{summary.scenario.value}"], result, [], args, text)
     return 0
 
 
-def _run_validate(config: RunConfig) -> int:
-    path = config.input_paths[0]
+def _run_validate(args: argparse.Namespace) -> int:
+    path = args.path
     checked = read_checked_matrix(path)
     d = checked.dim
     max_asym = checked.max_asymmetry
     max_diag_dev = checked.max_diagonal_deviation
-    spectrum = eigenvalues_symmetric(checked.matrix(), max_sweeps=config.max_sweeps)
+    spectrum = eigenvalues_symmetric(checked.matrix(), max_sweeps=args.max_sweeps)
     min_eig = spectrum.values[-1]
     checks = {
         "symmetric": max_asym <= SYMMETRY_TOL,
         "unit_diagonal": max_diag_dev <= DIAGONAL_TOL,
-        "psd": min_eig >= -1e-8,
+        "psd": min_eig >= PSD_EIG_FLOOR,
     }
     warnings = [f"failed check: {name}" for name, ok in checks.items() if not ok]
     result = {
@@ -333,31 +296,17 @@ def _run_validate(config: RunConfig) -> int:
         f"  PSD within tolerance:   {'yes' if checks['psd'] else 'NO'}"
         f" (min eigenvalue {min_eig:.6g})",
     ] + [f"  warning: {w}" for w in warnings])
-    _emit("validation", [path], result, warnings, config, text)
+    _emit("validation", [path], result, warnings, args, text)
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code."""
-    if config.command in ("compute", "matrix"):
-        return _run_single(config)
-    if config.command == "compare":
-        return _run_compare(config)
-    if config.command == "simulate":
-        return _run_simulate(config)
-    if config.command == "validate":
-        return _run_validate(config)
-    raise UsageError(f"unknown command {config.command!r}")
-
-
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            config = parse_args(args)
+            args = parse_args(argv)  # None reads sys.argv[1:]
         except SystemExit as exc:  # --help lands here
             return int(exc.code or 0)
-        return run(config)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2

@@ -206,7 +206,7 @@ class CheckedMatrix:
     worst_pair: tuple[int, int, float, float]
 
     def matrix(self) -> SymmetricMatrix:
-        """The averaged matrix (NonFiniteEntry if an average overflows)."""
+        """The averaged matrix."""
         return make_symmetric(self.dim, self.lower_triangle)
 
 
@@ -226,7 +226,9 @@ def read_checked_matrix(path) -> CheckedMatrix:
     tri = []
     for i in range(d):
         for j in range(i):
-            tri.append(0.5 * (grid[i][j] + grid[j][i]))
+            # Halved first: a + b may overflow. Same bits as 0.5 * (a + b)
+            # whenever that is finite and neither half is subnormal.
+            tri.append(0.5 * grid[i][j] + 0.5 * grid[j][i])
         tri.append(grid[i][i])
     i, j = worst_at
     return CheckedMatrix(

@@ -116,6 +116,23 @@ def _rotate(a: list[list[float]], d: int, p: int, q: int) -> None:
         a[q][i] = a[i][q]
 
 
+def _unscale(value: float, shift: int, what: str) -> float:
+    """``value * 2**shift``, exact; NonFiniteEntry if it overflows."""
+    try:
+        return math.ldexp(value, shift)
+    except OverflowError:
+        raise NonFiniteEntry(f"{what} {value!r} * 2**{shift} exceeds the float range") from None
+
+
+def _spectrum(a: list[list[float]], d: int, sweeps: int, off: float, shift: int) -> EigenSpectrum:
+    values = sorted((a[i][i] for i in range(d)), reverse=True)
+    return EigenSpectrum(
+        values=tuple(_unscale(v, shift, "eigenvalue") for v in values),
+        sweeps_used=sweeps,
+        off_diag_residual=_unscale(off, shift, "residual"),
+    )
+
+
 def eigenvalues_symmetric(
     m: SymmetricMatrix,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -126,15 +143,19 @@ def eigenvalues_symmetric(
     Stops once the off-diagonal Frobenius norm is within ``rel_tol`` times
     the Frobenius norm of the input; raises NoConvergence if that does not
     happen within ``max_sweeps`` full sweeps. A matrix that is already
-    diagonal is returned after zero sweeps.
+    diagonal is returned after zero sweeps. The rotations run on a copy
+    scaled by the power of two that brings the largest |entry| into
+    [0.5, 1), so no square overflows or underflows to zero; the scaling is
+    exact and is undone on the results, and an eigenvalue beyond the
+    float range raises NonFiniteEntry.
     """
     d = m.dim
-    a = [list(row) for row in m.rows]
-    threshold = rel_tol * math.sqrt(frobenius_norm_sq(m))
+    shift = math.frexp(max(abs(v) for row in m.rows for v in row))[1]
+    a = [[math.ldexp(v, -shift) for v in row] for row in m.rows]
+    threshold = rel_tol * math.sqrt(fsum(v * v for row in a for v in row))
     off = _off_diag_norm(a, d)
     if off <= threshold:
-        values = tuple(sorted((a[i][i] for i in range(d)), reverse=True))
-        return EigenSpectrum(values=values, sweeps_used=0, off_diag_residual=off)
+        return _spectrum(a, d, 0, off, shift)
     # Rotations are skipped for entries too small to matter for the
     # residual target (each contributes < threshold/d^2 to the norm).
     skip = threshold / (d * d)
@@ -145,10 +166,10 @@ def eigenvalues_symmetric(
                     _rotate(a, d, p, q)
         off = _off_diag_norm(a, d)
         if off <= threshold:
-            values = tuple(sorted((a[i][i] for i in range(d)), reverse=True))
-            return EigenSpectrum(values=values, sweeps_used=sweep, off_diag_residual=off)
+            return _spectrum(a, d, sweep, off, shift)
+    off = _unscale(off, shift, "residual")
     raise NoConvergence(
-        f"off-diagonal residual {off:.3e} still above {threshold:.3e} "
-        f"after {max_sweeps} sweeps",
+        f"off-diagonal residual {off:.3e} still above "
+        f"{math.ldexp(threshold, shift):.3e} after {max_sweeps} sweeps",
         residual=off,
     )

@@ -1,17 +1,21 @@
 """CLI contract: parsing, exit codes, report formats, error lines."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
-from mcor.cli import main, parse_args
+from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import UsageError
 from mcor.io import bundled_fixture
 from support import rand_data
 
 AREA1 = str(bundled_fixture("tb_area1.csv"))
 AREA2 = str(bundled_fixture("tb_area2.csv"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, name, text):
@@ -28,28 +32,29 @@ def run_cli(capsys, *argv):
 
 class TestParseArgs:
     def test_compute(self):
-        config = parse_args(
+        args = parse_args(
             ["compute", "data.csv", "--columns", "a,b,c", "--output", "json"]
         )
-        assert config.command == "compute"
-        assert config.input_paths == ("data.csv",)
-        assert config.columns == ("a", "b", "c")
-        assert config.output_format == "json"
-        assert config.drop_na is False
+        assert args.command == "compute"
+        assert args.path == "data.csv"
+        assert args.columns == ("a", "b", "c")
+        assert args.output == "json"
+        assert args.drop_na is False
 
     def test_compare(self):
-        config = parse_args(["compare", "areaA.csv", "areaB.csv"])
-        assert config.command == "compare"
-        assert config.input_paths == ("areaA.csv", "areaB.csv")
-        assert config.as_kind is None
+        args = parse_args(["compare", "areaA.csv", "areaB.csv"])
+        assert args.command == "compare"
+        assert (args.path_a, args.path_b) == ("areaA.csv", "areaB.csv")
+        assert args.as_kind is None
 
     def test_simulate(self):
-        config = parse_args(
+        args = parse_args(
             ["simulate", "linear-combo", "--n", "1000", "--seed", "42", "--reps", "100"]
         )
-        assert config.command == "simulate"
-        assert config.scenario is Scenario.LINEAR_COMBO
-        assert (config.n_obs, config.seed, config.replicates) == (1000, 42, 100)
+        assert args.command == "simulate"
+        assert args.scenario == "linear-combo"
+        assert Scenario.from_cli_name(args.scenario) is Scenario.LINEAR_COMBO
+        assert (args.n, args.seed, args.reps) == (1000, 42, 100)
 
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
@@ -63,11 +68,42 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args([])
 
+    def test_empty_columns(self):
+        with pytest.raises(UsageError, match="--columns needs at least one name"):
+            parse_args(["compute", "x.csv", "--columns", ""])
+
     def test_bad_seed(self):
         with pytest.raises(UsageError):
             parse_args(["simulate", "chained", "--seed", "-3"])
         with pytest.raises(UsageError):
             parse_args(["simulate", "chained", "--seed", str(2**64)])
+
+
+def readme_synopses() -> dict:
+    """Command name -> its synopsis line(s) in README's Command line block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    synopses = {}
+    for line in block.splitlines():
+        if line.startswith("mcor "):
+            command = line.split()[1]
+            synopses[command] = line
+        elif line.startswith(" ") and synopses:
+            synopses[command] += "\n" + line
+    return synopses
+
+
+def test_readme_synopsis_lists_every_option():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    synopses = readme_synopses()
+    assert set(synopses) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert re.search(re.escape("[" + option) + r"[ \]]", synopses[command]), (
+                        f"README synopsis of {command} lacks {option}")
 
 
 class TestComputeCommand:
@@ -124,6 +160,12 @@ class TestMatrixCommand:
         code, out, err = run_cli(capsys, "matrix", path)
         assert code == 1
         assert err.startswith("error: NOT_SQUARE: ")
+
+    def test_entry_near_the_float_maximum(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "1,1.5e308\n1.5e308,1\n")
+        code, out, err = run_cli(capsys, "matrix", path)
+        assert code == 1
+        assert err.startswith("error: NOT_A_CORRELATION_MATRIX: ")
 
     def test_max_sweeps_threads_through(self, capsys):
         code, out, err = run_cli(capsys, "matrix", AREA1, "--max-sweeps", "1")
@@ -229,6 +271,27 @@ class TestValidateCommand:
         payload = json.loads(out)
         assert payload["result"]["psd"] is False
         assert payload["result"]["min_eigenvalue"] < -1e-8
+
+
+    def test_min_eigenvalue_when_squares_overflow(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "1,2e200\n2e200,1\n")
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 0 and err == ""
+        assert "PSD within tolerance:   NO (min eigenvalue -2e+200)" in out
+
+    def test_mirrored_entries_near_the_float_maximum(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "1,1e308\n1.5e308,1\n")
+        code, out, err = run_cli(capsys, "validate", path, "--output", "json")
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert result["symmetric"] is False and result["psd"] is False
+
+    def test_eigenvalue_beyond_the_float_range(self, tmp_path, capsys):
+        b = "1.5e308"
+        path = write(tmp_path, "m.csv", f"1,{b},{b}\n{b},1,{b}\n{b},{b},1\n")
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: NON_FINITE_ENTRY: eigenvalue ")
 
 
 class TestOutputStability:

@@ -2,14 +2,20 @@
 
 The expected files under ``tests/golden/`` were recorded from the
 row-major implementation that preceded the column layout of DataMatrix,
-and the ``validate-*`` files from the command before it shared
-``io.read_checked_matrix``; any refactor of parsing, data layout, generation,
-correlation or matrix checks must reproduce them byte for byte. Input
-paths are machine-dependent, so each occurrence of the input path in
-stdout is replaced by ``{path}`` before the comparison.
+the ``validate-*`` files from the command before it shared
+``io.read_checked_matrix``, and the ``compare-*`` files and
+``usage-errors.json`` (exit code, stdout and stderr of each rejected
+command line) from the CLI before its options moved into argparse
+defaults; any refactor of parsing, data layout, generation, correlation,
+matrix checks or argument handling must reproduce them byte for byte.
+Input paths are machine-dependent, so each occurrence of an input path in
+stdout is replaced by ``{path}`` (``{path_a}``, ``{path_b}`` for two)
+before the comparison.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -53,32 +59,64 @@ def near_symmetric_csv(csv_path: str) -> str:
 def _cases():
     cases = {}
     for scenario in Scenario:
-        cases[f"simulate-{scenario.value}.json"] = (
-            None, ["simulate", scenario.value, *SIM_ARGS, "--output", "json"])
-    cases["simulate-noisy-combo.txt"] = (None, ["simulate", "noisy-combo", *SIM_ARGS])
+        cases[f"simulate-{scenario.value}.json"] = [
+            "simulate", scenario.value, *SIM_ARGS, "--output", "json"]
+    cases["simulate-noisy-combo.txt"] = ["simulate", "noisy-combo", *SIM_ARGS]
     for fixture in ("tb_area1", "tb_area2"):
-        path = str(bundled_fixture(f"{fixture}.csv"))
         for command in ("matrix", "validate"):
-            cases[f"{command}-{fixture}.json"] = (path, [command, path, "--output", "json"])
-            cases[f"{command}-{fixture}.txt"] = (path, [command, path])
-    cases["compute-drop-na.json"] = ("{csv}", ["compute", "{csv}", "--drop-na", "--output", "json"])
-    cases["compute-drop-na.txt"] = ("{csv}", ["compute", "{csv}", "--drop-na"])
-    cases["validate-near-symmetric.json"] = (
-        "{matrix}", ["validate", "{matrix}", "--output", "json"])
-    cases["validate-near-symmetric.txt"] = ("{matrix}", ["validate", "{matrix}"])
+            cases[f"{command}-{fixture}.json"] = [command, f"{{{fixture}}}", "--output", "json"]
+            cases[f"{command}-{fixture}.txt"] = [command, f"{{{fixture}}}"]
+    cases["compute-drop-na.json"] = ["compute", "{csv}", "--drop-na", "--output", "json"]
+    cases["compute-drop-na.txt"] = ["compute", "{csv}", "--drop-na"]
+    cases["validate-near-symmetric.json"] = ["validate", "{matrix}", "--output", "json"]
+    cases["validate-near-symmetric.txt"] = ["validate", "{matrix}"]
+    cases["compare-tb_area.json"] = ["compare", "{tb_area1}", "{tb_area2}", "--output", "json"]
+    cases["compare-tb_area.txt"] = ["compare", "{tb_area1}", "{tb_area2}"]
+    mixed = ["compare", "{csv}", "{tb_area2}", "--columns", "a,b,d", "--drop-na"]
+    cases["compare-columns.json"] = [*mixed, "--output", "json"]
+    cases["compare-columns.txt"] = mixed
     return cases
 
 
 CASES = _cases()
 
+# Each is rejected before any file is opened, so the paths need not exist.
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "compute-without-path": ["compute"],
+    "unknown-flag": ["compute", "x.csv", "--frobnicate"],
+    "compare-one-path": ["compare", "only-one.csv"],
+    "seed-negative": ["simulate", "chained", "--seed", "-3"],
+    "seed-over-64-bits": ["simulate", "chained", "--seed", str(2**64)],
+    "seed-not-an-integer": ["simulate", "chained", "--seed", "x"],
+    "unknown-scenario": ["simulate", "quadratic"],
+    "n-zero": ["simulate", "chained", "--n", "0"],
+    "reps-not-an-integer": ["simulate", "chained", "--reps", "x"],
+    "max-sweeps-zero": ["matrix", "m.csv", "--max-sweeps", "0"],
+    "columns-without-names": ["compute", "x.csv", "--columns", " , "],
+    "as-csv": ["compare", "a.csv", "b.csv", "--as", "csv"],
+    "output-xml": ["matrix", "m.csv", "--output", "xml"],
+}
 
-def cli_stdout(name: str, inputs: dict, capsys) -> str:
-    path, argv = CASES[name]
-    path = inputs.get(path, path)
-    argv = [inputs.get(arg, arg) for arg in argv]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    return out.replace(path, "{path}") if path else out
+
+def run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_result(name: str, inputs: dict) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a case, input paths in stdout
+    replaced by ``{path}`` (or ``{path_a}`` and ``{path_b}``)."""
+    template = CASES[name]
+    code, out, err = run_main([inputs.get(arg, arg) for arg in template])
+    paths = [inputs[arg] for arg in template if arg in inputs]
+    marks = ["{path}"] if len(paths) == 1 else ["{path_a}", "{path_b}"]
+    for path, mark in zip(paths, marks):
+        out = out.replace(path, mark)
+    return code, out, err
 
 
 def library_values(csv_path: str) -> dict:
@@ -104,13 +142,25 @@ def csv_path(tmp_path) -> str:
 def inputs(csv_path, tmp_path) -> dict:
     matrix = tmp_path / "near-symmetric.csv"
     matrix.write_text(near_symmetric_csv(csv_path), encoding="utf-8")
-    return {"{csv}": csv_path, "{matrix}": str(matrix)}
+    return {
+        "{csv}": csv_path,
+        "{matrix}": str(matrix),
+        "{tb_area1}": str(bundled_fixture("tb_area1.csv")),
+        "{tb_area2}": str(bundled_fixture("tb_area2.csv")),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_stdout_is_unchanged(name, inputs, capsys):
+def test_cli_stdout_is_unchanged(name, inputs):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
-    assert cli_stdout(name, inputs, capsys) == expected
+    assert cli_result(name, inputs) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_are_unchanged(name):
+    expected = json.loads((GOLDEN / "usage-errors.json").read_text(encoding="utf-8"))
+    code, out, err = run_main(USAGE_ERRORS[name])
+    assert {"exit": code, "stdout": out, "stderr": err} == expected[name]
 
 
 def test_library_floats_are_unchanged(csv_path):

@@ -1,6 +1,11 @@
 """CSV ingestion: data files, matrix files, kind sniffing."""
 
+import math
+import sys
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcor.errors import (
     EmptySelection,
@@ -14,6 +19,7 @@ from mcor.io import (
     _parse_column,
     _parse_number,
     bundled_fixture,
+    read_checked_matrix,
     read_csv_data,
     read_matrix,
     sniff_kind,
@@ -172,6 +178,22 @@ class TestReadMatrix:
         path = write(tmp_path, "m.csv", "1,1e308\n1.5e308,1\n")
         with pytest.raises(NotSymmetric, match=r"\(1,2\) = 1e\+308"):
             read_matrix(path)
+
+    def test_average_of_entries_near_the_float_maximum(self, tmp_path):
+        path = write(tmp_path, "m.csv", "1,1.5e308\n1.5e308,1\n")
+        assert read_matrix(path).rows[0][1] == 1.5e308
+        path = write(tmp_path, "m2.csv", "1,1e308\n1.5e308,1\n")
+        assert read_checked_matrix(path).lower_triangle[1] == 1.25e308
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_average_is_the_rounded_mean(self, tmp_path_factory, a, b):
+        assume(math.isfinite(a + b))
+        assume(all(x == 0.0 or abs(0.5 * x) >= sys.float_info.min for x in (a, b)))
+        path = tmp_path_factory.mktemp("avg") / "m.csv"
+        path.write_text(f"1,{a!r}\n{b!r},1\n", encoding="utf-8")
+        assert read_checked_matrix(path).lower_triangle[1] == 0.5 * (a + b)
 
     def test_tiny_asymmetry_averaged(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5000000001\n0.4999999999,1\n")

@@ -114,6 +114,30 @@ class TestEigenvaluesSymmetric:
             eigenvalues_symmetric(m, max_sweeps=0)
         assert excinfo.value.residual > 0.0
 
+    @pytest.mark.parametrize("tri, expected", [
+        ([1.0, 1e200, 1.0], (1e200, -1e200)),
+        ([0.0, 1e-200, 0.0], (1e-200, -1e-200)),
+    ])
+    def test_squares_beyond_the_float_range(self, tri, expected):
+        # the squares overflow to inf or underflow to 0
+        spectrum = eigenvalues_symmetric(make_symmetric(2, tri))
+        assert spectrum.values == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_power_of_two_scaling_is_exact(self):
+        m = rand_symmetric(SplitMix64(23), 6)
+        base = eigenvalues_symmetric(m)
+        for k in (-1000, -600, -1, 1, 600, 1000):
+            tri = [math.ldexp(m.rows[i][j], k) for i in range(6) for j in range(i + 1)]
+            spectrum = eigenvalues_symmetric(make_symmetric(6, tri))
+            assert spectrum.values == tuple(math.ldexp(v, k) for v in base.values)
+            assert spectrum.sweeps_used == base.sweeps_used
+
+    def test_eigenvalue_beyond_the_float_range(self):
+        # every off-diagonal 1.5e308: the top eigenvalue is 3e308
+        m = make_symmetric(3, [1.0, 1.5e308, 1.0, 1.5e308, 1.5e308, 1.0])
+        with pytest.raises(NonFiniteEntry, match="eigenvalue"):
+            eigenvalues_symmetric(m)
+
     def test_result_type(self):
         spectrum = eigenvalues_symmetric(make_symmetric(2, [2.0, 0.3, 1.0]))
         assert isinstance(spectrum, EigenSpectrum)
