@@ -13,17 +13,10 @@ import argparse
 import json
 import sys
 
-from .errors import McorError, UsageError
-from .io import (
-    DIAGONAL_TOL,
-    SYMMETRY_TOL,
-    read_checked_matrix,
-    read_csv_data,
-    read_matrix,
-    sniff_kind,
-)
+from .errors import McorError, NonFiniteEntry, UsageError
+from .io import read_checked_matrix, read_csv_data, read_matrix, sniff_kind
 from .linalg import DEFAULT_MAX_SWEEPS, eigenvalues_symmetric
-from .multiway import PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
+from .multiway import MATRIX_ENTRY_TOL, PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .simulate import Scenario, monte_carlo
 
 TIE_THRESHOLD = 1e-9
@@ -155,9 +148,11 @@ def _emit(kind: str, inputs, result: dict, warnings, args: argparse.Namespace, t
             "result": _round12(result),
             "warnings": list(warnings),
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:
+            raise NonFiniteEntry(f"{kind} result is not finite, which JSON cannot hold") from None
+    print(text)
 
 
 def _fmt_eigs(values) -> str:
@@ -265,14 +260,14 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     path = args.path
     checked = read_checked_matrix(path)
-    d = checked.dim
+    d = checked.matrix.dim
     max_asym = checked.max_asymmetry
     max_diag_dev = checked.max_diagonal_deviation
-    spectrum = eigenvalues_symmetric(checked.matrix(), max_sweeps=args.max_sweeps)
+    spectrum = eigenvalues_symmetric(checked.matrix, max_sweeps=args.max_sweeps)
     min_eig = spectrum.values[-1]
     checks = {
-        "symmetric": max_asym <= SYMMETRY_TOL,
-        "unit_diagonal": max_diag_dev <= DIAGONAL_TOL,
+        "symmetric": max_asym <= MATRIX_ENTRY_TOL,
+        "unit_diagonal": max_diag_dev <= MATRIX_ENTRY_TOL,
         "psd": min_eig >= PSD_EIG_FLOOR,
     }
     warnings = [f"failed check: {name}" for name, ok in checks.items() if not ok]

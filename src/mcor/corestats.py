@@ -101,27 +101,39 @@ def make_data_matrix(
 
 def _centered(xs: Sequence[float], label: str) -> tuple[list[float], float]:
     """Centred values and their sum of squares; ZeroVariance(label) for a
-    constant series or one whose centred squares all underflow."""
+    constant series.
+
+    When the sum of squares leaves [2**-500, 2**500], or a sum overflows,
+    the series is centred again after scaling by the power of two that
+    puts its largest |value| in [0.5, 1) (Blue, ACM TOMS 4(1), 1978). The
+    scaling is exact and a correlation does not depend on it. A scaled
+    non-constant series varies by at least 2**-54 about its mean, so its
+    sum of squares lies in [2**-108, 4n]. Either way the product of two
+    sums, the square of a correlation's denominator, is a normal double.
+    """
     if xs.count(xs[0]) == len(xs):
         raise ZeroVariance(label)
+    try:
+        centered, sum_sq = _centered_sum_sq(xs)
+    except OverflowError:  # fsum's partial sums passed the float maximum
+        sum_sq = math.inf
+    if not 2.0**-500 <= sum_sq <= 2.0**500:
+        shift = math.frexp(max(max(xs), -min(xs)))[1]
+        centered, sum_sq = _centered_sum_sq([math.ldexp(x, -shift) for x in xs])
+    return centered, sum_sq
+
+
+def _centered_sum_sq(xs: Sequence[float]) -> tuple[list[float], float]:
     mean = fsum(xs) / len(xs)
     centered = [x - mean for x in xs]
-    sum_sq = fsum(map(mul, centered, centered))
-    if sum_sq == 0.0:
-        raise ZeroVariance(label)
-    return centered, sum_sq
+    return centered, fsum(map(mul, centered, centered))
 
 
 def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
     # One sqrt of the product loses less than a product of two sqrts and
-    # keeps exactly-linear integer data at exactly +-1; fall back when the
-    # product leaves double range.
-    denom_sq = sxx * syy
-    if math.isfinite(denom_sq) and denom_sq > 0.0:
-        denom = math.sqrt(denom_sq)
-    else:
-        denom = math.sqrt(sxx) * math.sqrt(syy)
-    r = fsum(map(mul, cx, cy)) / denom
+    # keeps exactly-linear integer data at exactly +-1. _centered keeps
+    # the product a normal double.
+    r = fsum(map(mul, cx, cy)) / math.sqrt(sxx * syy)
     if not math.isfinite(r):
         raise NumericInconsistency(f"correlation evaluated to {r!r}")
     if r > 1.0:

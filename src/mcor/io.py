@@ -25,9 +25,8 @@ from .errors import (
     TooFewRows,
 )
 from .linalg import SymmetricMatrix, make_symmetric
+from .multiway import MATRIX_ENTRY_TOL
 
-SYMMETRY_TOL = 1e-9
-DIAGONAL_TOL = 1e-9
 MISSING_TOKENS = {"", "NA"}
 
 
@@ -50,17 +49,10 @@ def _read_cells(path) -> list[list[str]]:
     return [row for row in rows if row != [] and row != [""]]
 
 
-def _parse_number(token: str) -> float | None:
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
-    """Floats of a column and the ascending indices of the cells that
-    _parse_number rejects (0.0 stands in for those).
+    """Floats of a column and the ascending indices of the cells that are
+    not finite numbers: float() fails on them or returns nan or +-inf
+    (0.0 stands in for those).
 
     float() runs over the cells at C speed and resumes after each bad
     token, so only bad tokens cost a Python-level step: list.extend keeps
@@ -166,20 +158,17 @@ def _numeric_grid(path) -> list[list[float]]:
     cells = _read_cells(path)
     if not cells:
         raise ParseError(f"{path} is empty")
-    if any(_parse_number(token) is None for token in cells[0]):
+    if _parse_column(cells[0])[1]:
         cells = cells[1:]
         if not cells:
             raise ParseError(f"{path} has a header but no rows")
     grid = []
     for offset, row in enumerate(cells):
-        values = []
-        for j, token in enumerate(row):
-            value = _parse_number(token)
-            if value is None:
-                raise ParseError(
-                    f"row {offset + 1}, column {j + 1}: cannot parse {token!r}"
-                )
-            values.append(value)
+        values, bad = _parse_column(row)
+        if bad:
+            raise ParseError(
+                f"row {offset + 1}, column {bad[0] + 1}: cannot parse {row[bad[0]]!r}"
+            )
         grid.append(values)
     width = len(grid[0])
     for offset, row in enumerate(grid):
@@ -197,17 +186,12 @@ class CheckedMatrix:
     """A square matrix CSV with its two triangles averaged, and how far the
     file itself was from symmetric with a unit diagonal."""
 
-    dim: int
-    lower_triangle: list[float]  # row-major, mirrored entries averaged
+    matrix: SymmetricMatrix  # mirrored entries averaged
     max_asymmetry: float
     max_diagonal_deviation: float
     # (i, j, entry (i, j), entry (j, i)) of the first pair, i < j in
     # row-major order, whose gap is max_asymmetry; indices are 0-based.
     worst_pair: tuple[int, int, float, float]
-
-    def matrix(self) -> SymmetricMatrix:
-        """The averaged matrix."""
-        return make_symmetric(self.dim, self.lower_triangle)
 
 
 def read_checked_matrix(path) -> CheckedMatrix:
@@ -215,13 +199,15 @@ def read_checked_matrix(path) -> CheckedMatrix:
     plus the asymmetry and diagonal deviation the file had."""
     grid = _numeric_grid(path)
     d = len(grid)
+    # Halved gaps are ranked: two full gaps past the float maximum would
+    # both be inf and the first would win.
     worst = 0.0
     worst_at = (0, 0)
     for i in range(d):
         for j in range(i + 1, d):
-            gap = abs(grid[i][j] - grid[j][i])
-            if gap > worst:
-                worst = gap
+            half_gap = abs(0.5 * grid[i][j] - 0.5 * grid[j][i])
+            if half_gap > worst:
+                worst = half_gap
                 worst_at = (i, j)
     tri = []
     for i in range(d):
@@ -232,9 +218,8 @@ def read_checked_matrix(path) -> CheckedMatrix:
         tri.append(grid[i][i])
     i, j = worst_at
     return CheckedMatrix(
-        dim=d,
-        lower_triangle=tri,
-        max_asymmetry=worst,
+        matrix=make_symmetric(d, tri),
+        max_asymmetry=abs(grid[i][j] - grid[j][i]),
         max_diagonal_deviation=max(abs(grid[k][k] - 1.0) for k in range(d)),
         worst_pair=(i, j, grid[i][j], grid[j][i]),
     )
@@ -248,13 +233,13 @@ def read_matrix(path) -> SymmetricMatrix:
     symmetric.
     """
     checked = read_checked_matrix(path)
-    if checked.max_asymmetry > SYMMETRY_TOL:
+    if checked.max_asymmetry > MATRIX_ENTRY_TOL:
         i, j, upper, lower = checked.worst_pair
         raise NotSymmetric(
             f"entries ({i + 1},{j + 1}) = {upper!r} and "
             f"({j + 1},{i + 1}) = {lower!r} differ by {checked.max_asymmetry:.3e}"
         )
-    return checked.matrix()
+    return checked.matrix
 
 
 def sniff_kind(path) -> str:
@@ -265,6 +250,6 @@ def sniff_kind(path) -> str:
         grid = _numeric_grid(path)
     except (ParseError, NotSquare):
         return "data"
-    if all(abs(grid[i][i] - 1.0) <= DIAGONAL_TOL for i in range(len(grid))):
+    if all(abs(grid[i][i] - 1.0) <= MATRIX_ENTRY_TOL for i in range(len(grid))):
         return "matrix"
     return "data"

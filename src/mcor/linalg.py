@@ -18,7 +18,7 @@ from math import fsum
 from .errors import BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry
 
 DEFAULT_MAX_SWEEPS = 100
-DEFAULT_REL_TOL = 1e-12
+REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,23 +124,12 @@ def _unscale(value: float, shift: int, what: str) -> float:
         raise NonFiniteEntry(f"{what} {value!r} * 2**{shift} exceeds the float range") from None
 
 
-def _spectrum(a: list[list[float]], d: int, sweeps: int, off: float, shift: int) -> EigenSpectrum:
-    values = sorted((a[i][i] for i in range(d)), reverse=True)
-    return EigenSpectrum(
-        values=tuple(_unscale(v, shift, "eigenvalue") for v in values),
-        sweeps_used=sweeps,
-        off_diag_residual=_unscale(off, shift, "residual"),
-    )
-
-
 def eigenvalues_symmetric(
-    m: SymmetricMatrix,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    rel_tol: float = DEFAULT_REL_TOL,
+    m: SymmetricMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> EigenSpectrum:
     """All eigenvalues of ``m`` by cyclic Jacobi rotations.
 
-    Stops once the off-diagonal Frobenius norm is within ``rel_tol`` times
+    Stops once the off-diagonal Frobenius norm is within REL_TOL times
     the Frobenius norm of the input; raises NoConvergence if that does not
     happen within ``max_sweeps`` full sweeps. A matrix that is already
     diagonal is returned after zero sweeps. The rotations run on a copy
@@ -152,24 +141,29 @@ def eigenvalues_symmetric(
     d = m.dim
     shift = math.frexp(max(abs(v) for row in m.rows for v in row))[1]
     a = [[math.ldexp(v, -shift) for v in row] for row in m.rows]
-    threshold = rel_tol * math.sqrt(fsum(v * v for row in a for v in row))
-    off = _off_diag_norm(a, d)
-    if off <= threshold:
-        return _spectrum(a, d, 0, off, shift)
+    threshold = REL_TOL * math.sqrt(fsum(v * v for row in a for v in row))
     # Rotations are skipped for entries too small to matter for the
     # residual target (each contributes < threshold/d^2 to the norm).
     skip = threshold / (d * d)
-    for sweep in range(1, max_sweeps + 1):
+    off = _off_diag_norm(a, d)
+    sweeps = 0
+    while off > threshold:
+        if sweeps >= max_sweeps:
+            off = _unscale(off, shift, "residual")
+            raise NoConvergence(
+                f"off-diagonal residual {off:.3e} still above "
+                f"{math.ldexp(threshold, shift):.3e} after {max_sweeps} sweeps",
+                residual=off,
+            )
+        sweeps += 1
         for p in range(d - 1):
             for q in range(p + 1, d):
                 if abs(a[p][q]) > skip:
                     _rotate(a, d, p, q)
         off = _off_diag_norm(a, d)
-        if off <= threshold:
-            return _spectrum(a, d, sweep, off, shift)
-    off = _unscale(off, shift, "residual")
-    raise NoConvergence(
-        f"off-diagonal residual {off:.3e} still above "
-        f"{math.ldexp(threshold, shift):.3e} after {max_sweeps} sweeps",
-        residual=off,
+    values = sorted((a[i][i] for i in range(d)), reverse=True)
+    return EigenSpectrum(
+        values=tuple(_unscale(v, shift, "eigenvalue") for v in values),
+        sweeps_used=sweeps,
+        off_diag_residual=_unscale(off, shift, "residual"),
     )

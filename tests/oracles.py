@@ -9,6 +9,9 @@ without any eigensolver at all. A third, for a given spectrum, computes the
 coefficient in exact rational arithmetic (``fractions``) followed by one
 high-precision ``decimal`` square root, so it carries no float rounding.
 
+``_parse_number`` is the per-cell number rule (finite float() results
+only) that the package's column parser ``io._parse_column`` must match.
+
 ``ScalarSplitMix64`` is the seeded generator written one word at a time,
 straight from the description in the package's ``rng`` docstring, so the
 package's block-mixed stream can be checked against it.
@@ -146,6 +149,14 @@ def exact_spectrum_mcor(values) -> float:
     q = sum((v - mean) ** 2 for v in lam) / (d - 1) / d
     ctx = Context(prec=40)
     return float(ctx.divide(q.numerator, q.denominator).sqrt(ctx))
+
+
+def _parse_number(token: str) -> float | None:
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 class ScalarSplitMix64:

@@ -9,8 +9,8 @@ import pytest
 
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
-from mcor.errors import UsageError
-from mcor.io import bundled_fixture
+from mcor.errors import NotSymmetric, UsageError
+from mcor.io import bundled_fixture, read_matrix, sniff_kind
 from support import rand_data
 
 AREA1 = str(bundled_fixture("tb_area1.csv"))
@@ -145,6 +145,29 @@ class TestComputeCommand:
         assert code == 0
         assert json.loads(out)["result"]["d"] == 2
 
+    def test_column_spanning_the_float_range(self, tmp_path, capsys):
+        path = write(tmp_path, "d.csv", "a,b\n1e300,1\n-1e300,2\n0,3\n")
+        code, out, err = run_cli(capsys, "compute", path)
+        assert (code, err) == (0, "")
+        assert "  mcor:                0.5000\n" in out
+
+    def test_column_at_the_float_maximum(self, tmp_path, capsys):
+        path = write(tmp_path, "d.csv", "a,b\n1e308,1\n1e308,2\n-1e308,4\n")
+        code, out, err = run_cli(capsys, "compute", path)
+        assert (code, err) == (0, "")
+        assert "  mcor:                0.9449\n" in out
+
+    @pytest.mark.parametrize("scale", ["e-200", "e160"])
+    def test_scaled_data_set(self, tmp_path, capsys, scale):
+        rows = ["1,2,3", "2,1,5", "3,4,4", "4,3,1"]
+        plain = write(tmp_path, "plain.csv", "a,b,c\n" + "\n".join(rows) + "\n")
+        scaled = write(tmp_path, "scaled.csv", "a,b,c\n" + "\n".join(
+            ",".join(cell + scale for cell in row.split(",")) for row in rows) + "\n")
+        code, out, err = run_cli(capsys, "compute", scaled, "--output", "json")
+        assert (code, err) == (0, "")
+        _, expected, _ = run_cli(capsys, "compute", plain, "--output", "json")
+        assert json.loads(out)["result"] == json.loads(expected)["result"]
+
 
 class TestMatrixCommand:
     def test_identity_matrix(self, tmp_path, capsys):
@@ -166,6 +189,15 @@ class TestMatrixCommand:
         code, out, err = run_cli(capsys, "matrix", path)
         assert code == 1
         assert err.startswith("error: NOT_A_CORRELATION_MATRIX: ")
+
+    def test_worst_pair_when_gaps_overflow(self, tmp_path, capsys):
+        # Both gaps overflow to inf; (1,3) is the further apart.
+        path = write(tmp_path, "m.csv",
+                     "1,1.5e308,1.7e308\n-1.5e308,1,0\n-1.7e308,0,1\n")
+        code, out, err = run_cli(capsys, "matrix", path)
+        assert (code, out) == (1, "")
+        assert err == ("error: NOT_SYMMETRIC: entries (1,3) = 1.7e+308 and "
+                       "(3,1) = -1.7e+308 differ by inf\n")
 
     def test_max_sweeps_threads_through(self, capsys):
         code, out, err = run_cli(capsys, "matrix", AREA1, "--max-sweeps", "1")
@@ -286,12 +318,63 @@ class TestValidateCommand:
         result = json.loads(out)["result"]
         assert result["symmetric"] is False and result["psd"] is False
 
+    def test_infinite_asymmetry_is_not_written_as_json(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "1,1.5e308\n-1.5e308,1\n")
+        code, out, err = run_cli(capsys, "validate", path, "--output", "json")
+        assert (code, out) == (1, "")
+        assert err == ("error: NON_FINITE_ENTRY: validation result is not finite, "
+                       "which JSON cannot hold\n")
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, err) == (0, "")
+        assert "  symmetric:              NO (max asymmetry inf)\n" in out
+
     def test_eigenvalue_beyond_the_float_range(self, tmp_path, capsys):
         b = "1.5e308"
         path = write(tmp_path, "m.csv", f"1,{b},{b}\n{b},1,{b}\n{b},{b},1\n")
         code, out, err = run_cli(capsys, "validate", path)
         assert (code, out) == (1, "")
         assert err.startswith("error: NON_FINITE_ENTRY: eigenvalue ")
+
+
+class TestOneMatrixTolerance:
+    """One 1e-9 tolerance judges a matrix file wherever it is read: the
+    ``matrix`` command, ``validate`` and ``sniff_kind`` agree on each
+    side of it."""
+
+    @pytest.mark.parametrize("diagonal, within", [
+        ("1.0000000009", True), ("1.0000000011", False)])
+    def test_unit_diagonal(self, tmp_path, capsys, diagonal, within):
+        path = write(tmp_path, "m.csv", f"{diagonal},0.5\n0.5,1\n")
+        code, _, err = run_cli(capsys, "matrix", path)
+        if within:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and err.startswith("error: NOT_A_CORRELATION_MATRIX: ")
+        code, out, _ = run_cli(capsys, "validate", path)
+        assert code == 0
+        assert f"  unit diagonal:          {'yes' if within else 'NO'} (" in out
+        assert sniff_kind(path) == ("matrix" if within else "data")
+
+    @pytest.mark.parametrize("mirror, within", [
+        ("0.5000000009", True), ("0.5000000011", False)])
+    def test_mirrored_entries(self, tmp_path, capsys, mirror, within):
+        # sniff_kind judges only the diagonal: an asymmetric file is still
+        # read as a matrix, so the matrix path can report the asymmetry.
+        path = write(tmp_path, "m.csv", f"1,0.5\n{mirror},1\n")
+        if within:
+            assert read_matrix(path).rows[0][1] == pytest.approx(0.5, abs=1e-9)
+        else:
+            with pytest.raises(NotSymmetric):
+                read_matrix(path)
+        code, _, err = run_cli(capsys, "matrix", path)
+        if within:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and err.startswith("error: NOT_SYMMETRIC: ")
+        code, out, _ = run_cli(capsys, "validate", path)
+        assert code == 0
+        assert f"  symmetric:              {'yes' if within else 'NO'} (" in out
+        assert sniff_kind(path) == "matrix"
 
 
 class TestOutputStability:

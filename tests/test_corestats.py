@@ -148,6 +148,41 @@ class TestCorrelationMatrix:
             assert eigenvalues_symmetric(m).values[-1] >= -1e-8
 
 
+class TestMomentsAcrossTheFloatRange:
+    # A 4x3 set whose coefficient is checked at scales far from 1.
+    ROWS = [(1.0, 2.0, 3.0), (2.0, 1.0, 5.0), (3.0, 4.0, 4.0), (4.0, 3.0, 1.0)]
+
+    def test_centred_squares_beyond_the_float_maximum(self):
+        # Centred squares of 1e300 overflow to inf; r must still be -1/2.
+        r = pearson_r([1e300, -1e300, 0.0], [1.0, 2.0, 3.0])
+        assert r == pytest.approx(-0.5, abs=1e-15)
+
+    def test_sum_beyond_the_float_maximum(self):
+        # fsum of 1e308, 1e308, -1e308 overflows in its partial sums.
+        r = pearson_r([1e308, 1e308, -1e308], [1.0, 2.0, 4.0])
+        assert r == pytest.approx(pearson_r([1.0, 1.0, -1.0], [1.0, 2.0, 4.0]), rel=1e-15)
+        assert abs(r) == pytest.approx(0.9449111825230679, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+    def test_scaled_data_set(self, scale):
+        base = correlation_matrix(make_data_matrix(self.ROWS)).rows
+        scaled = correlation_matrix(make_data_matrix(
+            [[v * scale for v in row] for row in self.ROWS])).rows
+        for a, b in zip(base, scaled):
+            assert b == pytest.approx(a, abs=1e-15)
+
+    @given(st.lists(st.tuples(_centi_floats, _centi_floats), min_size=3, max_size=12),
+           st.integers(min_value=-1000, max_value=1000))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, rows, k):
+        for j in range(2):
+            assume(len({row[j] for row in rows}) > 1)
+        base = correlation_matrix(make_data_matrix(rows))
+        scaled = correlation_matrix(make_data_matrix(
+            [[math.ldexp(v, k) for v in row] for row in rows]))
+        assert scaled.rows == base.rows
+
+
 class TestDataMatrix:
     def test_rejects_single_row(self):
         with pytest.raises(TooFewRows):

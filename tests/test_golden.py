@@ -6,11 +6,16 @@ the ``validate-*`` files from the command before it shared
 ``io.read_checked_matrix``, and the ``compare-*`` files and
 ``usage-errors.json`` (exit code, stdout and stderr of each rejected
 command line) from the CLI before its options moved into argparse
-defaults; any refactor of parsing, data layout, generation, correlation,
+defaults. ``matrix-files.json`` holds the exit code, stdout and stderr of
+``matrix`` and ``validate`` (text and JSON) on thirteen small matrix files,
+accepted or rejected, plus a ``compare`` of one of them against the golden
+data CSV; it was recorded before the matrix-file path was collapsed onto
+one number parser, one tolerance and one solver exit, and pins its error
+lines. Any refactor of parsing, data layout, generation, correlation,
 matrix checks or argument handling must reproduce them byte for byte.
 Input paths are machine-dependent, so each occurrence of an input path in
-stdout is replaced by ``{path}`` (``{path_a}``, ``{path_b}`` for two)
-before the comparison.
+stdout or stderr is replaced by ``{path}`` (``{path_a}``, ``{path_b}`` for
+two) before the comparison.
 """
 
 import io
@@ -80,6 +85,38 @@ def _cases():
 
 CASES = _cases()
 
+# Small matrix files, each reaching a different branch of the matrix path.
+MATRIX_FILES = {
+    "header-row": "a,b,c\n1,0.3,0.2\n0.3,1,-0.1\n0.2,-0.1,1\n",
+    "bad-cell": "1,0.2\n0.2,x\n",
+    "nan-token": "1,0.5\n0.5,nan\n",
+    "inf-token": "1,inf\n0.5,1\n",
+    "ragged-rows": "1,0.5\n0.5\n",
+    "grid-3x2": "1,0.5\n0.5,1\n0.2,0.3\n",
+    "empty": "",
+    "header-no-rows": "a,b\n",
+    "near-symmetric-2x2": "1,0.5000000001\n0.4999999999,1\n",
+    "not-symmetric": "1,0.5,0.2\n0.4,1,0.1\n0.2,0.1,1\n",
+    "diagonal-off-unit": "1.0000000001,0.5\n0.5,1\n",
+    "entries-near-float-max": "1,1e308\n1.5e308,1\n",
+    "quoted-cell": '1,"0.5"\n0.5,1\n',
+}
+
+
+def _matrix_file_cases():
+    cases = {}
+    for name in MATRIX_FILES:
+        for command in ("matrix", "validate"):
+            cases[f"{command}-{name}"] = [command, f"{{{name}}}"]
+            cases[f"{command}-{name}-json"] = [command, f"{{{name}}}", "--output", "json"]
+    cases["compare-header-row-csv"] = ["compare", "{header-row}", "{csv}", "--drop-na"]
+    cases["compare-header-row-csv-json"] = [
+        "compare", "{header-row}", "{csv}", "--drop-na", "--output", "json"]
+    return cases
+
+
+MATRIX_FILE_CASES = _matrix_file_cases()
+
 # Each is rejected before any file is opened, so the paths need not exist.
 USAGE_ERRORS = {
     "no-command": [],
@@ -108,14 +145,15 @@ def run_main(argv) -> tuple[int, str, str]:
 
 
 def cli_result(name: str, inputs: dict) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of a case, input paths in stdout
-    replaced by ``{path}`` (or ``{path_a}`` and ``{path_b}``)."""
-    template = CASES[name]
+    """Exit code, stdout and stderr of a case, input paths in stdout and
+    stderr replaced by ``{path}`` (or ``{path_a}`` and ``{path_b}``)."""
+    template = CASES[name] if name in CASES else MATRIX_FILE_CASES[name]
     code, out, err = run_main([inputs.get(arg, arg) for arg in template])
     paths = [inputs[arg] for arg in template if arg in inputs]
     marks = ["{path}"] if len(paths) == 1 else ["{path_a}", "{path_b}"]
     for path, mark in zip(paths, marks):
         out = out.replace(path, mark)
+        err = err.replace(path, mark)
     return code, out, err
 
 
@@ -142,18 +180,30 @@ def csv_path(tmp_path) -> str:
 def inputs(csv_path, tmp_path) -> dict:
     matrix = tmp_path / "near-symmetric.csv"
     matrix.write_text(near_symmetric_csv(csv_path), encoding="utf-8")
-    return {
+    paths = {
         "{csv}": csv_path,
         "{matrix}": str(matrix),
         "{tb_area1}": str(bundled_fixture("tb_area1.csv")),
         "{tb_area2}": str(bundled_fixture("tb_area2.csv")),
     }
+    for name, text in MATRIX_FILES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        paths[f"{{{name}}}"] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_is_unchanged(name, inputs):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert cli_result(name, inputs) == (0, expected, "")
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_FILE_CASES))
+def test_matrix_file_outputs_are_unchanged(name, inputs):
+    expected = json.loads((GOLDEN / "matrix-files.json").read_text(encoding="utf-8"))
+    code, out, err = cli_result(name, inputs)
+    assert {"exit": code, "stdout": out, "stderr": err} == expected[name]
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_ERRORS))

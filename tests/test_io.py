@@ -17,13 +17,13 @@ from mcor.errors import (
 )
 from mcor.io import (
     _parse_column,
-    _parse_number,
     bundled_fixture,
     read_checked_matrix,
     read_csv_data,
     read_matrix,
     sniff_kind,
 )
+from oracles import _parse_number
 
 
 def write(tmp_path, name, text):
@@ -183,7 +183,13 @@ class TestReadMatrix:
         path = write(tmp_path, "m.csv", "1,1.5e308\n1.5e308,1\n")
         assert read_matrix(path).rows[0][1] == 1.5e308
         path = write(tmp_path, "m2.csv", "1,1e308\n1.5e308,1\n")
-        assert read_checked_matrix(path).lower_triangle[1] == 1.25e308
+        assert read_checked_matrix(path).matrix.rows[1][0] == 1.25e308
+
+    def test_worst_pair_is_ranked_by_halved_gaps(self, tmp_path):
+        path = write(tmp_path, "m.csv", "1,1.5e308,1.7e308\n-1.5e308,1,0\n-1.7e308,0,1\n")
+        checked = read_checked_matrix(path)
+        assert checked.worst_pair == (0, 2, 1.7e308, -1.7e308)
+        assert checked.max_asymmetry == math.inf
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
@@ -193,7 +199,7 @@ class TestReadMatrix:
         assume(all(x == 0.0 or abs(0.5 * x) >= sys.float_info.min for x in (a, b)))
         path = tmp_path_factory.mktemp("avg") / "m.csv"
         path.write_text(f"1,{a!r}\n{b!r},1\n", encoding="utf-8")
-        assert read_checked_matrix(path).lower_triangle[1] == 0.5 * (a + b)
+        assert read_checked_matrix(path).matrix.rows[1][0] == 0.5 * (a + b)
 
     def test_tiny_asymmetry_averaged(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5000000001\n0.4999999999,1\n")
