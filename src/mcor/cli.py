@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import McorError, NonFiniteEntry, UsageError
-from .io import read_checked_matrix, read_csv_data, read_matrix, sniff_kind
+from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix, sniff_kind
 from .linalg import DEFAULT_MAX_SWEEPS, eigenvalues_symmetric
 from .multiway import MATRIX_ENTRY_TOL, PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .simulate import Scenario, monte_carlo
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
                         help="report format (default: text)")
     sweeps = argparse.ArgumentParser(add_help=False)
     sweeps.add_argument("--max-sweeps", type=_positive, default=DEFAULT_MAX_SWEEPS,
-                        metavar="N", help="eigensolver sweep limit (default: %(default)s)")
+                        metavar="N", help="QL iteration cap per eigenvalue (default: %(default)s)")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--columns", type=_column_names, metavar="A,B,...",
                       help="comma-separated column names (default: all numeric)")
@@ -175,10 +175,10 @@ def _report_text(report: McorReport, source: str) -> str:
     return "\n".join(lines)
 
 
-def _load_report(path: str, kind: str, args: argparse.Namespace) -> McorReport:
+def _load_report(path: str, kind: str, args: argparse.Namespace, cells=None) -> McorReport:
     if kind == "matrix":
-        return mcor_from_matrix(read_matrix(path), max_sweeps=args.max_sweeps)
-    data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na)
+        return mcor_from_matrix(read_matrix(path, cells=cells), max_sweeps=args.max_sweeps)
+    data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells)
     return mcor(data, max_sweeps=args.max_sweeps)
 
 
@@ -197,10 +197,12 @@ def _run_single(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     path_a, path_b = args.path_a, args.path_b
-    kind_a = args.as_kind or sniff_kind(path_a)
-    kind_b = args.as_kind or sniff_kind(path_b)
-    report_a = _load_report(path_a, kind_a, args)
-    report_b = _load_report(path_b, kind_b, args)
+    # Each file is read once; the sniff and the loader share its cells.
+    cells_a, cells_b = read_cells(path_a), read_cells(path_b)
+    kind_a = args.as_kind or sniff_kind(path_a, cells_a)
+    kind_b = args.as_kind or sniff_kind(path_b, cells_b)
+    report_a = _load_report(path_a, kind_a, args, cells_a)
+    report_b = _load_report(path_b, kind_b, args, cells_b)
     delta = report_a.mcor - report_b.mcor
     if delta > TIE_THRESHOLD:
         verdict = "A"

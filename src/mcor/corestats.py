@@ -23,7 +23,7 @@ from .errors import (
     TooFewValues,
     ZeroVariance,
 )
-from .linalg import SymmetricMatrix, make_symmetric
+from .linalg import SymmetricMatrix, _unscale, make_symmetric
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,18 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
 
 
 def sample_sd(xs: Sequence[float]) -> float:
-    """Sample standard deviation with the m-1 denominator."""
+    """Sample standard deviation with the m-1 denominator.
+
+    Computed on a copy scaled by the power of two that brings the largest
+    |value| into [0.5, 1), so no square overflows; the scaling is exact
+    and is undone on the result, and a result beyond the float range
+    raises NonFiniteEntry.
+    """
     m = len(xs)
     if m < 2:
         raise TooFewValues(f"standard deviation needs at least 2 values, got {m}")
     if not all(map(math.isfinite, xs)):
         raise NonFiniteEntry("value list contains a non-finite entry")
-    mean = fsum(xs) / m
-    return math.sqrt(fsum((v - mean) ** 2 for v in xs) / (m - 1))
+    shift = math.frexp(max(map(abs, xs)))[1]
+    _, sum_sq = _centered_sum_sq([math.ldexp(v, -shift) for v in xs])
+    return _unscale(math.sqrt(sum_sq / (m - 1)), shift, "standard deviation")

@@ -35,7 +35,12 @@ def bundled_fixture(name: str) -> Path:
     return Path(str(files("mcor").joinpath("fixtures", name)))
 
 
-def _read_cells(path) -> list[list[str]]:
+def read_cells(path) -> list[list[str]]:
+    """Rows of a CSV file as stripped cell strings, blank lines dropped.
+
+    Each reader below reads them itself, or takes them as ``cells`` from
+    a caller that has already read ``path``.
+    """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports put
         # before the first header name.
@@ -81,6 +86,7 @@ def read_csv_data(
     path,
     columns: Sequence[str] | None = None,
     drop_na: bool = False,
+    cells: list[list[str]] | None = None,
 ) -> DataMatrix:
     """Load a header-plus-rows CSV into a DataMatrix.
 
@@ -90,7 +96,7 @@ def read_csv_data(
     ``drop_na=False`` makes such a cell a hard error naming its row and
     column. Row numbers in errors count the header as row 1.
     """
-    names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na)
+    names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na, cells)
     if bad_rows:
         keep = [i not in bad_rows for i in range(len(cols[0]))]
         cols = [list(compress(col, keep)) for col in cols]
@@ -101,15 +107,15 @@ def read_csv_data(
 
 
 def _parse_selected_columns(
-    path, columns: Sequence[str] | None, drop_na: bool
+    path, columns: Sequence[str] | None, drop_na: bool, cells: list[list[str]] | None
 ) -> tuple[list[str], list[list[float]], set[int]]:
     """Names, parsed values and bad row indices of the selected columns.
 
     Without ``drop_na`` a bad row is an error instead. A function of its
     own so that the cell strings, the largest allocation, are freed before
-    the DataMatrix is built.
+    the DataMatrix is built, unless the caller passed them in.
     """
-    cells = _read_cells(path)
+    cells = read_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
     header = cells[0]
@@ -153,9 +159,9 @@ def _parse_selected_columns(
     return [header[j] for j in selected], [parsed[j][0] for j in selected], bad_rows
 
 
-def _numeric_grid(path) -> list[list[float]]:
+def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
     """Square numeric block of a matrix CSV, optional header stripped."""
-    cells = _read_cells(path)
+    cells = read_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
     if _parse_column(cells[0])[1]:
@@ -194,10 +200,10 @@ class CheckedMatrix:
     worst_pair: tuple[int, int, float, float]
 
 
-def read_checked_matrix(path) -> CheckedMatrix:
+def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMatrix:
     """Load a square matrix CSV without judging it: the averaged entries
     plus the asymmetry and diagonal deviation the file had."""
-    grid = _numeric_grid(path)
+    grid = _numeric_grid(path, cells)
     d = len(grid)
     # Halved gaps are ranked: two full gaps past the float maximum would
     # both be inf and the first would win.
@@ -225,14 +231,14 @@ def read_checked_matrix(path) -> CheckedMatrix:
     )
 
 
-def read_matrix(path) -> SymmetricMatrix:
+def read_matrix(path, cells: list[list[str]] | None = None) -> SymmetricMatrix:
     """Load a correlation-matrix CSV.
 
     Asymmetry beyond 1e-9 is an error naming the worst entry pair; within
     tolerance the two triangles are averaged so the result is exactly
     symmetric.
     """
-    checked = read_checked_matrix(path)
+    checked = read_checked_matrix(path, cells)
     if checked.max_asymmetry > MATRIX_ENTRY_TOL:
         i, j, upper, lower = checked.worst_pair
         raise NotSymmetric(
@@ -242,12 +248,12 @@ def read_matrix(path) -> SymmetricMatrix:
     return checked.matrix
 
 
-def sniff_kind(path) -> str:
+def sniff_kind(path, cells: list[list[str]] | None = None) -> str:
     """Heuristic for compare inputs: ``"matrix"`` when the file is a
     square numeric grid with a unit diagonal (within 1e-9), else
     ``"data"``."""
     try:
-        grid = _numeric_grid(path)
+        grid = _numeric_grid(path, cells)
     except (ParseError, NotSquare):
         return "data"
     if all(abs(grid[i][i] - 1.0) <= MATRIX_ENTRY_TOL for i in range(len(grid))):

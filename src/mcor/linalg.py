@@ -1,11 +1,9 @@
-"""Dense symmetric matrices and a cyclic Jacobi eigensolver.
+"""Dense symmetric matrices and their eigenvalues.
 
 Matrices are built from one triangle and mirrored, so symmetry holds
-exactly by construction. The solver applies plane rotations in row-cyclic
-order until the off-diagonal Frobenius norm falls below a relative
-tolerance. Correlation matrices are well scaled (Frobenius norm at most
-d), so a fixed relative tolerance is enough; eigenvectors are never
-needed and are not accumulated.
+exactly by construction. Eigenvalues come from Householder reduction to
+tridiagonal form followed by implicit QL; eigenvectors are never needed
+and are not accumulated.
 """
 
 from __future__ import annotations
@@ -13,12 +11,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
+from operator import itemgetter, mul
 
 from .errors import BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry
 
 DEFAULT_MAX_SWEEPS = 100
-REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,47 +74,6 @@ def frobenius_norm_sq(m: SymmetricMatrix) -> float:
     return fsum(v * v for row in m.rows for v in row)
 
 
-def _off_diag_norm(a: list[list[float]], d: int) -> float:
-    total = 0.0
-    for i in range(d):
-        row = a[i]
-        for j in range(i + 1, d):
-            total += row[j] * row[j]
-    return math.sqrt(2.0 * total)
-
-
-def _rotate(a: list[list[float]], d: int, p: int, q: int) -> None:
-    # Annihilate a[p][q] with the classic stable rotation; the guard keeps
-    # tan(theta) finite when a[p][q] is many orders below the diagonal gap.
-    apq = a[p][q]
-    diff = a[q][q] - a[p][p]
-    if abs(apq) < abs(diff) * 1e-36:
-        t = apq / diff
-    elif diff == 0.0:
-        t = 1.0
-    else:
-        theta = diff / (2.0 * apq)
-        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    tau = s / (1.0 + c)
-    a[p][p] -= t * apq
-    a[q][q] += t * apq
-    a[p][q] = 0.0
-    a[q][p] = 0.0
-    for i in range(d):
-        if i == p or i == q:
-            continue
-        aip = a[i][p]
-        aiq = a[i][q]
-        a[i][p] = aip - s * (aiq + tau * aip)
-        a[p][i] = a[i][p]
-        a[i][q] = aiq + s * (aip - tau * aiq)
-        a[q][i] = a[i][q]
-
-
 def _unscale(value: float, shift: int, what: str) -> float:
     """``value * 2**shift``, exact; NonFiniteEntry if it overflows."""
     try:
@@ -124,46 +82,118 @@ def _unscale(value: float, shift: int, what: str) -> float:
         raise NonFiniteEntry(f"{what} {value!r} * 2**{shift} exceeds the float range") from None
 
 
+def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Diagonal and sub-diagonal (``sub[i]`` is entry (i+1, i), ``sub[-1]``
+    is 0) of a tridiagonal matrix similar to the one whose lower triangle
+    ``a`` holds, by Householder reflections that map row i's entries left
+    of the diagonal onto its sub-diagonal entry, for i = d-1 down to 1
+    (Handbook ``tred1``). Row i is divided by its 1-norm first, so no
+    square underflows; rows 0..i-1 of ``a`` get a rank-2 update, and no
+    reflection is kept.
+    """
+    d = len(a)
+    sub = [0.0] * d
+    for i in range(d - 1, 0, -1):
+        x = a[i][:i]
+        scale = fsum(map(abs, x))
+        if scale == 0.0:
+            continue
+        # With u = x / scale - g * e_(i-1) and h = |u|^2 / 2, I - u u^T / h
+        # maps x / scale to g * e_(i-1).
+        u = [v / scale for v in x]
+        h = fsum(map(mul, u, u))
+        f = u[-1]
+        g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
+        sub[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        # p = A u / h; entry (j, k) of A is a[max(j, k)][min(j, k)].
+        p = [fsum(chain(map(mul, a[j], u), map(mul, map(itemgetter(j), a[j + 1:i]), u[j + 1:])))
+             / h for j in range(i)]
+        k = fsum(map(mul, p, u)) / (h + h)
+        q = [pj - k * uj for pj, uj in zip(p, u)]
+        for j in range(i):
+            f, g = u[j], q[j]
+            a[j] = [v - (f * qk + g * uk) for v, qk, uk in zip(a[j], q, u)]
+    return [a[i][i] for i in range(d)], sub
+
+
+def _ql(diag: list[float], sub: list[float], max_iter: int) -> int:
+    """Overwrite ``diag`` with the eigenvalues of the tridiagonal matrix
+    (diag, sub) by implicit QL with Wilkinson shifts (Handbook ``tql1``).
+
+    Returns the largest number of iterations one eigenvalue took, or
+    ``max_iter + 1`` when one is still not split off after ``max_iter``.
+    An entry of ``sub`` counts as zero once adding it leaves the largest
+    |diag[l]| + |sub[l]| seen so far unchanged.
+    """
+    d = len(diag)
+    most = 0
+    norm = 0.0
+    for l in range(d):
+        norm = max(norm, abs(diag[l]) + abs(sub[l]))
+        its = 0
+        while True:
+            m = l
+            while m < d - 1 and norm + abs(sub[m]) != norm:
+                m += 1
+            if m == l:
+                break
+            if its == max_iter:
+                return max_iter + 1
+            its += 1
+            g = (diag[l + 1] - diag[l]) / (2.0 * sub[l])
+            g = diag[m] - diag[l] + sub[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * sub[i]
+                b = c * sub[i]
+                r = sub[i + 1] = math.hypot(f, g)
+                if r == 0.0:  # underflow: split at i + 1 and iterate again
+                    diag[i + 1] -= p
+                    sub[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = diag[i + 1] - p
+                r = (diag[i] - g) * s + 2.0 * c * b
+                p = s * r
+                diag[i + 1] = g + p
+                g = c * r - b
+            else:
+                diag[l] -= p
+                sub[l] = g
+                sub[m] = 0.0
+        most = max(most, its)
+    return most
+
+
 def eigenvalues_symmetric(
     m: SymmetricMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> EigenSpectrum:
-    """All eigenvalues of ``m`` by cyclic Jacobi rotations.
+    """All eigenvalues of ``m`` from its lower triangle: Householder
+    reduction to tridiagonal form, then implicit QL (Wilkinson & Reinsch
+    1971; Golub & Van Loan §8.3), with an absolute error of about
+    d * eps * max|entry|.
 
-    Stops once the off-diagonal Frobenius norm is within REL_TOL times
-    the Frobenius norm of the input; raises NoConvergence if that does not
-    happen within ``max_sweeps`` full sweeps. A matrix that is already
-    diagonal is returned after zero sweeps. The rotations run on a copy
-    scaled by the power of two that brings the largest |entry| into
-    [0.5, 1), so no square overflows or underflows to zero; the scaling is
-    exact and is undone on the results, and an eigenvalue beyond the
-    float range raises NonFiniteEntry.
+    ``max_sweeps`` caps the QL iterations for any one eigenvalue; past it
+    NoConvergence is raised. ``sweeps_used`` is the most any eigenvalue
+    took (0 for a diagonal matrix), ``off_diag_residual`` is
+    sqrt(2 * sum(e**2)) over the final sub-diagonal e. The solve runs on a
+    copy scaled by the power of two that brings the largest |entry| into
+    [0.5, 1); the scaling is exact and is undone on the results, and an
+    eigenvalue beyond the float range raises NonFiniteEntry.
     """
-    d = m.dim
-    shift = math.frexp(max(abs(v) for row in m.rows for v in row))[1]
-    a = [[math.ldexp(v, -shift) for v in row] for row in m.rows]
-    threshold = REL_TOL * math.sqrt(fsum(v * v for row in a for v in row))
-    # Rotations are skipped for entries too small to matter for the
-    # residual target (each contributes < threshold/d^2 to the norm).
-    skip = threshold / (d * d)
-    off = _off_diag_norm(a, d)
-    sweeps = 0
-    while off > threshold:
-        if sweeps >= max_sweeps:
-            off = _unscale(off, shift, "residual")
-            raise NoConvergence(
-                f"off-diagonal residual {off:.3e} still above "
-                f"{math.ldexp(threshold, shift):.3e} after {max_sweeps} sweeps",
-                residual=off,
-            )
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p][q]) > skip:
-                    _rotate(a, d, p, q)
-        off = _off_diag_norm(a, d)
-    values = sorted((a[i][i] for i in range(d)), reverse=True)
+    lower = [row[: i + 1] for i, row in enumerate(m.rows)]
+    shift = math.frexp(max(max(map(abs, row)) for row in lower))[1]
+    a = [[math.ldexp(v, -shift) for v in row] for row in lower]
+    diag, sub = _tridiagonal(a)
+    sweeps = _ql(diag, sub, max_sweeps)
+    residual = _unscale(math.sqrt(2.0 * fsum(v * v for v in sub)), shift, "residual")
+    if sweeps > max_sweeps:
+        raise NoConvergence(f"an eigenvalue is not split off after {max_sweeps} QL iterations"
+                            f" (off-diagonal residual {residual:.3e})", residual=residual)
     return EigenSpectrum(
-        values=tuple(_unscale(v, shift, "eigenvalue") for v in values),
+        values=tuple(_unscale(v, shift, "eigenvalue") for v in sorted(diag, reverse=True)),
         sweeps_used=sweeps,
-        off_diag_residual=_unscale(off, shift, "residual"),
+        off_diag_residual=residual,
     )

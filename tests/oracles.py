@@ -1,6 +1,6 @@
 """Independent verification routes used by the tests.
 
-Nothing here may touch the package's Jacobi solver: eigenvalues come from
+Nothing here may touch the package's eigensolver: eigenvalues come from
 bisection on the characteristic polynomial det(M - x*I), whose
 coefficients are computed by cofactor expansion (memoized on the active
 column subset, expanding along the first remaining row). A second route,

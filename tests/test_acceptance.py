@@ -179,8 +179,8 @@ def test_criterion_6_eigensolver_oracle():
         if abs(math.fsum(v * v for v in spectrum.values) - fro2) > 1e-8 * max(1.0, fro2):
             failures.append("Frobenius identity violated")
     if worst > 1e-9:
-        failures.append(f"max |jacobi - bisection| = {worst:.3e} > 1e-9")
-    _verdict(6, "Jacobi vs bisection oracle", failures)
+        failures.append(f"max |eigensolver - bisection| = {worst:.3e} > 1e-9")
+    _verdict(6, "eigensolver vs bisection oracle", failures)
 
 
 def test_criterion_7_monte_carlo_consistency():

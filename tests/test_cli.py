@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import mcor.cli as mcor_cli
+import mcor.io as mcor_io
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import NotSymmetric, UsageError
@@ -250,6 +252,26 @@ class TestCompareCommand:
         # two observations correlate perfectly, so the data reading gives 1
         as_data = json.loads(out)["result"]["report_a"]["mcor"]
         assert as_data == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("extra", [[], ["--as", "matrix"]])
+    def test_reads_each_file_once(self, capsys, monkeypatch, tmp_path, extra):
+        data = write(tmp_path, "d.csv", "a,b,c\n1,2,3\n2,4.1,5\n3,5.8,8\n4,8.2,12\n")
+        pairs = [(AREA1, AREA2)] if extra else [(AREA1, AREA2), (data, AREA2)]
+        real = mcor_io.read_cells
+        read = []
+
+        def counting(path):
+            read.append(path)
+            return real(path)
+
+        # Wrapped where the CLI and where the io readers look it up.
+        monkeypatch.setattr(mcor_io, "read_cells", counting)
+        monkeypatch.setattr(mcor_cli, "read_cells", counting)
+        for path_a, path_b in pairs:
+            read.clear()
+            code, _, err = run_cli(capsys, "compare", path_a, path_b, *extra)
+            assert (code, err) == (0, "")
+            assert read == [path_a, path_b]
 
 
 class TestSimulateCommand:

@@ -240,6 +240,22 @@ class TestSampleSd:
         with pytest.raises(TooFewValues):
             sample_sd([1.0])
 
+    def test_squares_beyond_the_float_range(self):
+        assert sample_sd([1e200, -1e200]) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        # deviations 2/3, 2/3 and -4/3 of 1e308: sd = sqrt(4/3) * 1e308
+        assert sample_sd([1e308, 1e308, -1e308]) == pytest.approx(
+            math.sqrt(4.0 / 3.0) * 1e308, rel=1e-15)
+
+    def test_power_of_two_scaling_is_exact(self):
+        xs = [0.6, 1.4, 3.7, -2.2]
+        base = sample_sd(xs)
+        for k in (-1000, -600, -1, 1, 600, 1000):
+            assert sample_sd([math.ldexp(x, k) for x in xs]) == math.ldexp(base, k)
+
+    def test_result_beyond_the_float_range(self):
+        with pytest.raises(NonFiniteEntry, match="standard deviation"):
+            sample_sd([1.7e308, -1.7e308])
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(_moderate_floats, min_size=2, max_size=30),

@@ -20,14 +20,16 @@ two) before the comparison.
 
 import io
 import json
+import statistics
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from mcor import Scenario, SplitMix64, correlation_matrix, monte_carlo
+from mcor import Scenario, SplitMix64, correlation_matrix, derive_seed, generate, monte_carlo
 from mcor.cli import main
 from mcor.io import bundled_fixture, read_csv_data
+from oracles import rms_mcor
 
 GOLDEN = Path(__file__).with_name("golden")
 SIM_ARGS = ("--n", "300", "--reps", "7", "--seed", "11")
@@ -216,3 +218,16 @@ def test_usage_errors_are_unchanged(name):
 def test_library_floats_are_unchanged(csv_path):
     expected = json.loads((GOLDEN / "library.json").read_text(encoding="utf-8"))
     assert library_values(csv_path) == expected
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_library_monte_carlo_floats_match_the_rms_route(scenario):
+    # Each replicate's coefficient from the RMS of its correlation matrix's
+    # off-diagonal entries, which needs no eigensolver; the summary from
+    # statistics, which needs no package code.
+    expected = json.loads((GOLDEN / "library.json").read_text(encoding="utf-8"))
+    values = [rms_mcor(correlation_matrix(generate(scenario, 300, derive_seed(11, i))).rows)
+              for i in range(7)]
+    route = (statistics.fmean(values), statistics.stdev(values), min(values), max(values))
+    recorded = [float(v) for v in expected[f"monte_carlo:{scenario.value}"]]
+    assert recorded == pytest.approx(route, rel=0.0, abs=1e-12)

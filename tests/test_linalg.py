@@ -1,4 +1,4 @@
-"""Symmetric-matrix construction and the Jacobi eigensolver."""
+"""Symmetric-matrix construction and the eigensolver."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mcor import SplitMix64
 from mcor.errors import BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry
 from mcor.linalg import (
+    DEFAULT_MAX_SWEEPS,
     EigenSpectrum,
     eigenvalues_symmetric,
     frobenius_norm_sq,
@@ -202,12 +203,80 @@ class TestSpectralIdentities:
                 for got, want in zip(oracle, expected):
                     assert abs(got - want) <= 1e-9
 
-    def test_jacobi_matches_bisection_oracle(self):
+    def test_eigensolver_matches_bisection_oracle(self):
         rng = SplitMix64(303)
         for _ in range(40):
             d = 2 + rng.next_u64() % 5
             m = rand_symmetric(rng, d, scale=3.0)
-            jacobi = eigenvalues_symmetric(m).values
+            values = eigenvalues_symmetric(m).values
             oracle = eig_bisect([list(row) for row in m.rows])
-            for got, want in zip(jacobi, oracle):
+            for got, want in zip(values, oracle):
                 assert abs(got - want) <= 1e-9
+
+
+def equicorrelation(d: int, rho: float) -> list[float]:
+    """Lower triangle of (1 - rho) I + rho 11^T."""
+    return [1.0 if i == j else rho for i in range(d) for j in range(i + 1)]
+
+
+def equicorrelation_spectrum(d: int, rho: float) -> list[float]:
+    return [1.0 + (d - 1) * rho] + [1.0 - rho] * (d - 1)
+
+
+def block_diagonal(d1: int, rho1: float, d2: int, rho2: float):
+    rows = [[0.0] * (d1 + d2) for _ in range(d1 + d2)]
+    for offset, d, rho in ((0, d1, rho1), (d1, d2, rho2)):
+        for i in range(d):
+            for j in range(d):
+                rows[offset + i][offset + j] = 1.0 if i == j else rho
+    return make_symmetric(d1 + d2, [rows[i][j] for i in range(d1 + d2) for j in range(i + 1)])
+
+
+def max_gap(values, expected) -> float:
+    return max(abs(a - b) for a, b in zip(values, sorted(expected, reverse=True)))
+
+
+class TestClosedFormSpectra:
+    """Sizes the bisection oracle cannot reach, against exact spectra."""
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 60, 120])
+    def test_equicorrelation(self, d):
+        for rho in (-1.0 / (d - 1), 0.0, 0.3, 1.0):
+            spectrum = eigenvalues_symmetric(make_symmetric(d, equicorrelation(d, rho)))
+            assert max_gap(spectrum.values, equicorrelation_spectrum(d, rho)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 60, 120])
+    def test_two_equicorrelation_blocks(self, d):
+        # The zero coupling between the blocks is a zero sub-diagonal entry
+        # after the reduction, so QL must split there.
+        d1, d2 = d // 2, d - d // 2
+        for rho in (-1.0 / (d - 1), 0.0, 0.3, 1.0):
+            spectrum = eigenvalues_symmetric(block_diagonal(d1, rho, d2, 0.6))
+            expected = equicorrelation_spectrum(d1, rho) + equicorrelation_spectrum(d2, 0.6)
+            assert max_gap(spectrum.values, expected) <= 1e-12
+
+
+class TestIterationCap:
+    def test_sweeps_used_is_the_cap_that_suffices(self):
+        # The cap bounds each eigenvalue's QL iterations: the count the
+        # solver reports is enough, one fewer is not.
+        rng = SplitMix64(404)
+        for _ in range(60):
+            d = 2 + rng.next_u64() % 11
+            m = rand_symmetric(rng, d)
+            spectrum = eigenvalues_symmetric(m)
+            assert 1 <= spectrum.sweeps_used <= DEFAULT_MAX_SWEEPS
+            assert eigenvalues_symmetric(m, max_sweeps=spectrum.sweeps_used) == spectrum
+            with pytest.raises(NoConvergence) as excinfo:
+                eigenvalues_symmetric(m, max_sweeps=spectrum.sweeps_used - 1)
+            assert excinfo.value.residual > 0.0
+
+    def test_residual_is_at_roundoff_level(self):
+        # A sub-diagonal entry is dropped only once adding it no longer
+        # changes the largest |diagonal| + |sub-diagonal| seen.
+        rng = SplitMix64(505)
+        for _ in range(40):
+            d = 2 + rng.next_u64() % 11
+            m = rand_symmetric(rng, d)
+            largest = max(abs(v) for row in m.rows for v in row)
+            assert eigenvalues_symmetric(m).off_diag_residual <= d * d * 2.0**-52 * largest
