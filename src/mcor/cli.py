@@ -15,7 +15,7 @@ import sys
 
 from .errors import McorError, NonFiniteEntry, UsageError
 from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix, sniff_kind
-from .linalg import DEFAULT_MAX_SWEEPS, eigenvalues_symmetric
+from .linalg import eigenvalues_symmetric
 from .multiway import MATRIX_ENTRY_TOL, PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .simulate import Scenario, monte_carlo
 
@@ -59,9 +59,6 @@ def _build_parser() -> _Parser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("text", "json"), default="text",
                         help="report format (default: text)")
-    sweeps = argparse.ArgumentParser(add_help=False)
-    sweeps.add_argument("--max-sweeps", type=_positive, default=DEFAULT_MAX_SWEEPS,
-                        metavar="N", help="QL iteration cap per eigenvalue (default: %(default)s)")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--columns", type=_column_names, metavar="A,B,...",
                       help="comma-separated column names (default: all numeric)")
@@ -72,17 +69,17 @@ def _build_parser() -> _Parser:
     parser.set_defaults(run=None)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    compute = sub.add_parser("compute", parents=[data, output, sweeps],
+    compute = sub.add_parser("compute", parents=[data, output],
                              help="coefficient of a data CSV")
     compute.add_argument("path")
     compute.set_defaults(run=_run_single, kind="data")
 
-    matrix = sub.add_parser("matrix", parents=[output, sweeps],
+    matrix = sub.add_parser("matrix", parents=[output],
                             help="coefficient of a correlation-matrix CSV")
     matrix.add_argument("path")
     matrix.set_defaults(run=_run_single, kind="matrix")
 
-    compare = sub.add_parser("compare", parents=[data, output, sweeps],
+    compare = sub.add_parser("compare", parents=[data, output],
                              help="which of two inputs is more correlated")
     compare.add_argument("path_a")
     compare.add_argument("path_b")
@@ -101,7 +98,7 @@ def _build_parser() -> _Parser:
                           help="master seed (default: %(default)s)")
     simulate.set_defaults(run=_run_simulate)
 
-    validate = sub.add_parser("validate", parents=[output, sweeps],
+    validate = sub.add_parser("validate", parents=[output],
                               help="correlation-matrix diagnostics")
     validate.add_argument("path")
     validate.set_defaults(run=_run_validate)
@@ -177,9 +174,8 @@ def _report_text(report: McorReport, source: str) -> str:
 
 def _load_report(path: str, kind: str, args: argparse.Namespace, cells=None) -> McorReport:
     if kind == "matrix":
-        return mcor_from_matrix(read_matrix(path, cells=cells), max_sweeps=args.max_sweeps)
-    data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells)
-    return mcor(data, max_sweeps=args.max_sweeps)
+        return mcor_from_matrix(read_matrix(path, cells=cells))
+    return mcor(read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells))
 
 
 def _run_single(args: argparse.Namespace) -> int:
@@ -265,8 +261,7 @@ def _run_validate(args: argparse.Namespace) -> int:
     d = checked.matrix.dim
     max_asym = checked.max_asymmetry
     max_diag_dev = checked.max_diagonal_deviation
-    spectrum = eigenvalues_symmetric(checked.matrix, max_sweeps=args.max_sweeps)
-    min_eig = spectrum.values[-1]
+    min_eig = eigenvalues_symmetric(checked.matrix).values[-1]
     checks = {
         "symmetric": max_asym <= MATRIX_ENTRY_TOL,
         "unit_diagonal": max_diag_dev <= MATRIX_ENTRY_TOL,

@@ -30,7 +30,7 @@ from .errors import (
     NotACorrelationSpectrum,
     NumericInconsistency,
 )
-from .linalg import DEFAULT_MAX_SWEEPS, EigenSpectrum, SymmetricMatrix, eigenvalues_symmetric
+from .linalg import EigenSpectrum, SymmetricMatrix, eigenvalues_symmetric
 
 # Eigenvalue sums may drift from d by solver roundoff; anything past this
 # relative slack is not a correlation spectrum at all.
@@ -41,6 +41,12 @@ CLAMP_EPS = 1e-12
 NEAR_SINGULAR_EIG = 1e-10
 PSD_EIG_FLOOR = -1e-8
 MATRIX_ENTRY_TOL = 1e-9
+# Matrix-file entries may each be off by t = MATRIX_ENTRY_TOL: |entries| <= 1 + t give
+# sum(l^2) = ||R||_F^2 <= d^2 (1 + t)^2, the diagonal sum(l^2) >= d(1 - t)^2 and sum(l) >=
+# d(1 - t). So the rescaled sphericity (sum(l^2) - d) / (d(d-1)) lies in [-2t/(d-1),
+# 1 + d(2t + t^2)/(d-1)] and mcor^2 = (sum(l^2) - sum(l)^2/d) / (d(d-1)) <= 1 + 6t + t^2.
+# d = 2 is the worst case: 4t bounds each overshoot, CLAMP_EPS the t^2 terms and roundoff.
+MATRIX_CLAMP_EPS = 4 * MATRIX_ENTRY_TOL + CLAMP_EPS
 
 WARN_NEAR_SINGULAR = "near-singular correlation matrix"
 WARN_NOT_PSD = "not PSD within tolerance"
@@ -59,13 +65,17 @@ class McorReport:
     warnings: tuple[str, ...]
 
 
-def _validated_spectrum(values: Sequence[float]) -> int:
+def _spectrum_size(values: Sequence[float]) -> int:
     d = len(values)
     if d < 2:
         raise DimensionTooSmall(f"need at least 2 eigenvalues, got {d}")
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteEntry("eigenvalue list contains a non-finite value")
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteEntry("eigenvalue list contains a non-finite value")
+    return d
+
+
+def _validated_spectrum(values: Sequence[float]) -> int:
+    d = _spectrum_size(values)
     total = fsum(values)
     if abs(total - d) > TRACE_RTOL * d:
         raise NotACorrelationSpectrum(
@@ -75,37 +85,37 @@ def _validated_spectrum(values: Sequence[float]) -> int:
     return d
 
 
-def _clamp01(value: float, what: str) -> float:
-    if value < 0.0:
-        if value >= -CLAMP_EPS:
-            return 0.0
-        raise NumericInconsistency(f"{what} = {value!r} fell below 0 beyond roundoff")
-    if value > 1.0:
-        if value - 1.0 <= CLAMP_EPS:
-            return 1.0
-        raise NumericInconsistency(f"{what} = {value!r} rose above 1 beyond roundoff")
-    return value
+def _clamp01(value: float, what: str, slack: float) -> float:
+    if value < -slack or value - 1.0 > slack:
+        side = "fell below 0" if value < 0.0 else "rose above 1"
+        raise NumericInconsistency(f"{what} = {value!r} {side} beyond roundoff")
+    return min(max(value, 0.0), 1.0)
+
+
+def _mcor(values: Sequence[float], slack: float) -> float:
+    d = _validated_spectrum(values)
+    return _clamp01(sample_sd(values) / math.sqrt(d), "mcor", slack)
 
 
 def mcor_from_spectrum(values: Sequence[float]) -> float:
     """Coefficient from a correlation spectrum: sample sd of the
     eigenvalues over sqrt(d)."""
-    d = _validated_spectrum(values)
-    return _clamp01(sample_sd(values) / math.sqrt(d), "mcor")
+    return _mcor(values, CLAMP_EPS)
 
 
 def john_sphericity(values: Sequence[float]) -> float:
     """Dispersion ratio sum(l^2) / (sum l)^2 of any eigenvalue list."""
-    d = len(values)
-    if d < 2:
-        raise DimensionTooSmall(f"need at least 2 eigenvalues, got {d}")
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteEntry("eigenvalue list contains a non-finite value")
+    _spectrum_size(values)
     total = fsum(values)
     if total == 0.0:
         raise DegenerateSpectrum("eigenvalues sum to zero")
     return fsum(v * v for v in values) / (total * total)
+
+
+def _rescaled_sphericity(values: Sequence[float], slack: float) -> float:
+    d = _validated_spectrum(values)
+    s2 = fsum(v * v for v in values)
+    return _clamp01((s2 - d) / (d * (d - 1)), "rescaled sphericity", slack)
 
 
 def rescaled_sphericity(values: Sequence[float]) -> float:
@@ -113,9 +123,7 @@ def rescaled_sphericity(values: Sequence[float]) -> float:
 
     Equals the squared coefficient for the same spectrum.
     """
-    d = _validated_spectrum(values)
-    s2 = fsum(v * v for v in values)
-    return _clamp01((s2 - d) / (d * (d - 1)), "rescaled sphericity")
+    return _rescaled_sphericity(values, CLAMP_EPS)
 
 
 def independence_bound(d: int, k: int) -> float:
@@ -135,7 +143,7 @@ def independence_bound(d: int, k: int) -> float:
     return math.sqrt(rest * (rest - 1) / (d * (d - 1)))
 
 
-def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str] = ()) -> McorReport:
+def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float) -> McorReport:
     values = spectrum.values
     min_eig = values[-1]
     warnings = list(extra_warnings)
@@ -145,33 +153,31 @@ def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str] = ()) -> Mcor
         warnings.append(WARN_NOT_PSD)
     return McorReport(
         d=len(values),
-        mcor=mcor_from_spectrum(values),
+        mcor=_mcor(values, slack),
         eigenvalues=values,
         sphericity=john_sphericity(values),
-        rescaled_sphericity=rescaled_sphericity(values),
+        rescaled_sphericity=_rescaled_sphericity(values, slack),
         min_eigenvalue=min_eig,
         warnings=tuple(warnings),
     )
 
 
-def mcor(data: DataMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> McorReport:
+def mcor(data: DataMatrix) -> McorReport:
     """Coefficient of a raw data matrix: correlation matrix, then its
-    spectrum, then the dispersion statistic."""
+    spectrum (NoConvergence past linalg.DEFAULT_MAX_SWEEPS QL iterations
+    on one eigenvalue), then the dispersion statistic."""
     if data.n_vars < 2:
         raise DimensionTooSmall(f"need at least 2 variables, got {data.n_vars}")
-    matrix = correlation_matrix(data)
-    spectrum = eigenvalues_symmetric(matrix, max_sweeps=max_sweeps)
-    return _report(spectrum)
+    return _report(eigenvalues_symmetric(correlation_matrix(data)), (), CLAMP_EPS)
 
 
-def mcor_from_matrix(
-    matrix: SymmetricMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
-) -> McorReport:
+def mcor_from_matrix(matrix: SymmetricMatrix) -> McorReport:
     """Coefficient of a precomputed correlation matrix.
 
     The diagonal must be 1 and off-diagonals within [-1, 1], both up to
     1e-9; deviations inside that tolerance are reported as warnings
-    (hand-rounded matrices are common), beyond it they are errors.
+    (hand-rounded matrices are common), beyond it they are errors. mcor and
+    the rescaled sphericity are clamped to [0, 1] within MATRIX_CLAMP_EPS.
     """
     d = matrix.dim
     if d < 2:
@@ -198,5 +204,4 @@ def mcor_from_matrix(
                     f"off-diagonal entry ({i + 1},{j + 1}) exceeds unit magnitude "
                     f"by {over:.3e}"
                 )
-    spectrum = eigenvalues_symmetric(matrix, max_sweeps=max_sweeps)
-    return _report(spectrum, warnings)
+    return _report(eigenvalues_symmetric(matrix), warnings, MATRIX_CLAMP_EPS)

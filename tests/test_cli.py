@@ -9,6 +9,7 @@ import pytest
 
 import mcor.cli as mcor_cli
 import mcor.io as mcor_io
+import mcor.multiway as mcor_multiway
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import NotSymmetric, UsageError
@@ -108,6 +109,24 @@ def test_readme_synopsis_lists_every_option():
                         f"README synopsis of {command} lacks {option}")
 
 
+def test_readme_synopsis_lists_only_existing_options():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, synopsis in readme_synopses().items():
+        options = {option for action in subparsers.choices[command]._actions
+                   for option in action.option_strings}
+        for option in re.findall(r"\[(--[a-z-]+)", synopsis):
+            assert option in options, f"README synopsis of {command} lists {option}"
+
+
+@pytest.mark.parametrize("command", ["compute", "matrix", "compare", "validate"])
+def test_max_sweeps_is_not_an_option(capsys, command):
+    paths = ["a.csv", "b.csv"] if command == "compare" else ["a.csv"]
+    code, out, err = run_cli(capsys, command, *paths, "--max-sweeps", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: USAGE: unrecognized arguments: --max-sweeps 5\n"
+
+
 class TestComputeCommand:
     def test_text_report(self, tmp_path, capsys):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n2,4.2\n3,5.8\n4,8.1\n")
@@ -201,10 +220,39 @@ class TestMatrixCommand:
         assert err == ("error: NOT_SYMMETRIC: entries (1,3) = 1.7e+308 and "
                        "(3,1) = -1.7e+308 differ by inf\n")
 
-    def test_max_sweeps_threads_through(self, capsys):
-        code, out, err = run_cli(capsys, "matrix", AREA1, "--max-sweeps", "1")
-        assert code == 1
-        assert err.startswith("error: NO_CONVERGENCE: ")
+    def test_no_convergence_is_one_error_line(self, capsys, monkeypatch):
+        # The fixture needs more than one QL iteration on some eigenvalue.
+        solve = mcor_multiway.eigenvalues_symmetric
+        monkeypatch.setattr(mcor_multiway, "eigenvalues_symmetric",
+                            lambda m: solve(m, max_sweeps=1))
+        code, out, err = run_cli(capsys, "matrix", AREA1)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: NO_CONVERGENCE: an eigenvalue is not split off after 1 ")
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_hand_rounded_matrix_is_accepted(self, tmp_path, capsys, output):
+        # Its coefficient is 1 + 5e-10, above 1 by more than roundoff but
+        # within what a 1e-9 entry tolerance allows.
+        path = write(tmp_path, "m.csv", "1,1.0000000005\n1.0000000005,1\n")
+        code, out, err = run_cli(capsys, "matrix", path, "--output", output)
+        assert (code, err) == (0, "")
+        warning = "off-diagonal entry (1,2) exceeds unit magnitude by 5.000e-10"
+        if output == "json":
+            payload = json.loads(out)
+            assert payload["result"]["mcor"] == 1.0
+            assert warning in payload["warnings"]
+        else:
+            assert "  mcor:                1.0000\n" in out
+            assert f"  warning: {warning}\n" in out
+
+    def test_diagonal_below_unit_is_accepted(self, tmp_path, capsys):
+        # sum(l^2) = 2 (1 - 9e-10)^2 puts the rescaled sphericity at -1.8e-9.
+        path = write(tmp_path, "m.csv", "0.9999999991,0\n0,0.9999999991\n")
+        code, out, err = run_cli(capsys, "matrix", path, "--output", "json")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["mcor"], result["rescaled_sphericity"]) == (0.0, 0.0)
 
 
 class TestCompareCommand:
@@ -417,6 +465,18 @@ class TestOutputStability:
             assert code == 1
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: FILE_ERROR: {path} is not valid UTF-8: ")
+
+    def test_empty_data_file(self, tmp_path, capsys):
+        path = write(tmp_path, "d.csv", "")
+        assert run_cli(capsys, "compute", path) == (1, "", f"error: PARSE_ERROR: {path} is empty\n")
 
     def test_usage_error_single_line_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "frobnicate")

@@ -240,6 +240,10 @@ class TestSampleSd:
         with pytest.raises(TooFewValues):
             sample_sd([1.0])
 
+    def test_non_finite(self):
+        with pytest.raises(NonFiniteEntry, match="value list contains a non-finite entry"):
+            sample_sd([1.0, math.inf, 2.0])
+
     def test_squares_beyond_the_float_range(self):
         assert sample_sd([1e200, -1e200]) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
         # deviations 2/3, 2/3 and -4/3 of 1e308: sd = sqrt(4/3) * 1e308

@@ -6,7 +6,8 @@ the ``validate-*`` files from the command before it shared
 ``io.read_checked_matrix``, and the ``compare-*`` files and
 ``usage-errors.json`` (exit code, stdout and stderr of each rejected
 command line) from the CLI before its options moved into argparse
-defaults. ``matrix-files.json`` holds the exit code, stdout and stderr of
+defaults; its ``max-sweeps-zero`` entry was re-recorded when that option
+was removed, and now pins its absence. ``matrix-files.json`` holds the exit code, stdout and stderr of
 ``matrix`` and ``validate`` (text and JSON) on thirteen small matrix files,
 accepted or rejected, plus a ``compare`` of one of them against the golden
 data CSV; it was recorded before the matrix-file path was collapsed onto

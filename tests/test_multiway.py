@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcor import (
     SplitMix64,
@@ -22,11 +24,13 @@ from mcor.errors import (
     BadArguments,
     DegenerateSpectrum,
     DimensionTooSmall,
+    NonFiniteEntry,
     NotACorrelationMatrix,
     NotACorrelationSpectrum,
+    NumericInconsistency,
 )
 from mcor.io import bundled_fixture, read_matrix
-from mcor.multiway import WARN_NEAR_SINGULAR, WARN_NOT_PSD
+from mcor.multiway import MATRIX_ENTRY_TOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
 from oracles import oracle_mcor, rms_mcor
 from support import block_with_identity, rand_correlation, rand_data
 
@@ -67,6 +71,10 @@ class TestMcorFromSpectrum:
             mcor_from_spectrum([2.0, 1.5])
         assert excinfo.value.total == pytest.approx(3.5)
 
+    def test_rejects_non_finite_value(self):
+        with pytest.raises(NonFiniteEntry, match="eigenvalue list contains a non-finite value"):
+            mcor_from_spectrum([2.0, math.nan])
+
 
 class TestJohnSphericity:
     def test_flat(self):
@@ -81,6 +89,10 @@ class TestJohnSphericity:
     def test_zero_sum_rejected(self):
         with pytest.raises(DegenerateSpectrum):
             john_sphericity([1.0, -1.0])
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(NonFiniteEntry, match="eigenvalue list contains a non-finite value"):
+            john_sphericity([1.0, math.inf])
 
     def test_single_value_rejected(self):
         with pytest.raises(DimensionTooSmall):
@@ -102,6 +114,16 @@ class TestRescaledSphericity:
     def test_trace_check(self):
         with pytest.raises(NotACorrelationSpectrum):
             rescaled_sphericity([2.0, 2.0, 2.0])
+
+    def test_roundoff_below_zero_is_clamped(self):
+        # (sum(l^2) - d) / (d(d-1)) is about -2e-13 here.
+        assert rescaled_sphericity([1.0 - 1e-13, 1.0 - 1e-13]) == 0.0
+
+    def test_below_zero_beyond_roundoff_rejected(self):
+        # The sum passes the trace check, but (sum(l^2) - d) / (d(d-1))
+        # is about -2e-7, past the roundoff clamp.
+        with pytest.raises(NumericInconsistency, match="fell below 0 beyond roundoff"):
+            rescaled_sphericity([1.0 - 1e-7, 1.0 - 1e-7])
 
 
 class TestIndependenceBound:
@@ -211,6 +233,58 @@ class TestMcorFromMatrix:
     def test_1x1_rejected(self):
         with pytest.raises(DimensionTooSmall):
             mcor_from_matrix(make_symmetric(1, [1.0]))
+
+    def test_takes_no_iteration_cap(self):
+        with pytest.raises(TypeError):
+            mcor_from_matrix(identity_matrix(2), max_sweeps=5)
+        with pytest.raises(TypeError):
+            mcor(rand_data(SplitMix64(5), 6, 2), max_sweeps=5)
+
+    @pytest.mark.parametrize("diagonal", ["high", "low", "alternating"])
+    def test_corners_of_the_entry_tolerance(self, diagonal):
+        # Off-diagonals +-(1 + t) in a rank-one sign pattern push mcor and
+        # the rescaled sphericity furthest above 1; a unit matrix with its
+        # diagonal at 1 - t pushes the rescaled sphericity furthest below 0.
+        t = 0.999 * MATRIX_ENTRY_TOL
+        for d in range(2, 9):
+            for off in (1 + t, 0.0):
+                tri = []
+                for i in range(d):
+                    tri += [off * (-1) ** (i + j) for j in range(i)]
+                    tri.append({"high": 1 + t, "low": 1 - t,
+                                "alternating": 1 + t * (-1) ** i}[diagonal])
+                report = mcor_from_matrix(make_symmetric(d, tri))
+                assert 0.0 <= report.mcor <= 1.0
+                assert 0.0 <= report.rescaled_sphericity <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_entries_within_tolerance_stay_in_range(self, data):
+        # A correlation matrix (the Gram matrix of 1-3 dimensional unit
+        # vectors, so often near-collinear) with every entry of the upper
+        # triangle moved by at most t < MATRIX_ENTRY_TOL, as hand rounding
+        # does. It is accepted, so it must not raise NumericInconsistency.
+        d = data.draw(st.integers(2, 6), label="d")
+        k = data.draw(st.integers(1, 3), label="rank")
+        coords = st.floats(-1.0, 1.0, allow_subnormal=False)
+        vectors = data.draw(st.lists(st.lists(coords, min_size=k, max_size=k),
+                                     min_size=d, max_size=d), label="vectors")
+        norms = [math.sqrt(sum(x * x for x in v)) for v in vectors]
+        assume(min(norms) > 1e-3)
+        t = 0.999 * MATRIX_ENTRY_TOL
+        moves = data.draw(st.lists(st.sampled_from([-t, 0.0, t]) | st.floats(-t, t),
+                                   min_size=d * (d + 1) // 2,
+                                   max_size=d * (d + 1) // 2), label="moves")
+        tri = []
+        for i in range(d):
+            for j in range(i):
+                dot = sum(a * b for a, b in zip(vectors[i], vectors[j]))
+                tri.append(max(-1.0, min(1.0, dot / (norms[i] * norms[j]))))
+            tri.append(1.0)
+        tri = [r + m for r, m in zip(tri, moves)]
+        report = mcor_from_matrix(make_symmetric(d, tri))
+        assert 0.0 <= report.mcor <= 1.0
+        assert 0.0 <= report.rescaled_sphericity <= 1.0
 
 
 class TestProperties:

@@ -1,0 +1,184 @@
+"""Hypothesis properties: the CLI contract on hostile input files, and the
+invariances of the coefficient."""
+
+import io
+import json
+import math
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import fsum
+from statistics import fmean
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mcor import DataMatrix, mcor, pearson_r
+from mcor.cli import main
+
+EPS = sys.float_info.epsilon
+
+# Cells that reach every branch of the number parser and the CSV reader:
+# non-finite and out-of-range tokens, subnormals, missing cells, quoting
+# (with an embedded delimiter, quote and line break), text, a space and
+# a no-break space.
+HOSTILE_CELLS = [
+    "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "-1e400", "5e-324",
+    "2.2250738585072014e-308", "1e-310", "1e308", "NA", "", " ", "x", "1,5",
+    '"0.5"', '"1,5"', '"a""b"', '"', '"1\n2"', "0x10", "1_0", "\u00a0",
+]
+NUMBERS = st.sampled_from(["0", "1", "-1", "0.25", "-0.5", "0.3", "1.0000000005", "2", "7.5"])
+LINE_ENDINGS = ["\n", "\r\n", "\r"]
+BOM = b"\xef\xbb\xbf"
+NOT_UTF8 = [b"\xff", b"\xc3\x28", b"\xe2\x82", b"\xed\xa0\x80"]
+ONE_IN_FOUR = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def hostile_csv(draw) -> bytes:
+    """A CSV file as bytes: a square grid (unit diagonal, so some read as
+    correlation matrices and some as data) or an empty or header-only
+    file, then damaged by hostile cells, ragged rows, line endings, a
+    byte-order mark and bytes that are not UTF-8."""
+    d = draw(st.integers(2, 4))
+    layout = draw(st.sampled_from(["grid", "grid", "grid", "empty", "header-only"]))
+    header = [f"c{j}" for j in range(d)]
+    rows = []
+    if layout == "grid":
+        upper = draw(st.lists(NUMBERS, min_size=d * d, max_size=d * d))
+        rows = [["1" if i == j else upper[min(i, j) * d + max(i, j)] for j in range(d)]
+                for i in range(d)]
+        rows += draw(st.lists(st.lists(NUMBERS, min_size=d, max_size=d), max_size=3))
+        for i, j, cell in draw(st.lists(
+                st.tuples(st.integers(0, len(rows) - 1), st.integers(0, d - 1),
+                          st.sampled_from(HOSTILE_CELLS)), max_size=2)):
+            rows[i][j] = cell
+        if draw(ONE_IN_FOUR):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    if layout == "header-only" or (layout == "grid" and draw(st.booleans())):
+        rows.insert(0, header)
+    if layout == "grid" and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [])  # a blank line
+    newline = draw(st.sampled_from(LINE_ENDINGS))
+    text = newline.join(",".join(row) for row in rows)
+    if rows and draw(st.booleans()):
+        text += newline
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = BOM + data
+    if draw(ONE_IN_FOUR):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+def _no_constant(token):
+    raise ValueError(f"JSON holds {token}")
+
+
+def check_contract(argv):
+    """Run the CLI once and check its output contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an escaping exception fails the test
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err), err
+    else:
+        assert err == ""
+        if "json" in argv:
+            json.loads(out, parse_constant=_no_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hostile_csv(), hostile_csv())
+def test_hostile_files_keep_the_cli_contract(tmp_path_factory, first, second):
+    folder = tmp_path_factory.mktemp("hostile")
+    path_a, path_b = folder / "a.csv", folder / "b.csv"
+    path_a.write_bytes(first)
+    path_b.write_bytes(second)
+    a, b = str(path_a), str(path_b)
+    for output in ("text", "json"):
+        for argv in (["compute", a], ["compute", a, "--drop-na"], ["matrix", a],
+                     ["validate", a], ["compare", a, b], ["compare", a, b, "--as", "data"]):
+            check_contract([*argv, "--output", output])
+
+
+# Invariance tolerances. The solver is backward stable: its eigenvalues are
+# exact for R + E with ||E||_2 <= c d eps ||R||_2 (Golub & Van Loan §8.3),
+# and ||R||_2 <= d for a correlation matrix, so by Weyl each eigenvalue is
+# within c d^2 eps of the exact spectrum of the computed R. mcor = sd(l) /
+# sqrt(d) moves by at most max|dl| / sqrt(d - 1) <= max|dl|. Two solves of
+# matrices with one spectrum (a permutation or a sign flip of the columns
+# permutes or negates computed entries exactly) therefore differ by at most
+# 2 c d^2 eps; c = 10 also covers the rounding of sample_sd.
+def solve_tol(d: int) -> float:
+    return 20 * d * d * EPS
+
+
+# A shift by s is not exact: each cell of x + s is rounded (error <= u |x + s|,
+# u = eps / 2), and centring rounds the mean and each difference, so every
+# centred value is within 4u max|x + s| of its exact value, and likewise
+# 4u max|x| unshifted. r = <a/|a|, b/|b|> of centred columns a, b moves by at
+# most 2|e_a| / |a| + 2|e_b| / |b| when they move by e_a, e_b, with
+# |e| <= sqrt(n) * (per-value error). The exact coefficient is the RMS of the
+# off-diagonal entries, which moves by at most max|dr|.
+def shift_tol(columns, shift: float) -> float:
+    n = len(columns[0])
+    spread = min(math.sqrt(fsum((v - fmean(col)) ** 2 for v in col)) for col in columns)
+    biggest = max(abs(v) for col in columns for v in col)
+    per_value = 2 * EPS * (biggest + abs(shift)) + 2 * EPS * biggest
+    return solve_tol(len(columns)) + 4 * math.sqrt(n) * per_value / spread + 3 * EPS
+
+
+# Hundredths in [-100, 100]: varied but clear of underflow and overflow.
+CENTI = st.integers(-10_000, 10_000).map(lambda k: k / 100.0)
+
+
+@st.composite
+def data_columns(draw, min_d=2, max_d=5):
+    d = draw(st.integers(min_d, max_d))
+    n = draw(st.integers(3, 12))
+    columns = draw(st.lists(st.lists(CENTI, min_size=n, max_size=n), min_size=d, max_size=d))
+    assume(all(len(set(col)) > 1 for col in columns))
+    return columns
+
+
+def coefficient(columns) -> float:
+    return mcor(DataMatrix.from_columns(columns)).mcor
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_column_permutation_invariance(data):
+    columns = data.draw(data_columns())
+    order = data.draw(st.permutations(range(len(columns))))
+    permuted = [columns[j] for j in order]
+    assert abs(coefficient(permuted) - coefficient(columns)) <= solve_tol(len(columns))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_sign_flip_invariance(data):
+    columns = data.draw(data_columns())
+    flips = data.draw(st.lists(st.booleans(), min_size=len(columns), max_size=len(columns)))
+    flipped = [[-v for v in col] if flip else col for col, flip in zip(columns, flips)]
+    assert abs(coefficient(flipped) - coefficient(columns)) <= solve_tol(len(columns))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data_columns(), st.floats(-1e6, 1e6, allow_subnormal=False))
+def test_shift_invariance(columns, shift):
+    shifted = [[v + shift for v in col] for col in columns]
+    assume(all(len(set(col)) > 1 for col in shifted))
+    assert abs(coefficient(shifted) - coefficient(columns)) <= shift_tol(columns, shift)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data_columns(min_d=2, max_d=2))
+def test_two_columns_give_abs_pearson_r(columns):
+    # Eigenvalues 1 +- r, whose sd over sqrt(2) is |r|.
+    assert abs(coefficient(columns) - abs(pearson_r(*columns))) <= solve_tol(2)
