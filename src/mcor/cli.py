@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from .errors import McorError, NonFiniteEntry, UsageError
-from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix, sniff_kind
+from .errors import McorError, NonFiniteEntry, NotSquare, ParseError, UsageError
+from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix
 from .linalg import eigenvalues_symmetric
 from .multiway import MATRIX_ENTRY_TOL, PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .simulate import Scenario, monte_carlo
@@ -172,14 +172,11 @@ def _report_text(report: McorReport, source: str) -> str:
     return "\n".join(lines)
 
 
-def _load_report(path: str, kind: str, args: argparse.Namespace, cells=None) -> McorReport:
-    if kind == "matrix":
-        return mcor_from_matrix(read_matrix(path, cells=cells))
-    return mcor(read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells))
-
-
 def _run_single(args: argparse.Namespace) -> int:
-    report = _load_report(args.path, args.kind, args)
+    if args.kind == "matrix":
+        report = mcor_from_matrix(read_matrix(args.path))
+    else:
+        report = mcor(read_csv_data(args.path, columns=args.columns, drop_na=args.drop_na))
     _emit(
         "mcor_report",
         [args.path],
@@ -191,14 +188,29 @@ def _run_single(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compare_input(path: str, cells, args: argparse.Namespace) -> tuple[str, McorReport]:
+    """Kind and report of one compare input, from one parse of its grid. Unless
+    ``--as`` forces the kind, a square numeric grid is a matrix when its diagonal
+    is 1 within 1e-9, so an asymmetric one fails as a matrix; else it is data."""
+    if args.as_kind != "data":
+        try:
+            checked = read_checked_matrix(path, cells)
+        except (ParseError, NotSquare):
+            if args.as_kind == "matrix":
+                raise
+        else:
+            if args.as_kind == "matrix" or checked.max_diagonal_deviation <= MATRIX_ENTRY_TOL:
+                return "matrix", mcor_from_matrix(checked.symmetric_matrix())
+    data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells)
+    return "data", mcor(data)
+
+
 def _run_compare(args: argparse.Namespace) -> int:
     path_a, path_b = args.path_a, args.path_b
-    # Each file is read once; the sniff and the loader share its cells.
+    # Both files are read before either is judged: an unreadable file is reported first.
     cells_a, cells_b = read_cells(path_a), read_cells(path_b)
-    kind_a = args.as_kind or sniff_kind(path_a, cells_a)
-    kind_b = args.as_kind or sniff_kind(path_b, cells_b)
-    report_a = _load_report(path_a, kind_a, args, cells_a)
-    report_b = _load_report(path_b, kind_b, args, cells_b)
+    kind_a, report_a = _compare_input(path_a, cells_a, args)
+    kind_b, report_b = _compare_input(path_b, cells_b, args)
     delta = report_a.mcor - report_b.mcor
     if delta > TIE_THRESHOLD:
         verdict = "A"

@@ -147,27 +147,6 @@ def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
     return r
 
 
-def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation of two equal-length series.
-
-    Computed as the centered cross sum over the product of centered root
-    sums of squares; values that land within 1e-12 outside [-1, 1] are
-    clamped (roundoff guard), anything further out is an internal error.
-    """
-    if len(x) != len(y):
-        raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 2:
-        raise TooFewValues(f"need at least 2 paired observations, got {n}")
-    moments = []
-    for name, series in (("x", x), ("y", y)):
-        if not all(map(math.isfinite, series)):
-            raise NonFiniteEntry(f"series {name} contains a non-finite value")
-        moments.append(_centered(series, f"series {name}"))
-    (cx, sxx), (cy, syy) = moments
-    return _corr_from_centered(cx, cy, sxx, syy)
-
-
 def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     """d x d sample correlation matrix with an exactly-unit diagonal.
 
@@ -187,6 +166,13 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
             tri.append(_corr_from_centered(cx, cy, sxx, syy))
         tri.append(1.0)
     return make_symmetric(d, tri)
+
+
+def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson correlation of two equal-length series: entry (2, 1) of the
+    correlation matrix of columns ``x`` and ``y``, with its checks, errors
+    and 1e-12 clamp onto [-1, 1]."""
+    return correlation_matrix(DataMatrix.from_columns((x, y), ("x", "y"))).rows[1][0]
 
 
 def sample_sd(xs: Sequence[float]) -> float:

@@ -29,7 +29,7 @@ class ZeroVariance(McorError):
 
 
 class NoConvergence(McorError):
-    """Eigensolver missed its residual tolerance; carries the residual reached."""
+    """QL iterations passed their cap on one eigenvalue; carries the residual reached."""
 
     code = "NO_CONVERGENCE"
 

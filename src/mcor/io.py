@@ -27,8 +27,6 @@ from .errors import (
 from .linalg import SymmetricMatrix, make_symmetric
 from .multiway import MATRIX_ENTRY_TOL
 
-MISSING_TOKENS = {"", "NA"}
-
 
 def bundled_fixture(name: str) -> Path:
     """Path of a correlation-matrix CSV shipped with the package."""
@@ -38,8 +36,8 @@ def bundled_fixture(name: str) -> Path:
 def read_cells(path) -> list[list[str]]:
     """Rows of a CSV file as stripped cell strings, blank lines dropped.
 
-    Each reader below reads them itself, or takes them as ``cells`` from
-    a caller that has already read ``path``.
+    ``read_csv_data`` and ``read_checked_matrix`` read them themselves, or
+    take them as ``cells`` from a caller that has already read ``path``.
     """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports put
@@ -199,6 +197,17 @@ class CheckedMatrix:
     # row-major order, whose gap is max_asymmetry; indices are 0-based.
     worst_pair: tuple[int, int, float, float]
 
+    def symmetric_matrix(self) -> SymmetricMatrix:
+        """The averaged matrix, once the file's mirrored entries are known
+        to agree within 1e-9; NotSymmetric names the worst pair otherwise."""
+        if self.max_asymmetry > MATRIX_ENTRY_TOL:
+            i, j, upper, lower = self.worst_pair
+            raise NotSymmetric(
+                f"entries ({i + 1},{j + 1}) = {upper!r} and "
+                f"({j + 1},{i + 1}) = {lower!r} differ by {self.max_asymmetry:.3e}"
+            )
+        return self.matrix
+
 
 def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMatrix:
     """Load a square matrix CSV without judging it: the averaged entries
@@ -231,31 +240,7 @@ def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMa
     )
 
 
-def read_matrix(path, cells: list[list[str]] | None = None) -> SymmetricMatrix:
-    """Load a correlation-matrix CSV.
-
-    Asymmetry beyond 1e-9 is an error naming the worst entry pair; within
-    tolerance the two triangles are averaged so the result is exactly
-    symmetric.
-    """
-    checked = read_checked_matrix(path, cells)
-    if checked.max_asymmetry > MATRIX_ENTRY_TOL:
-        i, j, upper, lower = checked.worst_pair
-        raise NotSymmetric(
-            f"entries ({i + 1},{j + 1}) = {upper!r} and "
-            f"({j + 1},{i + 1}) = {lower!r} differ by {checked.max_asymmetry:.3e}"
-        )
-    return checked.matrix
-
-
-def sniff_kind(path, cells: list[list[str]] | None = None) -> str:
-    """Heuristic for compare inputs: ``"matrix"`` when the file is a
-    square numeric grid with a unit diagonal (within 1e-9), else
-    ``"data"``."""
-    try:
-        grid = _numeric_grid(path, cells)
-    except (ParseError, NotSquare):
-        return "data"
-    if all(abs(grid[i][i] - 1.0) <= MATRIX_ENTRY_TOL for i in range(len(grid))):
-        return "matrix"
-    return "data"
+def read_matrix(path) -> SymmetricMatrix:
+    """Load a correlation-matrix CSV: ``read_checked_matrix`` followed by
+    ``CheckedMatrix.symmetric_matrix``."""
+    return read_checked_matrix(path).symmetric_matrix()

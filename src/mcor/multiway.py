@@ -47,6 +47,11 @@ MATRIX_ENTRY_TOL = 1e-9
 # 1 + d(2t + t^2)/(d-1)] and mcor^2 = (sum(l^2) - sum(l)^2/d) / (d(d-1)) <= 1 + 6t + t^2.
 # d = 2 is the worst case: 4t bounds each overshoot, CLAMP_EPS the t^2 terms and roundoff.
 MATRIX_CLAMP_EPS = 4 * MATRIX_ENTRY_TOL + CLAMP_EPS
+# A given spectrum within the trace check, |sum(l) - d| <= rd with r = TRACE_RTOL, has sum(l^2)
+# >= sum(l)^2/d >= d(1 - r)^2: its rescaled sphericity is >= -2r/(d-1). If it is PSD, sum(l^2)
+# <= sum(l)^2 <= d^2(1 + r)^2 bounds that by 1 + d(2r + r^2)/(d-1) <= 1 + 4r + 2r^2 (d = 2),
+# and mcor by sum(l)/d <= 1 + r. mcor(data) keeps CLAMP_EPS, so solver faults still surface.
+SPECTRUM_CLAMP_EPS = 4 * TRACE_RTOL + 2 * TRACE_RTOL**2 + CLAMP_EPS
 
 WARN_NEAR_SINGULAR = "near-singular correlation matrix"
 WARN_NOT_PSD = "not PSD within tolerance"
@@ -99,31 +104,42 @@ def _mcor(values: Sequence[float], slack: float) -> float:
 
 def mcor_from_spectrum(values: Sequence[float]) -> float:
     """Coefficient from a correlation spectrum: sample sd of the
-    eigenvalues over sqrt(d)."""
-    return _mcor(values, CLAMP_EPS)
+    eigenvalues over sqrt(d), clamped to [0, 1] within SPECTRUM_CLAMP_EPS."""
+    return _mcor(values, SPECTRUM_CLAMP_EPS)
 
 
 def john_sphericity(values: Sequence[float]) -> float:
-    """Dispersion ratio sum(l^2) / (sum l)^2 of any eigenvalue list."""
+    """Dispersion ratio sum(l^2) / (sum l)^2 of any eigenvalue list, on a copy
+    scaled by the power of two that brings the largest |value| into [0.5, 1):
+    the ratio does not depend on scale, and no square overflows there."""
     _spectrum_size(values)
-    total = fsum(values)
-    if total == 0.0:
-        raise DegenerateSpectrum("eigenvalues sum to zero")
-    return fsum(v * v for v in values) / (total * total)
+    shift = math.frexp(max(map(abs, values)))[1]
+    scaled = [math.ldexp(v, -shift) for v in values]
+    total = fsum(scaled)
+    square = total * total
+    # The scaled squares sum to >= 0.25: a square that underflows leaves no finite ratio.
+    ratio = fsum(v * v for v in scaled) / square if square else math.inf
+    if ratio == math.inf:
+        raise DegenerateSpectrum("eigenvalues sum to zero, or too near it for a finite ratio")
+    return ratio
 
 
 def _rescaled_sphericity(values: Sequence[float], slack: float) -> float:
     d = _validated_spectrum(values)
-    s2 = fsum(v * v for v in values)
+    try:
+        s2 = fsum(v * v for v in values)
+    except OverflowError:  # past the float maximum: far above 1, as the clamp reports
+        s2 = math.inf
     return _clamp01((s2 - d) / (d * (d - 1)), "rescaled sphericity", slack)
 
 
 def rescaled_sphericity(values: Sequence[float]) -> float:
     """Sphericity mapped onto [0, 1]: (sum(l^2) - d) / (d(d-1)).
 
-    Equals the squared coefficient for the same spectrum.
+    Equals the squared coefficient for the same spectrum; clamped to [0, 1]
+    within SPECTRUM_CLAMP_EPS.
     """
-    return _rescaled_sphericity(values, CLAMP_EPS)
+    return _rescaled_sphericity(values, SPECTRUM_CLAMP_EPS)
 
 
 def independence_bound(d: int, k: int) -> float:

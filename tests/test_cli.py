@@ -13,7 +13,7 @@ import mcor.multiway as mcor_multiway
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import NotSymmetric, UsageError
-from mcor.io import bundled_fixture, read_matrix, sniff_kind
+from mcor.io import bundled_fixture, read_matrix
 from support import rand_data
 
 AREA1 = str(bundled_fixture("tb_area1.csv"))
@@ -305,21 +305,29 @@ class TestCompareCommand:
     def test_reads_each_file_once(self, capsys, monkeypatch, tmp_path, extra):
         data = write(tmp_path, "d.csv", "a,b,c\n1,2,3\n2,4.1,5\n3,5.8,8\n4,8.2,12\n")
         pairs = [(AREA1, AREA2)] if extra else [(AREA1, AREA2), (data, AREA2)]
-        real = mcor_io.read_cells
-        read = []
+        real_read, real_grid = mcor_io.read_cells, mcor_io._numeric_grid
+        read, grids = [], []
 
         def counting(path):
             read.append(path)
-            return real(path)
+            return real_read(path)
+
+        def counting_grid(path, cells):
+            grids.append(path)
+            return real_grid(path, cells)
 
         # Wrapped where the CLI and where the io readers look it up.
         monkeypatch.setattr(mcor_io, "read_cells", counting)
         monkeypatch.setattr(mcor_cli, "read_cells", counting)
+        monkeypatch.setattr(mcor_io, "_numeric_grid", counting_grid)
         for path_a, path_b in pairs:
             read.clear()
+            grids.clear()
             code, _, err = run_cli(capsys, "compare", path_a, path_b, *extra)
             assert (code, err) == (0, "")
             assert read == [path_a, path_b]
+            # One grid per file gives both its kind and its matrix.
+            assert grids == [path_a, path_b]
 
 
 class TestSimulateCommand:
@@ -408,13 +416,14 @@ class TestValidateCommand:
 
 class TestOneMatrixTolerance:
     """One 1e-9 tolerance judges a matrix file wherever it is read: the
-    ``matrix`` command, ``validate`` and ``sniff_kind`` agree on each
-    side of it."""
+    ``matrix`` command, ``validate`` and the kind ``compare`` gives it
+    agree on each side of it."""
 
     @pytest.mark.parametrize("diagonal, within", [
         ("1.0000000009", True), ("1.0000000011", False)])
     def test_unit_diagonal(self, tmp_path, capsys, diagonal, within):
-        path = write(tmp_path, "m.csv", f"{diagonal},0.5\n0.5,1\n")
+        # Three rows, so that the file also reads as data: a header and two rows.
+        path = write(tmp_path, "m.csv", f"{diagonal},0.5,0.2\n0.5,1,0.1\n0.2,0.1,1\n")
         code, _, err = run_cli(capsys, "matrix", path)
         if within:
             assert (code, err) == (0, "")
@@ -423,13 +432,15 @@ class TestOneMatrixTolerance:
         code, out, _ = run_cli(capsys, "validate", path)
         assert code == 0
         assert f"  unit diagonal:          {'yes' if within else 'NO'} (" in out
-        assert sniff_kind(path) == ("matrix" if within else "data")
+        code, out, err = run_cli(capsys, "compare", path, AREA1)
+        assert (code, err) == (0, "")
+        assert f"  A ({'matrix' if within else 'data'}): " in out
 
     @pytest.mark.parametrize("mirror, within", [
         ("0.5000000009", True), ("0.5000000011", False)])
     def test_mirrored_entries(self, tmp_path, capsys, mirror, within):
-        # sniff_kind judges only the diagonal: an asymmetric file is still
-        # read as a matrix, so the matrix path can report the asymmetry.
+        # compare judges the kind by the diagonal only: an asymmetric file is
+        # still read as a matrix, so the matrix path can report the asymmetry.
         path = write(tmp_path, "m.csv", f"1,0.5\n{mirror},1\n")
         if within:
             assert read_matrix(path).rows[0][1] == pytest.approx(0.5, abs=1e-9)
@@ -444,7 +455,11 @@ class TestOneMatrixTolerance:
         code, out, _ = run_cli(capsys, "validate", path)
         assert code == 0
         assert f"  symmetric:              {'yes' if within else 'NO'} (" in out
-        assert sniff_kind(path) == "matrix"
+        code, out, err = run_cli(capsys, "compare", path, AREA1)
+        if within:
+            assert (code, err) == (0, "") and "  A (matrix): " in out
+        else:
+            assert code == 1 and err.startswith("error: NOT_SYMMETRIC: ")
 
 
 class TestOutputStability:

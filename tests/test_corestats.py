@@ -48,7 +48,7 @@ class TestPearsonR:
             pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewValues):
+        with pytest.raises(TooFewRows):
             pearson_r([1.0], [2.0])
 
     def test_non_finite(self):
@@ -56,9 +56,9 @@ class TestPearsonR:
             pearson_r([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0])
 
     def test_zero_variance_names_series(self):
-        with pytest.raises(ZeroVariance, match="series x"):
+        with pytest.raises(ZeroVariance, match="column x"):
             pearson_r([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ZeroVariance, match="series y"):
+        with pytest.raises(ZeroVariance, match="column y"):
             pearson_r([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
 
     def test_within_unit_interval(self):

@@ -12,7 +12,10 @@ was removed, and now pins its absence. ``matrix-files.json`` holds the exit code
 accepted or rejected, plus a ``compare`` of one of them against the golden
 data CSV; it was recorded before the matrix-file path was collapsed onto
 one number parser, one tolerance and one solver exit, and pins its error
-lines. Any refactor of parsing, data layout, generation, correlation,
+lines. ``compare-edges.json`` holds the same for ``compare`` on seven pairs
+that decide each file's kind, or fail, on different branches; it was
+recorded before the kind and the matrix came from one parse of the file.
+Any refactor of parsing, data layout, generation, correlation,
 matrix checks or argument handling must reproduce them byte for byte.
 Input paths are machine-dependent, so each occurrence of an input path in
 stdout or stderr is replaced by ``{path}`` (``{path_a}``, ``{path_b}`` for
@@ -120,6 +123,36 @@ def _matrix_file_cases():
 
 MATRIX_FILE_CASES = _matrix_file_cases()
 
+# compare inputs on each side of how the kind of a file is decided.
+COMPARE_FILES = {
+    "ragged-data": "a,b\n1,2\n3\n",
+    "square-data": "a,b\n1,2\n3,4\n",
+    "data": "a,b,c\n1,2,3\n2,4.1,5\n3,5.8,8\n4,8.2,12\n",
+    "diagonal-two": "2,0.5,0.2\n0.5,1,0.1\n0.2,0.1,1\n",
+    "asymmetric": "1,0.5\n0.4,1\n",
+}
+
+
+def _compare_edge_cases():
+    argvs = {
+        # Both files are read before either is judged: B's FILE_ERROR wins.
+        "ragged-data-missing": ["{ragged-data}", "{missing}"],
+        "square-data": ["{square-data}", "{tb_area1}"],
+        "as-matrix-data": ["{data}", "{tb_area1}", "--as", "matrix"],
+        "as-matrix-diagonal-two": ["{tb_area1}", "{diagonal-two}", "--as", "matrix"],
+        "asymmetric": ["{asymmetric}", "{tb_area1}"],
+        "diagonal-two": ["{diagonal-two}", "{tb_area2}"],
+        "as-data": ["{tb_area1}", "{tb_area2}", "--as", "data"],
+    }
+    cases = {}
+    for name, argv in argvs.items():
+        cases[f"compare-{name}"] = ["compare", *argv]
+        cases[f"compare-{name}-json"] = ["compare", *argv, "--output", "json"]
+    return cases
+
+
+COMPARE_EDGE_CASES = _compare_edge_cases()
+
 # Each is rejected before any file is opened, so the paths need not exist.
 USAGE_ERRORS = {
     "no-command": [],
@@ -150,7 +183,7 @@ def run_main(argv) -> tuple[int, str, str]:
 def cli_result(name: str, inputs: dict) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of a case, input paths in stdout and
     stderr replaced by ``{path}`` (or ``{path_a}`` and ``{path_b}``)."""
-    template = CASES[name] if name in CASES else MATRIX_FILE_CASES[name]
+    template = {**CASES, **MATRIX_FILE_CASES, **COMPARE_EDGE_CASES}[name]
     code, out, err = run_main([inputs.get(arg, arg) for arg in template])
     paths = [inputs[arg] for arg in template if arg in inputs]
     marks = ["{path}"] if len(paths) == 1 else ["{path_a}", "{path_b}"]
@@ -189,10 +222,11 @@ def inputs(csv_path, tmp_path) -> dict:
         "{tb_area1}": str(bundled_fixture("tb_area1.csv")),
         "{tb_area2}": str(bundled_fixture("tb_area2.csv")),
     }
-    for name, text in MATRIX_FILES.items():
+    for name, text in {**MATRIX_FILES, **COMPARE_FILES}.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(text, encoding="utf-8")
         paths[f"{{{name}}}"] = str(path)
+    paths["{missing}"] = str(tmp_path / "missing.csv")
     return paths
 
 
@@ -205,6 +239,13 @@ def test_cli_stdout_is_unchanged(name, inputs):
 @pytest.mark.parametrize("name", sorted(MATRIX_FILE_CASES))
 def test_matrix_file_outputs_are_unchanged(name, inputs):
     expected = json.loads((GOLDEN / "matrix-files.json").read_text(encoding="utf-8"))
+    code, out, err = cli_result(name, inputs)
+    assert {"exit": code, "stdout": out, "stderr": err} == expected[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_EDGE_CASES))
+def test_compare_edge_outputs_are_unchanged(name, inputs):
+    expected = json.loads((GOLDEN / "compare-edges.json").read_text(encoding="utf-8"))
     code, out, err = cli_result(name, inputs)
     assert {"exit": code, "stdout": out, "stderr": err} == expected[name]
 

@@ -1,12 +1,14 @@
 """CSV ingestion: data files, matrix files, kind sniffing."""
 
 import math
+import re
 import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mcor.cli import main
 from mcor.errors import (
     EmptySelection,
     FileError,
@@ -21,7 +23,6 @@ from mcor.io import (
     read_checked_matrix,
     read_csv_data,
     read_matrix,
-    sniff_kind,
 )
 from oracles import _parse_number
 
@@ -217,22 +218,29 @@ class TestReadMatrix:
 
 
 class TestSniffKind:
-    def test_matrix_grid(self, tmp_path):
+    """``compare`` reads a file as a matrix when it is a square numeric grid
+    with a unit diagonal, else as data; its text names the kind it chose."""
+
+    @staticmethod
+    def kinds(capsys, path_a, path_b=bundled_fixture("tb_area2.csv")):
+        assert main(["compare", str(path_a), str(path_b)]) == 0
+        return re.findall(r"^  [AB] \((\w+)\): ", capsys.readouterr().out, re.M)
+
+    def test_matrix_grid(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "1,0.3\n0.3,1\n")
-        assert sniff_kind(path) == "matrix"
+        assert self.kinds(capsys, path)[0] == "matrix"
 
-    def test_matrix_with_header(self, tmp_path):
+    def test_matrix_with_header(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "u,v\n1,0.3\n0.3,1\n")
-        assert sniff_kind(path) == "matrix"
+        assert self.kinds(capsys, path)[0] == "matrix"
 
-    def test_data_file(self, tmp_path):
+    def test_data_file(self, tmp_path, capsys):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n5,6\n")
-        assert sniff_kind(path) == "data"
+        assert self.kinds(capsys, path)[0] == "data"
 
-    def test_square_without_unit_diagonal_is_data(self, tmp_path):
+    def test_square_without_unit_diagonal_is_data(self, tmp_path, capsys):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n")
-        assert sniff_kind(path) == "data"
+        assert self.kinds(capsys, path)[0] == "data"
 
-    def test_fixtures_detected_as_matrices(self):
-        assert sniff_kind(bundled_fixture("tb_area1.csv")) == "matrix"
-        assert sniff_kind(bundled_fixture("tb_area2.csv")) == "matrix"
+    def test_fixtures_detected_as_matrices(self, capsys):
+        assert self.kinds(capsys, bundled_fixture("tb_area1.csv")) == ["matrix", "matrix"]

@@ -1,6 +1,7 @@
 """The coefficient itself, sphericity, bounds, and their identities."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,9 @@ from mcor.errors import (
     NumericInconsistency,
 )
 from mcor.io import bundled_fixture, read_matrix
-from mcor.multiway import MATRIX_ENTRY_TOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
+import mcor.multiway as mcor_multiway
+from mcor.linalg import EigenSpectrum
+from mcor.multiway import MATRIX_ENTRY_TOL, TRACE_RTOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
 from oracles import oracle_mcor, rms_mcor
 from support import block_with_identity, rand_correlation, rand_data
 
@@ -75,6 +78,21 @@ class TestMcorFromSpectrum:
         with pytest.raises(NonFiniteEntry, match="eigenvalue list contains a non-finite value"):
             mcor_from_spectrum([2.0, math.nan])
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_spectra_at_the_trace_tolerance_are_clamped(self, d):
+        # The farthest spectra the trace check accepts: rank one summing to
+        # d(1 + r) and flat summing to d(1 - r). SPECTRUM_CLAMP_EPS is
+        # derived for both; d = 2 is the worst case above 1.
+        top = d * (1.0 + TRACE_RTOL)
+        while abs(top - d) > TRACE_RTOL * d:
+            top = math.nextafter(top, 0.0)
+        low = 1.0 - TRACE_RTOL
+        while abs(low * d - d) > TRACE_RTOL * d:
+            low = math.nextafter(low, 2.0)
+        rank_one, flat = [top] + [0.0] * (d - 1), [low] * d
+        assert (mcor_from_spectrum(rank_one), rescaled_sphericity(rank_one)) == (1.0, 1.0)
+        assert (mcor_from_spectrum(flat), rescaled_sphericity(flat)) == (0.0, 0.0)
+
 
 class TestJohnSphericity:
     def test_flat(self):
@@ -98,6 +116,15 @@ class TestJohnSphericity:
         with pytest.raises(DimensionTooSmall):
             john_sphericity([1.0])
 
+    def test_squares_past_the_float_maximum(self):
+        values = [1.3e154, -1.3e154, 3.0]
+        exact = sum(Fraction(v) ** 2 for v in values) / sum(map(Fraction, values)) ** 2
+        assert john_sphericity(values) == float(exact) == 3.7555555555555553e307
+
+    def test_ratio_past_the_float_maximum_rejected(self):
+        with pytest.raises(DegenerateSpectrum, match="too near it for a finite ratio"):
+            john_sphericity([1.0, -1.0, 1e-200])
+
 
 class TestRescaledSphericity:
     def test_flat(self):
@@ -119,11 +146,20 @@ class TestRescaledSphericity:
         # (sum(l^2) - d) / (d(d-1)) is about -2e-13 here.
         assert rescaled_sphericity([1.0 - 1e-13, 1.0 - 1e-13]) == 0.0
 
-    def test_below_zero_beyond_roundoff_rejected(self):
-        # The sum passes the trace check, but (sum(l^2) - d) / (d(d-1))
-        # is about -2e-7, past the roundoff clamp.
+    def test_below_zero_beyond_roundoff_rejected(self, monkeypatch):
+        # The sum passes the trace check and (sum(l^2) - d) / (d(d-1)) is
+        # about -2e-7: within the allowance of a caller-given spectrum ...
+        short = (1.0 - 1e-7, 1.0 - 1e-7)
+        assert rescaled_sphericity(short) == 0.0
+        # ... but past the roundoff clamp of the spectrum mcor(data) solves for.
+        monkeypatch.setattr(mcor_multiway, "eigenvalues_symmetric",
+                            lambda matrix: EigenSpectrum(short, 1, 0.0))
         with pytest.raises(NumericInconsistency, match="fell below 0 beyond roundoff"):
-            rescaled_sphericity([1.0 - 1e-7, 1.0 - 1e-7])
+            mcor(make_data_matrix([(1.0, 2.0), (2.0, 1.0), (3.0, 5.0)]))
+
+    def test_squares_past_the_float_maximum(self):
+        with pytest.raises(NumericInconsistency, match="rose above 1 beyond roundoff"):
+            rescaled_sphericity([1.3e154, -1.3e154, 3.0])
 
 
 class TestIndependenceBound:
