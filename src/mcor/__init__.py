@@ -26,14 +26,6 @@ from .multiway import (
     mcor_from_spectrum,
     rescaled_sphericity,
 )
-from .rng import SplitMix64, derive_seed
-from .simulate import (
-    MonteCarloSummary,
-    Scenario,
-    generate,
-    monte_carlo,
-    population_mcor,
-)
 
 __version__ = "0.1.0"
 
@@ -64,3 +56,13 @@ __all__ = [
     "rescaled_sphericity",
     "sample_sd",
 ]
+
+
+def __getattr__(name):
+    """The seven names of ``__all__`` not bound above, taken from ``simulate``
+    (two of them it imports from ``rng``) on first access, as PEP 562 allows:
+    a command that does not simulate never loads either module."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulate
+    return getattr(simulate, name)

@@ -17,7 +17,7 @@ from .errors import McorError, NonFiniteEntry, NotSquare, ParseError, UsageError
 from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix
 from .linalg import eigenvalues_symmetric
 from .multiway import MATRIX_ENTRY_TOL, PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
-from .simulate import Scenario, monte_carlo
+from .scenarios import Scenario
 
 TIE_THRESHOLD = 1e-9
 U64_MAX = (1 << 64) - 1
@@ -127,14 +127,10 @@ def _round12(value):
 
 
 def _report_dict(report: McorReport) -> dict:
-    return {
-        "d": report.d,
-        "mcor": report.mcor,
-        "eigenvalues": list(report.eigenvalues),
-        "sphericity": report.sphericity,
-        "rescaled_sphericity": report.rescaled_sphericity,
-        "min_eigenvalue": report.min_eigenvalue,
-    }
+    """Every field of the report but ``warnings``, which JSON lists apart."""
+    result = report._asdict()
+    del result["warnings"]
+    return result
 
 
 def _emit(kind: str, inputs, result: dict, warnings, args: argparse.Namespace, text: str) -> None:
@@ -239,19 +235,16 @@ def _run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def monte_carlo(scenario: Scenario, n_obs: int, replicates: int, seed: int):
+    """``simulate.monte_carlo``, imported on the first call: other commands never load it."""
+    from .simulate import monte_carlo
+    return monte_carlo(scenario, n_obs, replicates, seed)
+
+
 def _run_simulate(args: argparse.Namespace) -> int:
     scenario = Scenario.from_cli_name(args.scenario)
     summary = monte_carlo(scenario, args.n, args.reps, args.seed)
-    result = {
-        "scenario": summary.scenario.value,
-        "n_obs": summary.n_obs,
-        "replicates": summary.replicates,
-        "seed": summary.seed,
-        "mcor_mean": summary.mcor_mean,
-        "mcor_sd": summary.mcor_sd,
-        "mcor_min": summary.mcor_min,
-        "mcor_max": summary.mcor_max,
-    }
+    result = summary._asdict() | {"scenario": summary.scenario.value}
     text = "\n".join([
         "monte carlo summary",
         f"  scenario:   {summary.scenario.value} ({summary.scenario.description})",

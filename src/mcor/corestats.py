@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import fsum
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     BadArguments,
@@ -23,11 +23,10 @@ from .errors import (
     TooFewValues,
     ZeroVariance,
 )
-from .linalg import SymmetricMatrix, _unscale, make_symmetric
+from .linalg import SymmetricMatrix, _all_finite, _unscale, make_symmetric
 
 
-@dataclass(frozen=True)
-class DataMatrix:
+class DataMatrix(NamedTuple):
     """n observations by d variables of finite real measurements, stored
     by column: ``columns[j]`` holds the n values of variable j."""
 
@@ -55,13 +54,13 @@ class DataMatrix:
                 raise LengthMismatch(
                     f"column {j + 1} has {len(col)} values, expected {n}"
                 )
-        if not all(all(map(math.isfinite, col)) for col in columns):
+        if not all(map(_all_finite, columns)):
             # Name the first offender in row-major order, as a reader of rows would.
             i, j = min(
                 (i, j)
                 for j, col in enumerate(columns)
                 for i, v in enumerate(col)
-                if not math.isfinite(v)
+                if not _all_finite((v,))
             )
             raise NonFiniteEntry(f"row {i + 1}, column {j + 1} is not finite")
         if var_names is None:
@@ -186,7 +185,7 @@ def sample_sd(xs: Sequence[float]) -> float:
     m = len(xs)
     if m < 2:
         raise TooFewValues(f"standard deviation needs at least 2 values, got {m}")
-    if not all(map(math.isfinite, xs)):
+    if not _all_finite(xs):
         raise NonFiniteEntry("value list contains a non-finite entry")
     shift = math.frexp(max(map(abs, xs)))[1]
     _, sum_sq = _centered_sum_sq([math.ldexp(v, -shift) for v in xs])

@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from importlib.resources import files
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 from .corestats import DataMatrix
 from .errors import (
@@ -185,8 +185,7 @@ def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
     return grid
 
 
-@dataclass(frozen=True)
-class CheckedMatrix:
+class CheckedMatrix(NamedTuple):
     """A square matrix CSV with its two triangles averaged, and how far the
     file itself was from symmetric with a unit diagonal."""
 

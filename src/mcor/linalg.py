@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
 from math import fsum
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .errors import BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry
 
 DEFAULT_MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
+class SymmetricMatrix(NamedTuple):
     """d x d real matrix with ``rows[i][j] == rows[j][i]`` exactly."""
 
     dim: int
@@ -31,8 +30,7 @@ class SymmetricMatrix:
         return fsum(self.rows[i][i] for i in range(self.dim))
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
+class EigenSpectrum(NamedTuple):
     """Eigenvalues sorted in non-increasing order, plus solver metadata."""
 
     values: tuple[float, ...]
@@ -55,9 +53,9 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
             f"lower triangle of a {dim}x{dim} matrix needs {expected} entries, "
             f"got {len(lower_triangle)}"
         )
-    for v in lower_triangle:
-        if not math.isfinite(v):
-            raise NonFiniteEntry(f"matrix entry {v!r} is not finite")
+    if not _all_finite(lower_triangle):
+        v = next(v for v in lower_triangle if not _all_finite((v,)))
+        raise NonFiniteEntry(f"matrix entry {v!r} is not finite")
     grid = [[0.0] * dim for _ in range(dim)]
     pos = 0
     for i in range(dim):
@@ -72,6 +70,15 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
 def frobenius_norm_sq(m: SymmetricMatrix) -> float:
     """Sum of squares of all d*d entries."""
     return fsum(v * v for row in m.rows for v in row)
+
+
+def _all_finite(values: Sequence[float]) -> bool:
+    """Whether every value is a finite float; an int past the float range is
+    not. One pass at C speed: catching the overflow costs nothing per value."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # int too large to convert to float
+        return False
 
 
 def _unscale(value: float, shift: int, what: str) -> float:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import fsum
+from typing import NamedTuple
 
 from .corestats import DataMatrix, correlation_matrix, sample_sd
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     NotACorrelationSpectrum,
     NumericInconsistency,
 )
-from .linalg import EigenSpectrum, SymmetricMatrix, eigenvalues_symmetric
+from .linalg import EigenSpectrum, SymmetricMatrix, _all_finite, eigenvalues_symmetric
 
 # Eigenvalue sums may drift from d by solver roundoff; anything past this
 # relative slack is not a correlation spectrum at all.
@@ -57,8 +57,7 @@ WARN_NEAR_SINGULAR = "near-singular correlation matrix"
 WARN_NOT_PSD = "not PSD within tolerance"
 
 
-@dataclass(frozen=True)
-class McorReport:
+class McorReport(NamedTuple):
     """Coefficient value with its full provenance."""
 
     d: int
@@ -74,7 +73,7 @@ def _spectrum_size(values: Sequence[float]) -> int:
     d = len(values)
     if d < 2:
         raise DimensionTooSmall(f"need at least 2 eigenvalues, got {d}")
-    if not all(map(math.isfinite, values)):
+    if not _all_finite(values):
         raise NonFiniteEntry("eigenvalue list contains a non-finite value")
     return d
 

@@ -19,49 +19,17 @@ evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from math import fsum
+from typing import NamedTuple
 
 from .corestats import DataMatrix, sample_sd
 from .errors import BadArguments
 from .multiway import mcor
 from .rng import SplitMix64, derive_seed
+from .scenarios import Scenario
 
 
-class Scenario(Enum):
-    """The five bundled generative recipes; values are the CLI names."""
-
-    ALL_LINEAR = "all-linear"
-    LINEAR_COMBO = "linear-combo"
-    INDEPENDENT = "independent"
-    NOISY_COMBO = "noisy-combo"
-    CHAINED = "chained"
-
-    @property
-    def description(self) -> str:
-        return _DESCRIPTIONS[self]
-
-    @classmethod
-    def from_cli_name(cls, name: str) -> "Scenario":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(m.value for m in cls)
-        raise BadArguments(f"unknown scenario {name!r} (known: {known})")
-
-
-_DESCRIPTIONS = {
-    Scenario.ALL_LINEAR: "two variables are exact linear functions of the third",
-    Scenario.LINEAR_COMBO: "one variable is an exact linear combination of the other two",
-    Scenario.INDEPENDENT: "three mutually independent uniforms",
-    Scenario.NOISY_COMBO: "one variable is a noisy linear combination of the other two",
-    Scenario.CHAINED: "a noisy chain: y follows x, z follows x and y",
-}
-
-
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     """Replicate-level summary of the coefficient for one scenario."""
 
     scenario: Scenario
@@ -74,9 +42,17 @@ class MonteCarloSummary:
     mcor_max: float
 
 
+def _check_scenario(scenario: Scenario) -> None:
+    """BadArguments unless ``scenario`` is a Scenario member: the recipes are
+    chosen by identity, so a CLI name would fall through to the last one."""
+    if not isinstance(scenario, Scenario):
+        raise BadArguments(f"scenario must be a Scenario member, got {scenario!r}")
+
+
 def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
     """Draw one dataset (columns x, y, z) for ``scenario``; deterministic
     in (scenario, n_obs, seed)."""
+    _check_scenario(scenario)
     if n_obs < 2:
         raise BadArguments(f"n_obs must be >= 2, got {n_obs}")
     rng = SplitMix64(seed)
@@ -111,6 +87,7 @@ def population_mcor(scenario: Scenario) -> float:
     square of the three pairwise correlations, so each value below follows
     from the population correlations of the recipe (var of U(0,1) = 1/12).
     """
+    _check_scenario(scenario)
     if scenario is Scenario.ALL_LINEAR:
         return 1.0
     if scenario is Scenario.LINEAR_COMBO:
@@ -135,6 +112,7 @@ def monte_carlo(
     Replicate i uses the substream seed derive_seed(seed, i); the summary
     is a pure function of the four arguments.
     """
+    _check_scenario(scenario)
     if replicates < 1:
         raise BadArguments(f"replicates must be >= 1, got {replicates}")
     values = []

@@ -19,6 +19,7 @@ from mcor import (
     mcor_from_spectrum,
     pearson_r,
     rescaled_sphericity,
+    sample_sd,
     Scenario,
 )
 from mcor.errors import (
@@ -414,3 +415,20 @@ class TestProperties:
             report = mcor_from_matrix(rand_correlation(rng, d, n=3 * d + 5))
             if report.min_eigenvalue > 0.0:
                 assert report.mcor < 1.0
+
+
+# math.isfinite raises OverflowError on a Python int past the float range;
+# such an int is a non-finite entry like inf.
+@pytest.mark.parametrize("call", [
+    lambda: pearson_r([10**400, 1, 2], [1, 2, 3]),
+    lambda: sample_sd([10**400, 1]),
+    lambda: mcor_from_spectrum([10**400, 1]),
+    lambda: rescaled_sphericity([10**400, 1]),
+    lambda: john_sphericity([10**400, 1]),
+    lambda: make_symmetric(2, [1, 10**400, 1]),
+    lambda: make_data_matrix([[10**400, 1], [2, 3]]),
+], ids=["pearson_r", "sample_sd", "mcor_from_spectrum", "rescaled_sphericity",
+        "john_sphericity", "make_symmetric", "make_data_matrix"])
+def test_int_past_float_range_is_non_finite(call):
+    with pytest.raises(NonFiniteEntry):
+        call()

@@ -33,6 +33,19 @@ class TestScenario:
             Scenario.from_cli_name("nope")
 
 
+    # The recipes are chosen by identity, so a CLI name string would fall
+    # through to the last one unless it is rejected.
+    @pytest.mark.parametrize("call", [
+        lambda name: generate(name, 50, 1),
+        lambda name: population_mcor(name),
+        lambda name: monte_carlo(name, 200, 3, 1),
+    ], ids=["generate", "population_mcor", "monte_carlo"])
+    @pytest.mark.parametrize("name", ["independent", "all-linear", None])
+    def test_non_member_rejected(self, call, name):
+        with pytest.raises(BadArguments, match="must be a Scenario member"):
+            call(name)
+
+
 class TestGenerate:
     def test_shape_and_names(self):
         data = generate(Scenario.CHAINED, 50, 9)
