@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from importlib.resources import files
 from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +29,7 @@ from .multiway import MATRIX_ENTRY_TOL
 
 def bundled_fixture(name: str) -> Path:
     """Path of a correlation-matrix CSV shipped with the package."""
-    return Path(str(files("mcor").joinpath("fixtures", name)))
+    return Path(__file__).parent / "fixtures" / name
 
 
 def read_cells(path) -> list[list[str]]:

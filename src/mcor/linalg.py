@@ -54,8 +54,9 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
             f"got {len(lower_triangle)}"
         )
     if not _all_finite(lower_triangle):
-        v = next(v for v in lower_triangle if not _all_finite((v,)))
-        raise NonFiniteEntry(f"matrix entry {v!r} is not finite")
+        i, j = next((i, j) for i in range(dim) for j in range(i + 1)
+                    if not _all_finite((lower_triangle[i * (i + 1) // 2 + j],)))
+        raise NonFiniteEntry(f"matrix entry at row {i + 1}, column {j + 1} is not finite")
     grid = [[0.0] * dim for _ in range(dim)]
     pos = 0
     for i in range(dim):

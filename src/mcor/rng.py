@@ -21,27 +21,30 @@ a ``struct`` format that takes each lane's low 8 bytes as a little-endian
 unsigned 64-bit word and skips the high 8. Both steps name the byte order
 rather than use the machine's, so the words are the same on every
 platform; the result is the same sequence as mixing one word at a time.
-A new stream's first block holds 10 words and each refill doubles, up to
+A stream's first block holds 10 words and each next block doubles, up to
 1024 words, so a short stream, such as one small Monte Carlo replicate,
-pays for little it does not use; ``uniforms`` moves straight to the
-first size that holds its request.
+pays for little it does not use. Block sizes change only speed, never
+the words.
 
-Uniform doubles lie strictly inside (0, 1): the top 53 bits of an output
-word form an integer u in [0, 2**53) and (u + 0.5) * 2**-53 can reach
-neither endpoint. Normals use the Marsaglia polar method: consecutive
-uniforms u1, u2 map to v1 = 2*u1 - 1 and v2 = 2*u2 - 1; the pair is
-rejected while s = v1*v1 + v2*v2 is 0 or >= 1; an accepted pair yields
-v1 * sqrt(-2 ln(s) / s) immediately and caches the v2 twin for the next
-call.
+Uniform doubles lie in (0, 1]: the top 53 bits of an output word form an
+integer k in [0, 2**53) and the double is (k + 0.5) * 2**-53. The sum
+k + 0.5 is exact for k < 2**52. Above that, doubles are 1 apart, so the
+sum rounds to the even one of k and k + 1 (ties to even): the uniforms in
+[0.5, 1] are multiples of 2**-53, and k = 2**53 - 1 gives exactly 1.0.
+The smallest uniform is 2**-54. Normals use the Marsaglia polar method:
+consecutive uniforms u1, u2 map to v1 = 2*u1 - 1 and v2 = 2*u2 - 1; the
+pair is rejected while s = v1*v1 + v2*v2 is 0 or >= 1; an accepted pair
+yields v1 * sqrt(-2 ln(s) / s) and then its v2 twin.
 """
 
 from __future__ import annotations
 
-import copy
-import math
 import struct
-from functools import cache
-from itertools import islice
+from collections.abc import Iterator
+from functools import cache, partial
+from itertools import chain, islice
+from math import log, sqrt
+from operator import length_hint
 
 from .errors import BadArguments
 
@@ -51,17 +54,17 @@ _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 _U53_SCALE = 2.0 ** -53
 
-_MAX_BLOCK = 1024
-# Block sizes a stream steps through: 10, 20, ..., 640, then 1024 for good.
-_SIZES = tuple(10 << k for k in range(7)) + (_MAX_BLOCK,)
-_TOP = len(_SIZES) - 1
+_MAX_BLOCK = 1024  # the size blocks double up to, from 10 words
 
 
+@cache
 def _block(size: int) -> tuple:
     """Constants for mixing ``size`` words at once: the state's advance
     size*GOLDEN_GAMMA mod 2**64; 1, k*GOLDEN_GAMMA and 2**64 - 1 in lane
     k - 1 of a packed int; the block's byte length; and the unpacker that
-    reads each lane's low 64 bits back from little-endian bytes."""
+    reads each lane's low 64 bits back from little-endian bytes. Built for
+    the first block of each size, so a process that draws no numbers
+    neither builds nor holds them."""
     lanes = struct.Struct("<" + "Q8x" * size)  # low word, then 8 zero bytes
 
     def packed(words) -> int:
@@ -75,16 +78,6 @@ def _block(size: int) -> tuple:
         lanes.size,
         lanes.unpack,
     )
-
-
-@cache
-def _blocks() -> tuple:
-    """Every block size's constants, built on the first refill, so a
-    process that draws no numbers neither builds nor holds them."""
-    return tuple(map(_block, _SIZES))
-
-
-_NOTHING = iter(())  # stays exhausted, so every new stream can share it
 
 
 def mix64(z: int) -> int:
@@ -107,89 +100,106 @@ def derive_seed(master_seed: int, index: int) -> int:
     return mix64((master_seed + (index + 1) * GOLDEN_GAMMA) & MASK64)
 
 
+def _uniforms(tops) -> list[float]:
+    """The uniform double of each word's top 53 bits (module docstring)."""
+    return [(k + 0.5) * _U53_SCALE for k in tops]
+
+
+def polar_normals(uniforms: Iterator[float]) -> Iterator[float]:
+    """Standard normals by the polar method (see module docstring), two
+    per accepted pair; each pair of uniforms is read only once the normal
+    before it has been taken."""
+    uniforms = iter(uniforms)
+    for u1, u2 in zip(uniforms, uniforms):
+        v1 = 2.0 * u1 - 1.0
+        v2 = 2.0 * u2 - 1.0
+        s = v1 * v1 + v2 * v2
+        if 0.0 < s < 1.0:
+            factor = sqrt(-2.0 * log(s) / s)
+            yield v1 * factor
+            yield v2 * factor
+
+
 class SplitMix64:
     """SplitMix64 stream with uniform and normal variate helpers.
 
-    Every draw reads the same buffer of mixed words, so any interleaving
-    of the methods follows one stream.
+    Every draw reads one iterator over the stream's words, so any
+    interleaving of the methods follows one stream.
     """
 
-    __slots__ = ("_state", "_unread", "_rung", "_spare")
+    __slots__ = ("_state", "_size", "_mixed", "_unread", "_words", "_spare")
 
     def __init__(self, seed: int):
         self._state = seed & MASK64  # state of the last word mixed
-        self._unread = _NOTHING  # mixed words not yet drawn
-        self._rung = 0  # index into _SIZES of the next refill
-        self._spare: float | None = None
+        self._size = 10  # words in the next block
+        self._spare: float | None = None  # second normal of the last pair
+        self._resume(())
 
-    def __copy__(self) -> SplitMix64:
-        # A shallow copy would share the iterator over the unread words.
-        return copy.deepcopy(self)
+    def _resume(self, mixed: tuple) -> None:
+        # The stream's words: those of ``mixed``, then each later block,
+        # mixed once the one before is used up.
+        self._mixed, self._unread = mixed, iter(mixed)
+        self._words = chain.from_iterable(chain((self._unread,), iter(self._hand_out, None)))
 
-    def _refill(self, need: int):
-        """Mix the next block into the buffer and return the iterator that
-        now serves it; called only once the previous block is used up.
+    def _hand_out(self) -> Iterator[int]:
+        self._mixed = self._mix(0)
+        self._unread = unread = iter(self._mixed)
+        return unread
 
-        The block is the next size in _SIZES, or the first that holds
-        ``need`` words, up to _MAX_BLOCK. Its words are mix64 of state +
-        k*GOLDEN_GAMMA for k = 1..size, mixed in 128-bit lanes of one int
-        as the module docstring describes.
-        """
-        rung = self._rung
-        while _SIZES[rung] < need and rung < _TOP:
-            rung += 1
-        self._rung = rung + 1 if rung < _TOP else _TOP
-        step, ones, gamma_ramp, low, nbytes, unpack = _blocks()[rung]
+    def __copy__(self, _memo=None) -> SplitMix64:
+        # The iterators are rebuilt rather than copied: itertools objects
+        # lose copy and pickle support in Python 3.14.
+        twin = SplitMix64(self._state)
+        twin._size, twin._spare = self._size, self._spare
+        twin._resume(self._mixed[len(self._mixed) - length_hint(self._unread):])
+        return twin
+
+    __deepcopy__ = __copy__
+
+    def _mix(self, shift: int) -> tuple[int, ...]:
+        """Mix the next block: mix64 of state + k*GOLDEN_GAMMA for
+        k = 1..size, in 128-bit lanes of one int as the module docstring
+        describes. Return each word shifted right by ``shift`` <= 33 bits."""
+        size = self._size
+        self._size = min(2 * size, _MAX_BLOCK)
+        step, ones, gamma_ramp, low, nbytes, unpack = _block(size)
         state = self._state
         self._state = (state + step) & MASK64
         z = (state * ones + gamma_ramp) & low
         z = (((z ^ (z >> 30)) & low) * _MULT1) & low
         z = (((z ^ (z >> 27)) & low) * _MULT2) & low
-        # Bits this shift pulls down from the lane above land in the high
-        # half, which unpack skips.
+        # Both right shifts below pull bits of the lane above into this
+        # lane's high half, which unpack skips, and into its low half only
+        # high-half bits 64..96, which are still 0 after the xor.
         z ^= z >> 31
-        self._unread = unread = iter(unpack(z.to_bytes(nbytes, "little")))
-        return unread
+        return unpack((z >> shift).to_bytes(nbytes, "little"))
 
     def next_u64(self) -> int:
-        word = next(self._unread, None)
-        if word is None:
-            word = next(self._refill(1))
-        return word
+        return next(self._words)
 
     def uniform(self) -> float:
-        """One double strictly inside (0, 1): the top 53 bits of the next
-        word, fetched as in next_u64()."""
-        word = next(self._unread, None)
-        if word is None:
-            word = next(self._refill(1))
-        return ((word >> 11) + 0.5) * _U53_SCALE
+        """One double in (0, 1] from the next word (see module docstring)."""
+        return ((next(self._words) >> 11) + 0.5) * _U53_SCALE
 
     def uniforms(self, count: int) -> list[float]:
         """``count`` uniforms; same stream as repeated uniform() calls."""
-        out = [((w >> 11) + 0.5) * _U53_SCALE for w in islice(self._unread, count)]
-        while len(out) < count:
-            need = count - len(out)
-            out += [((w >> 11) + 0.5) * _U53_SCALE for w in islice(self._refill(need), need)]
-        return out
+        return _uniforms([w >> 11 for w in islice(self._words, count)])
+
+    def rest_as_uniforms(self) -> Iterator[float]:
+        """The rest of the stream as uniforms: the rest of the current block
+        at once, then each later block mixed straight into its words' top
+        53 bits. Words drawn from the stream itself afterwards follow the
+        last block this has read, so it suits a caller that reads nothing
+        else from the stream."""
+        blocks = map(_uniforms, iter(partial(self._mix, 11), None))
+        return chain.from_iterable(chain((self.uniforms(length_hint(self._unread)),), blocks))
 
     def normal(self) -> float:
-        """One standard normal via the polar method (see module docstring)."""
-        spare = self._spare
-        if spare is not None:
-            self._spare = None
-            return spare
-        while True:
-            w1 = next(self._unread, None)
-            if w1 is None:
-                w1 = next(self._refill(1))
-            w2 = next(self._unread, None)
-            if w2 is None:
-                w2 = next(self._refill(1))
-            v1 = 2.0 * (((w1 >> 11) + 0.5) * _U53_SCALE) - 1.0
-            v2 = 2.0 * (((w2 >> 11) + 0.5) * _U53_SCALE) - 1.0
-            s = v1 * v1 + v2 * v2
-            if 0.0 < s < 1.0:
-                factor = math.sqrt(-2.0 * math.log(s) / s)
-                self._spare = v2 * factor
-                return v1 * factor
+        """One standard normal by the polar method; the second normal of
+        each accepted pair is kept for the next call."""
+        if self._spare is None:
+            pair = polar_normals(iter(self.uniform, None))
+            value, self._spare = next(pair), next(pair)
+            return value
+        value, self._spare = self._spare, None
+        return value

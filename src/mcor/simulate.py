@@ -19,13 +19,14 @@ evaluation order.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from math import fsum
 from typing import NamedTuple
 
 from .corestats import DataMatrix, sample_sd
 from .errors import BadArguments
 from .multiway import mcor
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, polar_normals
 from .scenarios import Scenario
 
 
@@ -55,28 +56,32 @@ def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
     _check_scenario(scenario)
     if n_obs < 2:
         raise BadArguments(f"n_obs must be >= 2, got {n_obs}")
-    rng = SplitMix64(seed)
+    # The stream is private, so reading its uniforms a block ahead draws
+    # nothing another caller would see.
+    us = SplitMix64(seed).rest_as_uniforms()
     if scenario is Scenario.ALL_LINEAR:
-        xs = rng.uniforms(n_obs)
+        xs = list(islice(us, n_obs))
         ys = [2.0 * u for u in xs]
         zs = xs
     elif scenario is Scenario.LINEAR_COMBO:
-        us = rng.uniforms(2 * n_obs)
-        xs, ys = us[0::2], us[1::2]
+        draws = list(islice(us, 2 * n_obs))
+        xs, ys = draws[0::2], draws[1::2]
         zs = [x + 2.0 * y for x, y in zip(xs, ys)]
     elif scenario is Scenario.INDEPENDENT:
-        us = rng.uniforms(3 * n_obs)
-        xs, ys, zs = us[0::3], us[1::3], us[2::3]
+        draws = list(islice(us, 3 * n_obs))
+        xs, ys, zs = draws[0::3], draws[1::3], draws[2::3]
     else:
-        uniform, normal = rng.uniform, rng.normal
+        normals = polar_normals(us)
+        # zip draws each row's variates in recipe order: x, then y or the
+        # normal in y, then the normal in z.
         chained = scenario is Scenario.CHAINED
+        draws = zip(us, normals, normals) if chained else zip(us, us, normals)
         xs, ys, zs = [], [], []
-        for _ in range(n_obs):
-            x = uniform()
-            y = 5.0 * x + normal() if chained else uniform()
+        for x, y, noise in islice(draws, n_obs):
+            y = 5.0 * x + y if chained else y
             xs.append(x)
             ys.append(y)
-            zs.append(x + 2.0 * y + normal())
+            zs.append(x + 2.0 * y + noise)
     return DataMatrix.from_columns((xs, ys, zs), ("x", "y", "z"))
 
 

@@ -14,7 +14,9 @@ only) that the package's column parser ``io._parse_column`` must match.
 
 ``ScalarSplitMix64`` is the seeded generator written one word at a time,
 straight from the description in the package's ``rng`` docstring, so the
-package's block-mixed stream can be checked against it.
+package's block-mixed stream can be checked against it. ``unmix64`` runs
+its output finalizer backwards, so a test can pick the seed whose stream
+starts with a given word.
 """
 
 from __future__ import annotations
@@ -199,3 +201,20 @@ class ScalarSplitMix64:
                 factor = math.sqrt(-2.0 * math.log(s) / s)
                 self.spare = v2 * factor
                 return v1 * factor
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    """x from z = x ^ (x >> shift), for 64-bit x: z ^ (z >> shift) ^
+    (z >> 2*shift) ^ ... telescopes back to x."""
+    x = z
+    for k in range(shift, 64, shift):
+        x ^= z >> k
+    return x
+
+
+def unmix64(word: int) -> int:
+    """The state that the SplitMix64 output finalizer maps to ``word``: its
+    three xor-shifts and two multiplications undone in reverse order."""
+    z = _unxorshift(word, 31)
+    z = _unxorshift(z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    return _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)

@@ -48,6 +48,18 @@ class TestMakeSymmetric:
         with pytest.raises(NonFiniteEntry):
             make_symmetric(2, [1.0, float("inf"), 1.0])
 
+    @pytest.mark.parametrize("dim, lower, where", [
+        (2, [1, 10**400, 1], "row 2, column 1"),
+        (3, [1.0, 0.5, 1.0, 0.2, float("nan"), 1.0], "row 3, column 2"),
+        (3, [1.0, 0.5, 1.0, 0.2, 0.1, -float("inf")], "row 3, column 3"),
+    ])
+    def test_non_finite_is_named_by_position(self, dim, lower, where):
+        # The position, not the value: an int past the float range would
+        # otherwise print all its digits.
+        with pytest.raises(NonFiniteEntry) as caught:
+            make_symmetric(dim, lower)
+        assert str(caught.value) == f"matrix entry at {where} is not finite"
+
     def test_zero_dim(self):
         with pytest.raises(BadArguments):
             make_symmetric(0, [])

@@ -1,7 +1,9 @@
 """The seeded generator: reference vectors, determinism, variate shape."""
 
 import copy
+import copyreg
 import math
+from itertools import chain, islice
 from math import fsum
 
 import pytest
@@ -11,14 +13,27 @@ from hypothesis import strategies as st
 from mcor import rng
 from mcor.errors import BadArguments
 from mcor.rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
-from oracles import ScalarSplitMix64
+from oracles import ScalarSplitMix64, unmix64
 
 # 0, 1, the top bit alone, the largest seed (its first state wraps), and a
 # seed whose fifth state wraps to 0, the one state whose word is 0.
 EDGE_SEEDS = (0, 1, 2**63, 2**64 - 1, (-5 * GOLDEN_GAMMA) % 2**64)
+# Block sizes a stream steps through, as the rng docstring gives them.
+SIZES = (10, 20, 40, 80, 160, 320, 640, 1024)
 # Enough words to run through every smaller block and then three
 # largest-size blocks and into a fourth.
-SPAN = sum(rng._SIZES[:-1]) + 3 * rng._MAX_BLOCK + 7
+SPAN = sum(SIZES[:-1]) + 3 * rng._MAX_BLOCK + 7
+
+
+@pytest.fixture
+def no_iterator_copying(monkeypatch):
+    """Make copy and pickle fail on the iterators a stream is built from,
+    as they will where itertools objects lose that support (Python 3.14)."""
+    def refuse(iterator):
+        raise TypeError(f"{type(iterator).__name__} must not be copied")
+
+    for example in (chain(), islice((), 0), iter(()), iter(int, 0), map(int, ())):
+        monkeypatch.setitem(copyreg.dispatch_table, type(example), refuse)
 
 
 class TestCoreGenerator:
@@ -46,11 +61,20 @@ class TestCoreGenerator:
         b = SplitMix64(987654321)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
-    def test_a_copy_continues_the_stream_on_its_own(self):
+    def test_a_copy_continues_the_stream_on_its_own(self, no_iterator_copying):
         a = SplitMix64(77)
         a.uniforms(15)  # part way into a block
         b = copy.copy(a)
         assert [a.next_u64() for _ in range(40)] == [b.next_u64() for _ in range(40)]
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_a_copy_keeps_a_pending_spare_normal(self, copier, no_iterator_copying):
+        a = SplitMix64(78)
+        a.normal()  # the pair's second normal is now pending
+        b = copier(a)
+        c = copier(b)  # a copy of a copy, still inside its first block
+        draws = [[s.normal(), s.uniform(), *s.uniforms(50), s.normal()] for s in (a, b, c)]
+        assert draws[0] == draws[1] == draws[2]
 
     def test_seed_is_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
@@ -65,6 +89,20 @@ class TestUniforms:
         rng = SplitMix64(7)
         for u in rng.uniforms(20000):
             assert 0.0 < u < 1.0
+
+    def test_the_all_ones_word_gives_exactly_one(self):
+        # Its top 53 bits are k = 2**53 - 1, and k + 0.5 rounds to the even
+        # 2**53, so the interval is (0, 1], not (0, 1).
+        seed = (unmix64(MASK64) - GOLDEN_GAMMA) % 2**64
+        assert seed == 0x31628AF67B2131AB
+        assert SplitMix64(seed).next_u64() == MASK64
+        assert SplitMix64(seed).uniform() == 1.0
+        assert next(SplitMix64(seed).rest_as_uniforms()) == 1.0
+        # v1 = 2*1.0 - 1 = 1 makes s >= 1, so normal() rejects that pair
+        # and draws as a stream that skipped its two words would.
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        b.uniforms(2)
+        assert [a.normal() for _ in range(2)] == [b.normal() for _ in range(2)]
 
     def test_batch_matches_single_calls(self):
         a = SplitMix64(1234)
@@ -160,6 +198,22 @@ class TestAgainstScalarOracle:
         assert a.uniforms(lead) == b.uniforms(lead)
         count = SPAN * 4 // 5
         assert [a.normal() for _ in range(count)] == [b.normal() for _ in range(count)]
+
+    @pytest.mark.parametrize("lead", (0, 1, 9, 10, 31, 1270, 1271))
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_rest_as_uniforms(self, seed, lead):
+        # Read past the end of the first block after the lead; the stream's
+        # own draws then resume at the next block boundary.
+        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert a.uniforms(lead) == b.uniforms(lead)
+        ends = [sum(SIZES[:k]) for k in range(1, len(SIZES) + 1)]
+        ends += [ends[-1] + k * rng._MAX_BLOCK for k in (1, 2, 3)]
+        end = next(e for e in ends if e > lead)
+        count = end - lead + 3
+        assert list(islice(a.rest_as_uniforms(), count)) == b.uniforms(count)
+        following = next(e for e in ends if e >= lead + count)
+        b.uniforms(following - lead - count)
+        assert a.next_u64() == b.next_u64()
 
     def test_the_zero_word(self):
         stream = SplitMix64((-5 * GOLDEN_GAMMA) % 2**64)

@@ -6,7 +6,6 @@ import pytest
 
 from mcor import (
     Scenario,
-    SplitMix64,
     correlation_matrix,
     generate,
     mcor,
@@ -15,6 +14,7 @@ from mcor import (
 )
 from mcor.errors import BadArguments
 from mcor.linalg import eigenvalues_symmetric
+from oracles import ScalarSplitMix64
 
 
 class TestScenario:
@@ -82,21 +82,29 @@ class TestGenerate:
         for x, y, z in combo.values:
             assert z == x + 2.0 * y
 
-    @pytest.mark.parametrize("scenario", [Scenario.NOISY_COMBO, Scenario.CHAINED])
+    @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
     def test_columns_follow_the_draw_by_draw_stream(self, scenario, seed):
-        # Reference: one row at a time, variates in recipe order.
-        rng = SplitMix64(seed)
-        rows = []
-        for _ in range(50):
-            x = rng.uniform()
-            if scenario is Scenario.NOISY_COMBO:
-                y = rng.uniform()
-            else:
-                y = 5.0 * x + rng.normal()
-            rows.append((x, y, x + 2.0 * y + rng.normal()))
-        data = generate(scenario, 50, seed)
-        assert data.columns == tuple(zip(*rows))
+        # Reference: the one-word-at-a-time oracle, one row at a time,
+        # variates in recipe order. An odd n leaves a spare normal unused,
+        # and n = 1000 draws past the first largest-size block.
+        for n in (50, 51, 1000):
+            rng = ScalarSplitMix64(seed)
+            rows = []
+            for _ in range(n):
+                x = rng.uniform()
+                if scenario is Scenario.ALL_LINEAR:
+                    rows.append((x, 2.0 * x, x))
+                    continue
+                y = 5.0 * x + rng.normal() if scenario is Scenario.CHAINED else rng.uniform()
+                if scenario is Scenario.LINEAR_COMBO:
+                    z = x + 2.0 * y
+                elif scenario is Scenario.INDEPENDENT:
+                    z = rng.uniform()
+                else:
+                    z = x + 2.0 * y + rng.normal()
+                rows.append((x, y, z))
+            assert generate(scenario, n, seed).columns == tuple(zip(*rows))
 
     def test_too_few_observations(self):
         with pytest.raises(BadArguments):

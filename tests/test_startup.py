@@ -30,6 +30,13 @@ def test_cli_import_skips_what_only_some_commands_need():
     assert loaded.isdisjoint({"dataclasses", "inspect", "mcor.rng", "mcor.simulate"})
 
 
+def test_cli_import_skips_importlib_resources():
+    # Without site (-S), which may import it first, nothing else hides it.
+    out = run_python("-S", "-c", "import sys, mcor.cli; "
+                                 "print('importlib.resources' in sys.modules)").stdout
+    assert out.decode().strip() == "False"
+
+
 def test_simulate_subprocess_matches_in_process(capsys):
     argv = ["simulate", "noisy-combo", "--n", "50", "--reps", "3", "--seed", "7",
             "--output", "json"]
