@@ -3,7 +3,7 @@
 Subcommands: compute (CSV data), matrix (precomputed correlation matrix),
 compare (two inputs, auto-detected), simulate (bundled scenarios),
 validate (matrix diagnostics only). Exit codes: 0 success, 1 domain
-error, 2 usage error; every failure prints exactly one
+error or out of memory, 2 usage error; every failure prints exactly one
 ``error: <CODE>: <detail>`` line on stderr.
 """
 
@@ -309,6 +309,10 @@ def main(argv=None) -> int:
         return 2
     except McorError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: OUT_OF_MEMORY: not enough memory for this input file or --n",
+              file=sys.stderr)
         return 1
 
 

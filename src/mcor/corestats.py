@@ -23,7 +23,8 @@ from .errors import (
     TooFewValues,
     ZeroVariance,
 )
-from .linalg import SymmetricMatrix, _all_finite, _unscale, make_symmetric
+from .linalg import (CLAMP_EPS, SymmetricMatrix, _all_finite, _clamp, _scaled, _unscale,
+                     make_symmetric)
 
 
 class DataMatrix(NamedTuple):
@@ -98,34 +99,30 @@ def make_data_matrix(
     return DataMatrix.from_columns(list(zip(*rows)), var_names)
 
 
-def _centered(xs: Sequence[float], label: str) -> tuple[list[float], float]:
-    """Centred values and their sum of squares; ZeroVariance(label) for a
-    constant series.
+def _centered(xs: Sequence[float]) -> tuple[list[float], float, int]:
+    """Centred values, their sum of squares, and the shift: ``xs`` times
+    2**-shift is what was centred.
 
-    When the sum of squares leaves [2**-500, 2**500], or a sum overflows,
-    the series is centred again after scaling by the power of two that
-    puts its largest |value| in [0.5, 1) (Blue, ACM TOMS 4(1), 1978). The
-    scaling is exact and a correlation does not depend on it. A scaled
+    ``xs`` is centred as it is (shift 0) unless a sum overflows or the sum
+    of squares leaves [2**-500, 2**500]; then the copy from ``_scaled``,
+    largest |value| in [0.5, 1), is centred instead. The scaling loses no
+    bit above 2**-1074 and a correlation does not depend on it. A scaled
     non-constant series varies by at least 2**-54 about its mean, so its
     sum of squares lies in [2**-108, 4n]. Either way the product of two
     sums, the square of a correlation's denominator, is a normal double.
     """
-    if xs.count(xs[0]) == len(xs):
-        raise ZeroVariance(label)
-    try:
-        centered, sum_sq = _centered_sum_sq(xs)
-    except OverflowError:  # fsum's partial sums passed the float maximum
-        sum_sq = math.inf
-    if not 2.0**-500 <= sum_sq <= 2.0**500:
-        shift = math.frexp(max(max(xs), -min(xs)))[1]
-        centered, sum_sq = _centered_sum_sq([math.ldexp(x, -shift) for x in xs])
-    return centered, sum_sq
-
-
-def _centered_sum_sq(xs: Sequence[float]) -> tuple[list[float], float]:
-    mean = fsum(xs) / len(xs)
-    centered = [x - mean for x in xs]
-    return centered, fsum(map(mul, centered, centered))
+    values, shift = xs, 0
+    while True:
+        try:
+            mean = fsum(values) / len(values)
+            centered = [x - mean for x in values]
+            sum_sq = fsum(map(mul, centered, centered))
+        except OverflowError:  # fsum's partial sums passed the float maximum
+            sum_sq = math.inf
+        # A scaled copy (a new list) cannot overflow and is kept as it comes.
+        if values is not xs or 2.0**-500 <= sum_sq <= 2.0**500:
+            return centered, sum_sq, shift
+        values, shift = _scaled(xs)
 
 
 def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
@@ -135,15 +132,7 @@ def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
     r = fsum(map(mul, cx, cy)) / math.sqrt(sxx * syy)
     if not math.isfinite(r):
         raise NumericInconsistency(f"correlation evaluated to {r!r}")
-    if r > 1.0:
-        if r - 1.0 > 1e-12:
-            raise NumericInconsistency(f"correlation {r!r} above 1 beyond roundoff")
-        return 1.0
-    if r < -1.0:
-        if -1.0 - r > 1e-12:
-            raise NumericInconsistency(f"correlation {r!r} below -1 beyond roundoff")
-        return -1.0
-    return r
+    return _clamp(r, -1.0, 1.0, "correlation", CLAMP_EPS)
 
 
 def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
@@ -153,15 +142,15 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     first constant column found.
     """
     d = data.n_vars
-    moments = [
-        _centered(col, f"column {name}")
-        for col, name in zip(data.columns, data.var_names)
-    ]
+    for col, name in zip(data.columns, data.var_names):
+        if col.count(col[0]) == len(col):
+            raise ZeroVariance(f"column {name}")
+    moments = [_centered(col) for col in data.columns]
     tri = []
     for i in range(d):
-        cx, sxx = moments[i]
+        cx, sxx, _ = moments[i]
         for j in range(i):
-            cy, syy = moments[j]
+            cy, syy, _ = moments[j]
             tri.append(_corr_from_centered(cx, cy, sxx, syy))
         tri.append(1.0)
     return make_symmetric(d, tri)
@@ -170,23 +159,22 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation of two equal-length series: entry (2, 1) of the
     correlation matrix of columns ``x`` and ``y``, with its checks, errors
-    and 1e-12 clamp onto [-1, 1]."""
+    and CLAMP_EPS clamp onto [-1, 1]."""
     return correlation_matrix(DataMatrix.from_columns((x, y), ("x", "y"))).rows[1][0]
 
 
 def sample_sd(xs: Sequence[float]) -> float:
     """Sample standard deviation with the m-1 denominator.
 
-    Computed on a copy scaled by the power of two that brings the largest
-    |value| into [0.5, 1), so no square overflows; the scaling is exact
-    and is undone on the result, and a result beyond the float range
-    raises NonFiniteEntry.
+    The centred sum of squares comes from ``_centered``, which scales the
+    values by a power of two only when a sum would overflow or the sum of
+    squares leave [2**-500, 2**500]; the scaling is undone on the result,
+    and a result beyond the float range raises NonFiniteEntry.
     """
     m = len(xs)
     if m < 2:
         raise TooFewValues(f"standard deviation needs at least 2 values, got {m}")
     if not _all_finite(xs):
         raise NonFiniteEntry("value list contains a non-finite entry")
-    shift = math.frexp(max(map(abs, xs)))[1]
-    _, sum_sq = _centered_sum_sq([math.ldexp(v, -shift) for v in xs])
+    _, sum_sq, shift = _centered(xs)
     return _unscale(math.sqrt(sum_sq / (m - 1)), shift, "standard deviation")

@@ -42,11 +42,14 @@ def read_cells(path) -> list[list[str]]:
         # utf-8-sig drops the byte-order mark spreadsheet exports put
         # before the first header name.
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = [list(map(str.strip, row)) for row in csv.reader(handle)]
+            reader = csv.reader(handle)
+            rows = [list(map(str.strip, row)) for row in reader]
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FileError(f"{path} is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:  # a cell past csv.field_size_limit(), for one
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
     # Drop blank lines only; a line of delimiters like ",," is still a row.
     return [row for row in rows if row != [] and row != [""]]
 

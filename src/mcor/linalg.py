@@ -15,9 +15,13 @@ from math import fsum
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .errors import BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry
+from .errors import (BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry,
+                     NumericInconsistency)
 
 DEFAULT_MAX_SWEEPS = 100
+# Results may poke past their bounds by roundoff only; larger overshoot means a
+# solver bug and must not be masked by clamping.
+CLAMP_EPS = 1e-12
 
 
 class SymmetricMatrix(NamedTuple):
@@ -27,7 +31,8 @@ class SymmetricMatrix(NamedTuple):
     rows: tuple[tuple[float, ...], ...]
 
     def trace(self) -> float:
-        return fsum(self.rows[i][i] for i in range(self.dim))
+        scaled, shift = _scaled([self.rows[i][i] for i in range(self.dim)])
+        return _unscale(fsum(scaled), shift, "trace")
 
 
 class EigenSpectrum(NamedTuple):
@@ -69,8 +74,9 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
 
 
 def frobenius_norm_sq(m: SymmetricMatrix) -> float:
-    """Sum of squares of all d*d entries."""
-    return fsum(v * v for row in m.rows for v in row)
+    """Sum of squares of all d*d entries; NonFiniteEntry past the float range."""
+    scaled, shift = _scaled([v for row in m.rows for v in row])
+    return _unscale(fsum(v * v for v in scaled), 2 * shift, "sum of squares")
 
 
 def _all_finite(values: Sequence[float]) -> bool:
@@ -82,12 +88,29 @@ def _all_finite(values: Sequence[float]) -> bool:
         return False
 
 
+def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
+    """``values`` times 2**-shift, exact but for bits below 2**-1074, and the
+    shift that brings the largest |value| into [0.5, 1), where no sum or
+    square overflows (Blue, ACM TOMS 4(1), 1978); ``_unscale`` undoes it."""
+    shift = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -shift) for v in values], shift
+
+
 def _unscale(value: float, shift: int, what: str) -> float:
     """``value * 2**shift``, exact; NonFiniteEntry if it overflows."""
     try:
         return math.ldexp(value, shift)
     except OverflowError:
         raise NonFiniteEntry(f"{what} {value!r} * 2**{shift} exceeds the float range") from None
+
+
+def _clamp(value: float, lo: float, hi: float, what: str, slack: float) -> float:
+    """``value`` clamped onto [lo, hi]; NumericInconsistency if it lies more
+    than ``slack`` outside, further than roundoff can carry it."""
+    if lo - value > slack or value - hi > slack:
+        side = f"fell below {lo:g}" if value < lo else f"rose above {hi:g}"
+        raise NumericInconsistency(f"{what} = {value!r} {side} beyond roundoff")
+    return min(max(value, lo), hi)
 
 
 def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
@@ -191,9 +214,8 @@ def eigenvalues_symmetric(
     [0.5, 1); the scaling is exact and is undone on the results, and an
     eigenvalue beyond the float range raises NonFiniteEntry.
     """
-    lower = [row[: i + 1] for i, row in enumerate(m.rows)]
-    shift = math.frexp(max(max(map(abs, row)) for row in lower))[1]
-    a = [[math.ldexp(v, -shift) for v in row] for row in lower]
+    flat, shift = _scaled([v for i, row in enumerate(m.rows) for v in row[: i + 1]])
+    a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(m.dim)]
     diag, sub = _tridiagonal(a)
     sweeps = _ql(diag, sub, max_sweeps)
     residual = _unscale(math.sqrt(2.0 * fsum(v * v for v in sub)), shift, "residual")

@@ -28,16 +28,13 @@ from .errors import (
     NonFiniteEntry,
     NotACorrelationMatrix,
     NotACorrelationSpectrum,
-    NumericInconsistency,
 )
-from .linalg import EigenSpectrum, SymmetricMatrix, _all_finite, eigenvalues_symmetric
+from .linalg import (CLAMP_EPS, EigenSpectrum, SymmetricMatrix, _all_finite, _clamp, _scaled,
+                     _unscale, eigenvalues_symmetric)
 
 # Eigenvalue sums may drift from d by solver roundoff; anything past this
 # relative slack is not a correlation spectrum at all.
 TRACE_RTOL = 1e-6
-# Results may poke past [0, 1] by roundoff only; larger overshoot means a
-# solver bug and must not be masked by clamping.
-CLAMP_EPS = 1e-12
 NEAR_SINGULAR_EIG = 1e-10
 PSD_EIG_FLOOR = -1e-8
 MATRIX_ENTRY_TOL = 1e-9
@@ -80,7 +77,8 @@ def _spectrum_size(values: Sequence[float]) -> int:
 
 def _validated_spectrum(values: Sequence[float]) -> int:
     d = _spectrum_size(values)
-    total = fsum(values)
+    scaled, shift = _scaled(values)
+    total = _unscale(fsum(scaled), shift, "eigenvalue sum")
     if abs(total - d) > TRACE_RTOL * d:
         raise NotACorrelationSpectrum(
             f"eigenvalues sum to {total!r}, expected {d} for a correlation spectrum",
@@ -89,16 +87,9 @@ def _validated_spectrum(values: Sequence[float]) -> int:
     return d
 
 
-def _clamp01(value: float, what: str, slack: float) -> float:
-    if value < -slack or value - 1.0 > slack:
-        side = "fell below 0" if value < 0.0 else "rose above 1"
-        raise NumericInconsistency(f"{what} = {value!r} {side} beyond roundoff")
-    return min(max(value, 0.0), 1.0)
-
-
 def _mcor(values: Sequence[float], slack: float) -> float:
     d = _validated_spectrum(values)
-    return _clamp01(sample_sd(values) / math.sqrt(d), "mcor", slack)
+    return _clamp(sample_sd(values) / math.sqrt(d), 0.0, 1.0, "mcor", slack)
 
 
 def mcor_from_spectrum(values: Sequence[float]) -> float:
@@ -112,8 +103,7 @@ def john_sphericity(values: Sequence[float]) -> float:
     scaled by the power of two that brings the largest |value| into [0.5, 1):
     the ratio does not depend on scale, and no square overflows there."""
     _spectrum_size(values)
-    shift = math.frexp(max(map(abs, values)))[1]
-    scaled = [math.ldexp(v, -shift) for v in values]
+    scaled, _ = _scaled(values)
     total = fsum(scaled)
     square = total * total
     # The scaled squares sum to >= 0.25: a square that underflows leaves no finite ratio.
@@ -129,7 +119,7 @@ def _rescaled_sphericity(values: Sequence[float], slack: float) -> float:
         s2 = fsum(v * v for v in values)
     except OverflowError:  # past the float maximum: far above 1, as the clamp reports
         s2 = math.inf
-    return _clamp01((s2 - d) / (d * (d - 1)), "rescaled sphericity", slack)
+    return _clamp((s2 - d) / (d * (d - 1)), 0.0, 1.0, "rescaled sphericity", slack)
 
 
 def rescaled_sphericity(values: Sequence[float]) -> float:

@@ -9,6 +9,10 @@ without any eigensolver at all. A third, for a given spectrum, computes the
 coefficient in exact rational arithmetic (``fractions``) followed by one
 high-precision ``decimal`` square root, so it carries no float rounding.
 
+``always_scaled_sample_sd`` is an earlier ``sample_sd`` formula, kept as a
+reference: it scales every list by a power of two before centring, where
+the package scales only when a sum would overflow.
+
 ``_parse_number`` is the per-cell number rule (finite float() results
 only) that the package's column parser ``io._parse_column`` must match.
 
@@ -151,6 +155,17 @@ def exact_spectrum_mcor(values) -> float:
     q = sum((v - mean) ** 2 for v in lam) / (d - 1) / d
     ctx = Context(prec=40)
     return float(ctx.divide(q.numerator, q.denominator).sqrt(ctx))
+
+
+def always_scaled_sample_sd(xs) -> float:
+    """Sample sd (m - 1 denominator) of ``xs`` scaled by the power of two
+    that brings the largest |value| into [0.5, 1), unscaled at the end;
+    OverflowError if the result is past the float range."""
+    shift = math.frexp(max(map(abs, xs)))[1]
+    scaled = [math.ldexp(v, -shift) for v in xs]
+    mean = fsum(scaled) / len(scaled)
+    centered = [v - mean for v in scaled]
+    return math.ldexp(math.sqrt(fsum(c * c for c in centered) / (len(xs) - 1)), shift)
 
 
 def _parse_number(token: str) -> float | None:

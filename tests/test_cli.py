@@ -493,6 +493,26 @@ class TestOutputStability:
         path = write(tmp_path, "d.csv", "")
         assert run_cli(capsys, "compute", path) == (1, "", f"error: PARSE_ERROR: {path} is empty\n")
 
+    @pytest.mark.parametrize("command", ["compute", "matrix", "validate", "compare"])
+    def test_cell_past_the_csv_field_limit(self, tmp_path, capsys, command):
+        # csv.reader refuses a field over 131072 characters.
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3," + "4" * 140_000 + "\n")
+        paths = [AREA1, path] if command == "compare" else [path]
+        assert run_cli(capsys, command, *paths) == (1, "", (
+            f"error: PARSE_ERROR: {path}, line 3: field larger than field limit (131072)\n"))
+
+    @pytest.mark.parametrize("argv, name", [
+        (("simulate", "independent", "--n", "100000000", "--reps", "1"), "monte_carlo"),
+        (("compute", "data.csv"), "read_csv_data"),
+    ], ids=["simulate", "compute"])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, argv, name):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(mcor_cli, name, exhausted)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: OUT_OF_MEMORY: ")
+
     def test_usage_error_single_line_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "frobnicate")
         assert code == 2

@@ -76,6 +76,21 @@ class TestFrobeniusNormSq:
     def test_2x2_half(self):
         assert frobenius_norm_sq(make_symmetric(2, [1.0, 0.5, 1.0])) == 2.5
 
+    def test_sum_past_the_float_maximum_rejected(self):
+        # Each square, 1.69e308, is finite; their sum is not.
+        with pytest.raises(NonFiniteEntry):
+            frobenius_norm_sq(make_symmetric(2, [1.3e154] * 3))
+
+
+class TestTrace:
+    def test_partial_sums_past_the_float_maximum(self):
+        # 1e308 + 1e308 overflows on the way to the exact sum, 1e308.
+        assert make_symmetric(3, [1e308, 0, 1e308, 0, 0, -1e308]).trace() == 1e308
+
+    def test_sum_past_the_float_maximum_rejected(self):
+        with pytest.raises(NonFiniteEntry):
+            make_symmetric(2, [1e308, 0, 1e308]).trace()
+
 
 class TestEigenvaluesSymmetric:
     def test_2x2_correlation_half(self):

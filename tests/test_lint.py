@@ -38,3 +38,68 @@ def test_unused_import_is_caught():
     assert unused_imports("import os\nfrom .errors import A, B\nB()\n") == [
         "line 1: os", "line 2: A"]
     assert unused_imports("from .x import A\n__all__ = ['A']\n") == []
+
+
+def rule_sites(source: str, module: str, matches) -> list[str]:
+    """Dotted name of the innermost function (or of the module) holding
+    each node of ``source`` that ``matches``, one entry per node."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+            else:
+                if matches(child):
+                    found.append(owner)
+                visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def calls_frexp(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Attribute) and func.attr == "frexp"
+            or isinstance(func, ast.Name) and func.id == "frexp")
+
+
+def raises_beyond_roundoff(node) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id == "NumericInconsistency"
+            and any(isinstance(part, ast.Constant) and "beyond roundoff" in str(part.value)
+                    for part in ast.walk(exc)))
+
+
+def package_sites(matches) -> list[str]:
+    return [site for path in SOURCES
+            for site in rule_sites(path.read_text(encoding="utf-8"), path.stem, matches)]
+
+
+# Each float rule is written once: the power-of-two scaling that keeps sums
+# and squares in range, and the clamp that tells roundoff from a fault.
+def test_power_of_two_scaling_is_written_once():
+    assert package_sites(calls_frexp) == ["linalg._scaled"]
+
+
+def test_roundoff_clamp_is_written_once():
+    assert package_sites(raises_beyond_roundoff) == ["linalg._clamp"]
+
+
+def test_rule_sites_are_caught():
+    source = (
+        "import math\n"
+        "math.frexp(0.5)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return frexp(1.0)\n"
+        "        return math.frexp(2.0), frexp\n"
+        "def h(r):\n"
+        "    if r > 1:\n"
+        "        raise NumericInconsistency(f'r = {r} rose above 1 beyond roundoff')\n"
+        "    raise NumericInconsistency('correlation is not finite')\n"
+    )
+    assert rule_sites(source, "m", calls_frexp) == ["m", "m.A.f.g", "m.A.f"]
+    assert rule_sites(source, "m", raises_beyond_roundoff) == ["m.h"]

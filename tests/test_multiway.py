@@ -432,3 +432,16 @@ class TestProperties:
 def test_int_past_float_range_is_non_finite(call):
     with pytest.raises(NonFiniteEntry):
         call()
+
+
+# The partial sums of these spectra pass the float maximum. The first sums
+# exactly to 0; the sum of the second lies past the float range.
+@pytest.mark.parametrize("call", [mcor_from_spectrum, rescaled_sphericity],
+                         ids=["mcor_from_spectrum", "rescaled_sphericity"])
+def test_spectrum_sums_past_the_float_maximum(call):
+    with pytest.raises(NotACorrelationSpectrum,
+                       match=r"^eigenvalues sum to 0\.0, expected 4 ") as caught:
+        call([1e308, 1e308, -1e308, -1e308])
+    assert caught.value.total == 0.0
+    with pytest.raises(NonFiniteEntry):
+        call([1e308, 1e308, 1.0])

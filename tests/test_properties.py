@@ -1,5 +1,6 @@
-"""Hypothesis properties: the CLI contract on hostile input files, and the
-invariances of the coefficient."""
+"""Hypothesis properties: the CLI contract on hostile input files, the
+invariances of the coefficient, and the numeric functions on finite
+doubles over the whole float range."""
 
 import io
 import json
@@ -7,14 +8,30 @@ import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import fsum
 from statistics import fmean
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mcor import DataMatrix, mcor, pearson_r
+from mcor import (
+    DataMatrix,
+    eigenvalues_symmetric,
+    frobenius_norm_sq,
+    john_sphericity,
+    make_symmetric,
+    mcor,
+    mcor_from_matrix,
+    mcor_from_spectrum,
+    pearson_r,
+    rescaled_sphericity,
+    sample_sd,
+)
 from mcor.cli import main
+from mcor.errors import McorError
+from oracles import always_scaled_sample_sd
 
 EPS = sys.float_info.epsilon
 
@@ -182,3 +199,102 @@ def test_shift_invariance(columns, shift):
 def test_two_columns_give_abs_pearson_r(columns):
     # Eigenvalues 1 +- r, whose sd over sqrt(2) is |r|.
     assert abs(coefficient(columns) - abs(pearson_r(*columns))) <= solve_tol(2)
+
+
+# Finite doubles over the whole range, subnormals included.
+FULL_RANGE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def full_range_lists(min_size, max_size):
+    return st.lists(FULL_RANGE, min_size=min_size, max_size=max_size)
+
+
+DIAGONAL = {i * (i + 3) // 2 for i in range(4)}  # positions of (i, i) in a lower triangle
+
+
+def symmetric_matrices(entries=FULL_RANGE, min_dim=1, unit_diagonal=False):
+    """d x d matrices, min_dim <= d <= 4, from a lower triangle of ``entries``."""
+    def build(d):
+        return st.lists(entries, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2).map(
+            lambda tri: make_symmetric(d, [1.0 if unit_diagonal and k in DIAGONAL else v
+                                           for k, v in enumerate(tri)]))
+    return st.integers(min_dim, 4).flatmap(build)
+
+
+PAIRS = st.integers(2, 5).flatmap(lambda n: st.tuples(full_range_lists(n, n),
+                                                       full_range_lists(n, n)))
+DATA = st.tuples(st.integers(2, 3), st.integers(2, 5)).flatmap(
+    lambda dn: st.lists(full_range_lists(dn[1], dn[1]), min_size=dn[0], max_size=dn[0]))
+
+# Each exported numeric function with inputs that reach its checks and its
+# arithmetic: correlation-like matrices mix entries in [-1, 1] with any double.
+NUMERIC_CALLS = {
+    "sample_sd": (full_range_lists(2, 6), sample_sd),
+    "mcor_from_spectrum": (full_range_lists(2, 5), mcor_from_spectrum),
+    "john_sphericity": (full_range_lists(2, 5), john_sphericity),
+    "rescaled_sphericity": (full_range_lists(2, 5), rescaled_sphericity),
+    "frobenius_norm_sq": (symmetric_matrices(), frobenius_norm_sq),
+    "trace": (symmetric_matrices(), lambda m: m.trace()),
+    "eigenvalues_symmetric": (symmetric_matrices(), eigenvalues_symmetric),
+    "pearson_r": (PAIRS, lambda xy: pearson_r(*xy)),
+    "mcor": (DATA, lambda columns: mcor(DataMatrix.from_columns(columns))),
+    "mcor_from_matrix": (
+        symmetric_matrices(st.one_of(st.floats(-1.0, 1.0), FULL_RANGE), 2, unit_diagonal=True),
+        mcor_from_matrix),
+}
+
+
+def floats_in(result):
+    """Every float in a result: a float, or a record or tuple holding some."""
+    if isinstance(result, float):
+        yield result
+    elif isinstance(result, tuple):
+        for item in result:
+            yield from floats_in(item)
+
+
+@pytest.mark.parametrize("name", NUMERIC_CALLS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_full_range_input_gives_finite_floats_or_an_mcor_error(name, data):
+    strategy, call = NUMERIC_CALLS[name]
+    argument = data.draw(strategy)
+    try:
+        result = call(argument)
+    except McorError:
+        return
+    assert all(map(math.isfinite, floats_in(result))), result
+
+
+def no_farther_from_exact(xs, new: float, old: float) -> bool:
+    """Whether ``new`` is at most as far as ``old`` from the exact sample sd
+    of ``xs``: sqrt(q), q the exact variance, lies on new's side of their
+    midpoint (or on it)."""
+    if new == old:
+        return True
+    exact = [Fraction(v) for v in xs]
+    mean = sum(exact) / len(exact)
+    q = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    mid = (Fraction(new) + Fraction(old)) / 2
+    return q <= mid * mid if new < old else q >= mid * mid
+
+
+# sample_sd scales only when it must; on this list the always-scaled route
+# pushes the subnormal lower and lands 1 ulp off the correctly rounded value.
+@settings(max_examples=300, deadline=None)
+@given(full_range_lists(2, 8))
+@example([0.0, -1.8399939228124924e16, -4.111003532977332e16, -2.2250738585e-313])
+def test_sample_sd_is_no_farther_from_exact_than_always_scaling(xs):
+    try:
+        new = sample_sd(xs)
+    except McorError:  # past the float range, where the reference overflows too
+        return
+    assert no_farther_from_exact(xs, new, always_scaled_sample_sd(xs))
+
+
+def test_sample_sd_rounds_correctly_where_always_scaling_does_not():
+    xs = [0.0, -1.8399939228124924e16, -4.111003532977332e16, -2.2250738585e-313]
+    assert sample_sd(xs) == 1.952121495914532e16
+    assert always_scaled_sample_sd(xs) == 1.9521214959145316e16
+    assert no_farther_from_exact(xs, 1.952121495914532e16, 1.9521214959145316e16)
+    assert not no_farther_from_exact(xs, 1.9521214959145316e16, 1.952121495914532e16)
