@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,6 +33,14 @@ def bundled_fixture(name: str) -> Path:
     return Path(__file__).parent / "fixtures" / name
 
 
+# A line with no cells or one empty cell is blank; a line of delimiters
+# like ",," is still a row.
+_BLANK = ([], [""])
+# The characters a finite float's text can start with besides decimal
+# digits (``str.isdecimal``) and whitespace (``str.isspace``).
+_NUMBER_SIGNS = frozenset("+-.")
+
+
 def read_cells(path) -> list[list[str]]:
     """Rows of a CSV file as stripped cell strings, blank lines dropped.
 
@@ -43,15 +52,16 @@ def read_cells(path) -> list[list[str]]:
         # before the first header name.
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            rows = [list(map(str.strip, row)) for row in reader]
+            # Strip every cell (float() does not strip \x1c-\x1f, str.strip
+            # does) and drop blank lines, in one pass.
+            return [row for row in map(list, map(map, repeat(str.strip), reader))
+                    if row not in _BLANK]
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FileError(f"{path} is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:  # a cell past csv.field_size_limit(), for one
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
-    # Drop blank lines only; a line of delimiters like ",," is still a row.
-    return [row for row in rows if row != [] and row != [""]]
 
 
 def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
@@ -63,6 +73,15 @@ def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
     token, so only bad tokens cost a Python-level step: list.extend keeps
     the items it appended before the exception, and the shared iterator
     has already consumed the rejected cell.
+
+    A column whose first cell fails is first screened by the cells' first
+    characters, collected in one C-speed pass: a finite float's text
+    starts with "+", "-", ".", a decimal digit of any script
+    (``str.isdecimal``; float("\u0663") is 3.0) or whitespace
+    (``str.isspace``). A column with none of those starts is all bad and
+    costs no further float() call; any other column is parsed in full.
+    The screen waits for a failed first cell so that a numeric column
+    pays nothing for it.
     """
     rest = iter(cells)
     values: list[float] = []
@@ -72,6 +91,9 @@ def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
             values.extend(map(float, rest))
             break
         except ValueError:
+            if not values and not _may_hold_a_number(cells):
+                n = len(cells)
+                return [0.0] * n, list(range(n))
             bad.append(len(values))
             values.append(0.0)
     if not all(map(math.isfinite, values)):
@@ -80,6 +102,13 @@ def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
         for i in bad:
             values[i] = 0.0
     return values, bad
+
+
+def _may_hold_a_number(cells: Sequence[str]) -> bool:
+    """Whether any cell starts with a character a finite float's text can
+    start with; "" starts none."""
+    return any(c in _NUMBER_SIGNS or c.isdecimal() or c.isspace()
+               for c in set(map(itemgetter(slice(0, 1)), cells)))
 
 
 def read_csv_data(
@@ -98,7 +127,9 @@ def read_csv_data(
     """
     names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na, cells)
     if bad_rows:
-        keep = [i not in bad_rows for i in range(len(cols[0]))]
+        keep = [True] * len(cols[0])
+        for i in bad_rows:
+            keep[i] = False
         cols = [list(compress(col, keep)) for col in cols]
     n = len(cols[0])
     if n < 2:

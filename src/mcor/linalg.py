@@ -31,8 +31,7 @@ class SymmetricMatrix(NamedTuple):
     rows: tuple[tuple[float, ...], ...]
 
     def trace(self) -> float:
-        scaled, shift = _scaled([self.rows[i][i] for i in range(self.dim)])
-        return _unscale(fsum(scaled), shift, "trace")
+        return _sum([self.rows[i][i] for i in range(self.dim)], "trace")
 
 
 class EigenSpectrum(NamedTuple):
@@ -94,6 +93,17 @@ def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
     square overflows (Blue, ACM TOMS 4(1), 1978); ``_unscale`` undoes it."""
     shift = math.frexp(max(map(abs, values)))[1]
     return [math.ldexp(v, -shift) for v in values], shift
+
+
+def _sum(values: Sequence[float], what: str) -> float:
+    """Exactly rounded sum of finite ``values``; only when fsum's partial
+    sums overflow is the ``_scaled`` copy summed and unscaled, so a sum
+    past the float range raises NonFiniteEntry."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        scaled, shift = _scaled(values)
+        return _unscale(fsum(scaled), shift, what)
 
 
 def _unscale(value: float, shift: int, what: str) -> float:

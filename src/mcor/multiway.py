@@ -30,7 +30,7 @@ from .errors import (
     NotACorrelationSpectrum,
 )
 from .linalg import (CLAMP_EPS, EigenSpectrum, SymmetricMatrix, _all_finite, _clamp, _scaled,
-                     _unscale, eigenvalues_symmetric)
+                     _sum, eigenvalues_symmetric)
 
 # Eigenvalue sums may drift from d by solver roundoff; anything past this
 # relative slack is not a correlation spectrum at all.
@@ -77,8 +77,7 @@ def _spectrum_size(values: Sequence[float]) -> int:
 
 def _validated_spectrum(values: Sequence[float]) -> int:
     d = _spectrum_size(values)
-    scaled, shift = _scaled(values)
-    total = _unscale(fsum(scaled), shift, "eigenvalue sum")
+    total = _sum(values, "eigenvalue sum")
     if abs(total - d) > TRACE_RTOL * d:
         raise NotACorrelationSpectrum(
             f"eigenvalues sum to {total!r}, expected {d} for a correlation spectrum",
@@ -87,15 +86,14 @@ def _validated_spectrum(values: Sequence[float]) -> int:
     return d
 
 
-def _mcor(values: Sequence[float], slack: float) -> float:
-    d = _validated_spectrum(values)
+def _mcor(values: Sequence[float], d: int, slack: float) -> float:
     return _clamp(sample_sd(values) / math.sqrt(d), 0.0, 1.0, "mcor", slack)
 
 
 def mcor_from_spectrum(values: Sequence[float]) -> float:
     """Coefficient from a correlation spectrum: sample sd of the
     eigenvalues over sqrt(d), clamped to [0, 1] within SPECTRUM_CLAMP_EPS."""
-    return _mcor(values, SPECTRUM_CLAMP_EPS)
+    return _mcor(values, _validated_spectrum(values), SPECTRUM_CLAMP_EPS)
 
 
 def john_sphericity(values: Sequence[float]) -> float:
@@ -113,8 +111,7 @@ def john_sphericity(values: Sequence[float]) -> float:
     return ratio
 
 
-def _rescaled_sphericity(values: Sequence[float], slack: float) -> float:
-    d = _validated_spectrum(values)
+def _rescaled_sphericity(values: Sequence[float], d: int, slack: float) -> float:
     try:
         s2 = fsum(v * v for v in values)
     except OverflowError:  # past the float maximum: far above 1, as the clamp reports
@@ -128,7 +125,7 @@ def rescaled_sphericity(values: Sequence[float]) -> float:
     Equals the squared coefficient for the same spectrum; clamped to [0, 1]
     within SPECTRUM_CLAMP_EPS.
     """
-    return _rescaled_sphericity(values, SPECTRUM_CLAMP_EPS)
+    return _rescaled_sphericity(values, _validated_spectrum(values), SPECTRUM_CLAMP_EPS)
 
 
 def independence_bound(d: int, k: int) -> float:
@@ -150,6 +147,7 @@ def independence_bound(d: int, k: int) -> float:
 
 def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float) -> McorReport:
     values = spectrum.values
+    d = _validated_spectrum(values)
     min_eig = values[-1]
     warnings = list(extra_warnings)
     if min_eig < NEAR_SINGULAR_EIG:
@@ -157,11 +155,11 @@ def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float
     if min_eig < PSD_EIG_FLOOR:
         warnings.append(WARN_NOT_PSD)
     return McorReport(
-        d=len(values),
-        mcor=_mcor(values, slack),
+        d=d,
+        mcor=_mcor(values, d, slack),
         eigenvalues=values,
         sphericity=john_sphericity(values),
-        rescaled_sphericity=_rescaled_sphericity(values, slack),
+        rescaled_sphericity=_rescaled_sphericity(values, d, slack),
         min_eigenvalue=min_eig,
         warnings=tuple(warnings),
     )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mcor.io as mcor_io
 from mcor.cli import main
 from mcor.errors import (
     EmptySelection,
@@ -20,6 +21,7 @@ from mcor.errors import (
 from mcor.io import (
     _parse_column,
     bundled_fixture,
+    read_cells,
     read_checked_matrix,
     read_csv_data,
     read_matrix,
@@ -132,6 +134,63 @@ class TestReadCsvData:
         assert read_matrix(path).rows == ((1.0, 0.5), (0.5, 1.0))
 
 
+class TestBlankLinesAndStripping:
+    def test_whitespace_only_line_is_dropped(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n \t \n\n3,5\n4,4\n")
+        assert read_cells(path) == [["a", "b"], ["1", "2"], ["3", "5"], ["4", "4"]]
+        assert read_csv_data(path).n_obs == 3
+
+    def test_lines_of_delimiters_are_rows(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n,\n3,5\n,,\n")
+        assert read_cells(path) == [["a", "b"], ["1", "2"], ["", ""], ["3", "5"], ["", "", ""]]
+
+    def test_line_of_one_delimiter_is_a_row_of_missing_cells(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n,\n3,5\n4,4\n")
+        with pytest.raises(ParseError, match=r"^row 3, column a: cannot use cell ''$"):
+            read_csv_data(path)
+        assert read_csv_data(path, drop_na=True).columns == ((1.0, 3.0, 4.0), (2.0, 5.0, 4.0))
+
+    def test_cells_are_stripped_of_what_float_keeps(self, tmp_path):
+        # float() rejects "\x1c1.5"; str.strip drops the \x1c.
+        assert _parse_column(["\x1c1.5"]) == ([0.0], [0])
+        path = write(tmp_path, "d.csv", "a,b\n\x1c1.5,2\x1f\n3,4\n")
+        assert read_csv_data(path).columns == ((1.5, 3.0), (2.0, 4.0))
+
+
+class TestTextColumnCost:
+    """A column whose cells cannot start a number costs one float() call."""
+
+    @staticmethod
+    def id_csv(tmp_path, n=1000):
+        # One id is missing: an empty cell starts no number either.
+        lines = ["id,x,y"] + [f"{'' if i == n // 2 else f'id{i}'},{i},{(i * 7) % 13}"
+                              for i in range(n)]
+        return write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+
+    def test_one_float_call_for_a_text_column(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return float(text)
+
+        path = self.id_csv(tmp_path)
+        # map(float, ...) in mcor.io looks the name up in the module's globals.
+        monkeypatch.setattr(mcor_io, "float", counting, raising=False)
+        data = read_csv_data(path)
+        assert data.var_names == ("x", "y")
+        assert len(calls) == 1 + 2 * 1000
+
+    def test_selected_text_column_errors_keep_their_bytes(self, tmp_path, capsys):
+        path = str(self.id_csv(tmp_path))
+        assert main(["compute", path, "--columns", "id"]) == 1
+        assert capsys.readouterr().err == (
+            "error: PARSE_ERROR: row 2, column id: cannot use cell 'id0'\n")
+        assert main(["compute", path, "--columns", "id", "--drop-na"]) == 1
+        assert capsys.readouterr().err == (
+            "error: TOO_FEW_ROWS: 0 usable rows after deletion, need at least 2\n")
+
+
 class TestParseColumn:
     @pytest.mark.parametrize("cells", [
         ("1", "2.5", "-3e2"),
@@ -139,6 +198,13 @@ class TestParseColumn:
         ("a", "b", "c"),
         ("1_000", " 4 ", "0x10", "1e400", "5"),
         (),
+        # A first cell float() rejects screens the column by its cells'
+        # first characters: whitespace and any script's digits can start
+        # a number, "" cannot.
+        ("x", " 4 "),
+        ("x", "\u0663"),
+        ("", "1"),
+        ("id1", ""),
     ])
     def test_matches_parse_number_cell_by_cell(self, cells):
         values, bad = _parse_column(cells)

@@ -91,6 +91,10 @@ class TestTrace:
         with pytest.raises(NonFiniteEntry):
             make_symmetric(2, [1e308, 0, 1e308]).trace()
 
+    def test_subnormal_sum_is_exactly_rounded(self):
+        # A scaled copy of this diagonal (shift 1) would lose the 5e-324.
+        assert make_symmetric(3, [1.0, 0, -1.0, 0, 0, 5e-324]).trace() == 5e-324
+
 
 class TestEigenvaluesSymmetric:
     def test_2x2_correlation_half(self):

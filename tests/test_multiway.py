@@ -221,6 +221,22 @@ class TestMcorOnData:
         assert abs(report.mcor**2 - report.rescaled_sphericity) <= 1e-10
 
 
+def test_each_report_validates_its_spectrum_once(monkeypatch):
+    real = mcor_multiway._validated_spectrum
+    calls = []
+
+    def counting(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(mcor_multiway, "_validated_spectrum", counting)
+    mcor(rand_data(SplitMix64(73), 40, 5))
+    assert len(calls) == 1
+    calls.clear()
+    mcor_from_matrix(read_matrix(bundled_fixture("tb_area1.csv")))
+    assert len(calls) == 1
+
+
 class TestMcorFromMatrix:
     def test_identity_6x6(self):
         report = mcor_from_matrix(identity_matrix(6))

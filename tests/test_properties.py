@@ -31,7 +31,8 @@ from mcor import (
 )
 from mcor.cli import main
 from mcor.errors import McorError
-from oracles import always_scaled_sample_sd
+from mcor.io import _parse_column
+from oracles import _parse_number, always_scaled_sample_sd
 
 EPS = sys.float_info.epsilon
 
@@ -122,6 +123,40 @@ def test_hostile_files_keep_the_cli_contract(tmp_path_factory, first, second):
         for argv in (["compute", a], ["compute", a, "--drop-na"], ["matrix", a],
                      ["validate", a], ["compare", a, b], ["compare", a, b, "--as", "data"]):
             check_contract([*argv, "--output", output])
+
+
+# Cell texts near the edges of float()'s grammar: decimal digits of other
+# scripts, signs and points alone, underscores, the separators str.strip
+# drops and float() keeps, missing-value and non-finite tokens, and any text.
+CELL_CORES = st.sampled_from([
+    "0", "7", "-2.5", "+.5", "1e3", "\u0663", "\uff11", "\u0663.\u0665", "+", "-", ".",
+    "1_000", "_1", "1_", "\x1c1.5", "", "NA", "x", "id1", "e5", "0x10", "inf", "-inf",
+    "nan", "1e400", "5e-324",
+])
+PADDING = st.sampled_from(["", " ", "\t", "\n", "\x1c", "\x1f", "\u00a0", "\u3000"])
+CELL_TEXTS = st.one_of(st.builds(lambda a, core, b: a + core + b, PADDING, CELL_CORES, PADDING),
+                       st.text(max_size=4))
+
+
+def fails_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Half the columns start with a cell float() rejects, the case in which
+# _parse_column screens the column by its cells' first characters.
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_parse_column_matches_the_per_cell_rule(first_fails, data):
+    head = CELL_TEXTS.filter(fails_float) if first_fails else CELL_TEXTS
+    cells = [data.draw(head)] + data.draw(st.lists(CELL_TEXTS, max_size=6))
+    expected = [_parse_number(c) for c in cells]
+    values, bad = _parse_column(cells)
+    assert bad == [i for i, v in enumerate(expected) if v is None]
+    assert values == [0.0 if v is None else v for v in expected]
 
 
 # Invariance tolerances. The solver is backward stable: its eigenvalues are
