@@ -176,5 +176,10 @@ def sample_sd(xs: Sequence[float]) -> float:
         raise TooFewValues(f"standard deviation needs at least 2 values, got {m}")
     if not _all_finite(xs):
         raise NonFiniteEntry("value list contains a non-finite entry")
+    return _sd(xs)
+
+
+def _sd(xs: Sequence[float]) -> float:
+    """``sample_sd`` of at least two finite values, which are not checked."""
     _, sum_sq, shift = _centered(xs)
-    return _unscale(math.sqrt(sum_sq / (m - 1)), shift, "standard deviation")
+    return _unscale(math.sqrt(sum_sq / (len(xs) - 1)), shift, "standard deviation")

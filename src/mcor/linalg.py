@@ -96,14 +96,23 @@ def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
 
 
 def _sum(values: Sequence[float], what: str) -> float:
-    """Exactly rounded sum of finite ``values``; only when fsum's partial
-    sums overflow is the ``_scaled`` copy summed and unscaled, so a sum
-    past the float range raises NonFiniteEntry."""
+    """Exactly rounded sum of finite ``values``. Only when fsum's partial
+    sums overflow is the sum taken in integer multiples of 2**-1074, of
+    which every finite double is a whole number, and rounded once by the
+    correctly rounded int division; a sum past the float range raises
+    NonFiniteEntry."""
     try:
         return fsum(values)
     except OverflowError:
-        scaled, shift = _scaled(values)
-        return _unscale(fsum(scaled), shift, what)
+        unit = 1 << 1074  # 1 / unit is the smallest subnormal double
+        total = 0
+        for v in values:
+            num, den = v.as_integer_ratio()
+            total += num * (unit // den)
+        try:
+            return total / unit
+        except OverflowError:
+            raise NonFiniteEntry(f"{what} exceeds the float range") from None
 
 
 def _unscale(value: float, shift: int, what: str) -> float:

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from math import fsum
 from typing import NamedTuple
 
-from .corestats import DataMatrix, correlation_matrix, sample_sd
+from .corestats import DataMatrix, _sd, correlation_matrix
 from .errors import (
     BadArguments,
     DegenerateSpectrum,
@@ -86,8 +86,10 @@ def _validated_spectrum(values: Sequence[float]) -> int:
     return d
 
 
+# The private cores below take a spectrum that _validated_spectrum or _spectrum_size has
+# already checked, so a report checks its spectrum once.
 def _mcor(values: Sequence[float], d: int, slack: float) -> float:
-    return _clamp(sample_sd(values) / math.sqrt(d), 0.0, 1.0, "mcor", slack)
+    return _clamp(_sd(values) / math.sqrt(d), 0.0, 1.0, "mcor", slack)
 
 
 def mcor_from_spectrum(values: Sequence[float]) -> float:
@@ -101,6 +103,10 @@ def john_sphericity(values: Sequence[float]) -> float:
     scaled by the power of two that brings the largest |value| into [0.5, 1):
     the ratio does not depend on scale, and no square overflows there."""
     _spectrum_size(values)
+    return _john_sphericity(values)
+
+
+def _john_sphericity(values: Sequence[float]) -> float:
     scaled, _ = _scaled(values)
     total = fsum(scaled)
     square = total * total
@@ -158,7 +164,7 @@ def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float
         d=d,
         mcor=_mcor(values, d, slack),
         eigenvalues=values,
-        sphericity=john_sphericity(values),
+        sphericity=_john_sphericity(values),
         rescaled_sphericity=_rescaled_sphericity(values, d, slack),
         min_eigenvalue=min_eig,
         warnings=tuple(warnings),

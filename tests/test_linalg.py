@@ -95,6 +95,12 @@ class TestTrace:
         # A scaled copy of this diagonal (shift 1) would lose the 5e-324.
         assert make_symmetric(3, [1.0, 0, -1.0, 0, 0, 5e-324]).trace() == 5e-324
 
+    def test_overflowing_partial_sums_keep_small_terms(self):
+        # fsum overflows on 1e308 + 1e308; the exact sum is the 1e-20.
+        diagonal = [1e308, 1e308, -1e308, -1e308, 1e-20]
+        lower = [diagonal[i] if j == i else 0.0 for i in range(5) for j in range(i + 1)]
+        assert make_symmetric(5, lower).trace() == 1e-20
+
 
 class TestEigenvaluesSymmetric:
     def test_2x2_correlation_half(self):

@@ -87,6 +87,20 @@ def test_roundoff_clamp_is_written_once():
     assert package_sites(raises_beyond_roundoff) == ["linalg._clamp"]
 
 
+def calls_os(name: str):
+    def matches(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Attribute) and func.attr == name
+                and isinstance(func.value, ast.Name) and func.value.id == "os")
+    return matches
+
+
+# Forking is confined to the Monte Carlo harness, whose children leave only by os._exit.
+@pytest.mark.parametrize("name", ["fork", "_exit"])
+def test_process_forking_is_written_once(name):
+    assert package_sites(calls_os(name)) == ["simulate._forked_values"]
+
+
 def test_rule_sites_are_caught():
     source = (
         "import math\n"
@@ -103,3 +117,5 @@ def test_rule_sites_are_caught():
     )
     assert rule_sites(source, "m", calls_frexp) == ["m", "m.A.f.g", "m.A.f"]
     assert rule_sites(source, "m", raises_beyond_roundoff) == ["m.h"]
+    assert rule_sites("import os\nos.fork()\ndef f():\n    os._exit(1)\n    fork()\n",
+                      "m", calls_os("_exit")) == ["m.f"]

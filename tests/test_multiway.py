@@ -32,6 +32,7 @@ from mcor.errors import (
     NumericInconsistency,
 )
 from mcor.io import bundled_fixture, read_matrix
+import mcor.corestats as mcor_corestats
 import mcor.multiway as mcor_multiway
 from mcor.linalg import EigenSpectrum
 from mcor.multiway import MATRIX_ENTRY_TOL, TRACE_RTOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
@@ -222,19 +223,22 @@ class TestMcorOnData:
 
 
 def test_each_report_validates_its_spectrum_once(monkeypatch):
-    real = mcor_multiway._validated_spectrum
-    calls = []
-
-    def counting(values):
-        calls.append(values)
-        return real(values)
-
-    monkeypatch.setattr(mcor_multiway, "_validated_spectrum", counting)
-    mcor(rand_data(SplitMix64(73), 40, 5))
-    assert len(calls) == 1
-    calls.clear()
-    mcor_from_matrix(read_matrix(bundled_fixture("tb_area1.csv")))
-    assert len(calls) == 1
+    # The finiteness check counts in both modules that hold a spectrum check.
+    data = rand_data(SplitMix64(73), 40, 5)
+    matrix = read_matrix(bundled_fixture("tb_area1.csv"))
+    calls = {"_validated_spectrum": [], "_all_finite": []}
+    for module, name in ((mcor_multiway, "_validated_spectrum"), (mcor_multiway, "_all_finite"),
+                         (mcor_corestats, "_all_finite")):
+        def counting(values, real=getattr(module, name), seen=calls[name]):
+            seen.append(values)
+            return real(values)
+        monkeypatch.setattr(module, name, counting)
+    for report in (lambda: mcor(data), lambda: mcor_from_matrix(matrix)):
+        for seen in calls.values():
+            seen.clear()
+        report()
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "_validated_spectrum": 1, "_all_finite": 1}
 
 
 class TestMcorFromMatrix:

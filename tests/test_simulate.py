@@ -1,18 +1,27 @@
 """Scenario generators, population values, Monte Carlo harness."""
 
 import math
+import os
+import threading
+import time
 
 import pytest
 
+import mcor.simulate as mcor_simulate
 from mcor import (
+    DataMatrix,
+    MonteCarloSummary,
     Scenario,
     correlation_matrix,
+    derive_seed,
     generate,
     mcor,
     monte_carlo,
     population_mcor,
+    sample_sd,
 )
-from mcor.errors import BadArguments
+from mcor.cli import main
+from mcor.errors import BadArguments, ZeroVariance
 from mcor.linalg import eigenvalues_symmetric
 from oracles import ScalarSplitMix64
 
@@ -188,3 +197,136 @@ class TestMonteCarlo:
             for seed in (0, 7, 123456789):
                 report = mcor(generate(Scenario.ALL_LINEAR, n, seed))
                 assert abs(report.mcor - 1.0) <= 1e-10
+
+
+def serial_summary(scenario, n_obs, replicates, seed):
+    values = [mcor(generate(scenario, n_obs, derive_seed(seed, i))).mcor
+              for i in range(replicates)]
+    return MonteCarloSummary(
+        scenario, n_obs, replicates, seed, math.fsum(values) / replicates,
+        sample_sd(values) if replicates > 1 else 0.0, min(values), max(values))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestForkedReplicates:
+    """Replicates split over forked processes; the CPU count is forced through
+    the private helper, so the forked path runs on any host."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(mcor_simulate, "_usable_cpus", lambda: count)
+        return force
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real = os.fork
+
+        def counting():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_summary_equals_the_serial_loop(self, cpus, forks, scenario, workers):
+        cpus(workers)
+        assert monte_carlo(scenario, 80, 7, 5) == serial_summary(scenario, 80, 7, 5)
+        assert len(forks) == workers - 1
+        assert_no_child_left()
+
+    def test_no_fork_for_one_replicate(self, cpus, forks):
+        cpus(2)
+        assert monte_carlo(Scenario.INDEPENDENT, 50, 1, 1) == serial_summary(
+            Scenario.INDEPENDENT, 50, 1, 1)
+        assert forks == []
+
+    def test_no_fork_while_another_thread_is_alive(self, cpus, forks):
+        cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            summary = monte_carlo(Scenario.NOISY_COMBO, 50, 4, 1)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert summary == serial_summary(Scenario.NOISY_COMBO, 50, 4, 1)
+
+    def test_child_that_dies_is_recomputed(self, cpus, forks, monkeypatch):
+        parent, real = os.getpid(), mcor_simulate.mcor
+
+        def die_in_a_child(data):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(data)
+
+        monkeypatch.setattr(mcor_simulate, "mcor", die_in_a_child)
+        cpus(3)
+        assert monte_carlo(Scenario.CHAINED, 60, 7, 2) == serial_summary(
+            Scenario.CHAINED, 60, 7, 2)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_error_in_a_child_chunk_is_raised_as_serial(self, cpus, forks, monkeypatch):
+        # The last replicate, which a child computes, has a constant column.
+        real = mcor_simulate.generate
+        bad_seed = derive_seed(9, 5)
+
+        def flat_last(scenario, n_obs, seed):
+            data = real(scenario, n_obs, seed)
+            if seed != bad_seed:
+                return data
+            x, _, z = data.columns
+            return DataMatrix.from_columns((x, [1.0] * n_obs, z), data.var_names)
+
+        monkeypatch.setattr(mcor_simulate, "generate", flat_last)
+        messages = []
+        for workers in (1, 2):
+            cpus(workers)
+            with pytest.raises(ZeroVariance) as raised:
+                monte_carlo(Scenario.NOISY_COMBO, 50, 6, 9)
+            messages.append(str(raised.value))
+        assert messages == ["column y", "column y"]
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ZeroVariance("here"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_children_are_killed_when_this_process_raises(self, cpus, monkeypatch, error):
+        parent = os.getpid()
+
+        def fail_here_hang_there(_data):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)
+
+        monkeypatch.setattr(mcor_simulate, "mcor", fail_here_hang_there)
+        cpus(2)
+        start = time.monotonic()
+        with pytest.raises(type(error)):
+            monte_carlo(Scenario.NOISY_COMBO, 50, 4, 3)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_cli_output_unchanged_and_children_silent(self, cpus, forks, capfd):
+        argv = ["simulate", "noisy-combo", "--n", "200", "--reps", "10", "--output", "json"]
+        outputs = []
+        for workers in (1, 2):
+            cpus(workers)
+            assert main(argv) == 0
+            outputs.append(capfd.readouterr())
+        assert len(forks) == 1
+        assert outputs[1].out == outputs[0].out
+        assert outputs[0].err == outputs[1].err == ""
+        assert_no_child_left()
