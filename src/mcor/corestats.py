@@ -43,18 +43,11 @@ class DataMatrix(NamedTuple):
         var_names: Sequence[str] | None = None,
     ) -> "DataMatrix":
         """Validate columns into a DataMatrix (d >= 1, n >= 2, equal
-        lengths, finite); every producer of a DataMatrix goes through here."""
-        d = len(columns)
-        if d < 1:
-            raise BadArguments("rows must have at least one column")
-        n = len(columns[0])
-        if n < 2:
-            raise TooFewRows(f"need at least 2 observations, got {n}")
-        for j, col in enumerate(columns):
-            if len(col) != n:
-                raise LengthMismatch(
-                    f"column {j + 1} has {len(col)} values, expected {n}"
-                )
+        lengths, finite). Every producer of a DataMatrix goes through here,
+        except the ones whose values are finite floats by construction."""
+        # Shape first, so that a short or ragged input is named as such even
+        # when it also holds a non-finite value.
+        _shape(columns)
         if not all(map(_all_finite, columns)):
             # Name the first offender in row-major order, as a reader of rows would.
             i, j = min(
@@ -65,15 +58,25 @@ class DataMatrix(NamedTuple):
             )
             raise NonFiniteEntry(f"row {i + 1}, column {j + 1} is not finite")
         if var_names is None:
-            names = tuple(f"v{j + 1}" for j in range(d))
-        else:
-            if len(var_names) != d:
-                raise LengthMismatch(
-                    f"got {len(var_names)} variable names for {d} columns"
-                )
-            names = tuple(str(name) for name in var_names)
-        frozen = tuple(tuple(map(float, col)) for col in columns)
-        return cls(n_obs=n, n_vars=d, columns=frozen, var_names=names)
+            var_names = [f"v{j + 1}" for j in range(len(columns))]
+        return cls._from_finite(tuple(tuple(map(float, col)) for col in columns),
+                                tuple(str(name) for name in var_names))
+
+    @classmethod
+    def _from_finite(
+        cls,
+        columns: tuple[tuple[float, ...], ...],
+        var_names: tuple[str, ...],
+    ) -> "DataMatrix":
+        """A DataMatrix of columns that are tuples of finite floats and one
+        name per column. Only the shape is checked: the values are taken
+        as they are, neither checked nor copied."""
+        n = _shape(columns)
+        if len(var_names) != len(columns):
+            raise LengthMismatch(
+                f"got {len(var_names)} variable names for {len(columns)} columns"
+            )
+        return cls(n_obs=n, n_vars=len(columns), columns=columns, var_names=var_names)
 
     @property
     def values(self) -> tuple[tuple[float, ...], ...]:
@@ -82,6 +85,21 @@ class DataMatrix(NamedTuple):
 
     def column(self, j: int) -> list[float]:
         return list(self.columns[j])
+
+
+def _shape(columns: Sequence[Sequence[float]]) -> int:
+    """n of d >= 1 columns holding n >= 2 values each."""
+    if len(columns) < 1:
+        raise BadArguments("rows must have at least one column")
+    n = len(columns[0])
+    if n < 2:
+        raise TooFewRows(f"need at least 2 observations, got {n}")
+    for j, col in enumerate(columns):
+        if len(col) != n:
+            raise LengthMismatch(
+                f"column {j + 1} has {len(col)} values, expected {n}"
+            )
+    return n
 
 
 def make_data_matrix(

@@ -8,9 +8,10 @@ header row (detected when any first-row cell fails to parse as a number).
 from __future__ import annotations
 
 import csv
+import gc
 import math
 from collections.abc import Sequence
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -33,29 +34,27 @@ def bundled_fixture(name: str) -> Path:
     return Path(__file__).parent / "fixtures" / name
 
 
-# A line with no cells or one empty cell is blank; a line of delimiters
-# like ",," is still a row.
-_BLANK = ([], [""])
 # The characters a finite float's text can start with besides decimal
 # digits (``str.isdecimal``) and whitespace (``str.isspace``).
 _NUMBER_SIGNS = frozenset("+-.")
 
 
 def read_cells(path) -> list[list[str]]:
-    """Rows of a CSV file as stripped cell strings, blank lines dropped.
+    """Rows of a CSV file as ``csv.reader`` gives them, cells as written
+    (not stripped), blank lines dropped.
 
-    ``read_csv_data`` and ``read_checked_matrix`` read them themselves, or
-    take them as ``cells`` from a caller that has already read ``path``.
+    A line with no cells or with one cell that is only whitespace is
+    blank; a line of delimiters like ",," is still a row. ``read_csv_data``
+    and ``read_checked_matrix`` read them themselves, or take them as
+    ``cells`` from a caller that has already read ``path``; they strip
+    only the header and the cells float() rejects.
     """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports put
         # before the first header name.
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            # Strip every cell (float() does not strip \x1c-\x1f, str.strip
-            # does) and drop blank lines, in one pass.
-            return [row for row in map(list, map(map, repeat(str.strip), reader))
-                    if row not in _BLANK]
+            return [row for row in reader if row[1:] or row and row[0].strip()]
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -111,6 +110,25 @@ def _may_hold_a_number(cells: Sequence[str]) -> bool:
                for c in set(map(itemgetter(slice(0, 1)), cells)))
 
 
+def _parse_cells(cells: Sequence[str]) -> tuple[list[float], list[int]]:
+    """``_parse_column`` of the cells as ``str.strip`` would leave them.
+
+    float() ignores every character str.strip drops except \\x1c-\\x1f, so
+    only a bad cell can parse differently once stripped; it is parsed
+    again, stripped, when stripping changes it, and a finite result
+    replaces its 0.0.
+    """
+    values, bad = _parse_column(cells)
+    retry = [i for i in bad if cells[i] != cells[i].strip()]
+    if not retry:
+        return values, bad
+    again, failed = _parse_column([cells[i].strip() for i in retry])
+    for i, v in zip(retry, again):
+        values[i] = v
+    rescued = set(retry).difference(map(retry.__getitem__, failed))
+    return values, [i for i in bad if i not in rescued]
+
+
 def read_csv_data(
     path,
     columns: Sequence[str] | None = None,
@@ -124,17 +142,33 @@ def read_csv_data(
     unparseable cell in any selected column (listwise deletion);
     ``drop_na=False`` makes such a cell a hard error naming its row and
     column. Row numbers in errors count the header as row 1.
+
+    Cyclic garbage collection is paused for the call and resumed, if it
+    was enabled, once the cells are freed: the row lists ``csv.reader``
+    makes hold only strings and form no cycles, yet every collection
+    would scan them all. The switch is process-wide, so other threads run
+    without cyclic collection meanwhile; reference counting still frees
+    their objects.
     """
-    names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na, cells)
-    if bad_rows:
-        keep = [True] * len(cols[0])
-        for i in bad_rows:
-            keep[i] = False
-        cols = [list(compress(col, keep)) for col in cols]
-    n = len(cols[0])
-    if n < 2:
-        raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
-    return DataMatrix.from_columns(cols, names)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na, cells)
+        if bad_rows:
+            keep = [True] * len(cols[0])
+            for i in bad_rows:
+                keep[i] = False
+            frozen = tuple(tuple(compress(col, keep)) for col in cols)
+        else:
+            frozen = tuple(map(tuple, cols))
+        n = len(frozen[0])
+        if n < 2:
+            raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
+        # The values are floats that _parse_column has proven finite.
+        return DataMatrix._from_finite(frozen, tuple(names))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _parse_selected_columns(
@@ -149,7 +183,7 @@ def _parse_selected_columns(
     cells = read_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
-    header = cells[0]
+    header = [name.strip() for name in cells[0]]
     body = cells[1:]
     width = len(header)
     for offset, row in enumerate(body):
@@ -166,11 +200,11 @@ def _parse_selected_columns(
                 f"column(s) not in header: {', '.join(sorted(missing))}"
             )
         selected = [header.index(name) for name in columns]
-        parsed = {j: _parse_column(by_column[j]) for j in selected}
+        parsed = {j: _parse_cells(by_column[j]) for j in selected}
     else:
         parsed = {
             j: column
-            for j, column in enumerate(map(_parse_column, by_column))
+            for j, column in enumerate(map(_parse_cells, by_column))
             if len(column[1]) < len(body)
         }
         selected = list(parsed)
@@ -185,7 +219,7 @@ def _parse_selected_columns(
         i = min(bad_rows)
         j = next(j for j in selected if i in parsed[j][1])
         raise ParseError(
-            f"row {i + 2}, column {header[j]}: cannot use cell {body[i][j]!r}"
+            f"row {i + 2}, column {header[j]}: cannot use cell {body[i][j].strip()!r}"
         )
     return [header[j] for j in selected], [parsed[j][0] for j in selected], bad_rows
 
@@ -195,16 +229,16 @@ def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
     cells = read_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
-    if _parse_column(cells[0])[1]:
+    if _parse_cells(cells[0])[1]:
         cells = cells[1:]
         if not cells:
             raise ParseError(f"{path} has a header but no rows")
     grid = []
     for offset, row in enumerate(cells):
-        values, bad = _parse_column(row)
+        values, bad = _parse_cells(row)
         if bad:
             raise ParseError(
-                f"row {offset + 1}, column {bad[0] + 1}: cannot parse {row[bad[0]]!r}"
+                f"row {offset + 1}, column {bad[0] + 1}: cannot parse {row[bad[0]].strip()!r}"
             )
         grid.append(values)
     width = len(grid[0])

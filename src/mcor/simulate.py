@@ -85,7 +85,8 @@ def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
             xs.append(x)
             ys.append(y)
             zs.append(x + 2.0 * y + noise)
-    return DataMatrix.from_columns((xs, ys, zs), ("x", "y", "z"))
+    # Uniforms and normals are finite floats by construction.
+    return DataMatrix._from_finite((tuple(xs), tuple(ys), tuple(zs)), ("x", "y", "z"))
 
 
 def population_mcor(scenario: Scenario) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from mcor import SplitMix64, correlation_matrix, make_data_matrix
+from mcor import DataMatrix, SplitMix64, correlation_matrix, make_data_matrix
 from mcor.linalg import SymmetricMatrix, make_symmetric
 
 
@@ -13,6 +13,16 @@ def rand_rows(rng: SplitMix64, n: int, d: int, lo: float = 0.0, hi: float = 1.0)
 
 def rand_data(rng: SplitMix64, n: int, d: int):
     return make_data_matrix(rand_rows(rng, n, d))
+
+
+def assert_as_checked(data: DataMatrix) -> None:
+    """``data``, built by the unchecked ``DataMatrix._from_finite``, is what
+    the checked ``DataMatrix.from_columns`` builds from its columns and
+    names, and every column is a tuple of exact floats."""
+    assert data == DataMatrix.from_columns(data.columns, data.var_names)
+    assert type(data.columns) is tuple and type(data.var_names) is tuple
+    assert all(type(col) is tuple for col in data.columns)
+    assert all(type(v) is float for col in data.columns for v in col)
 
 
 def rand_correlation(rng: SplitMix64, d: int, n: int | None = None) -> SymmetricMatrix:

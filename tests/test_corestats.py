@@ -225,6 +225,28 @@ class TestDataMatrix:
         with pytest.raises(LengthMismatch, match="variable names"):
             DataMatrix.from_columns([[1.0, 2.0]], ("a", "b"))
 
+    def test_from_columns_checks_shape_then_values_then_names(self):
+        nan = float("nan")
+        with pytest.raises(LengthMismatch, match="column 2 has 1 values, expected 2"):
+            DataMatrix.from_columns([[1.0, nan], [1.0]], ("a",))
+        with pytest.raises(TooFewRows):
+            DataMatrix.from_columns([[nan]], ("a", "b"))
+        with pytest.raises(NonFiniteEntry, match="row 2, column 1"):
+            DataMatrix.from_columns([[1.0, nan]], ("a", "b"))
+
+    def test_unchecked_core_checks_shape_only(self):
+        columns = ((1.0, 2.0), (3.0, float("inf")))
+        data = DataMatrix._from_finite(columns, ("a", "b"))
+        assert data.columns is columns and (data.n_obs, data.n_vars) == (2, 2)
+        with pytest.raises(LengthMismatch, match="column 2"):
+            DataMatrix._from_finite(((1.0, 2.0), (3.0,)), ("a", "b"))
+        with pytest.raises(TooFewRows):
+            DataMatrix._from_finite(((1.0,),), ("a",))
+        with pytest.raises(BadArguments):
+            DataMatrix._from_finite((), ())
+        with pytest.raises(LengthMismatch, match="got 1 variable names for 2 columns"):
+            DataMatrix._from_finite(columns, ("a",))
+
 
 class TestSampleSd:
     def test_symmetric_pair(self):

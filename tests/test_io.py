@@ -1,5 +1,6 @@
 """CSV ingestion: data files, matrix files, kind sniffing."""
 
+import gc
 import math
 import re
 import sys
@@ -27,6 +28,7 @@ from mcor.io import (
     read_matrix,
 )
 from oracles import _parse_number
+from support import assert_as_checked
 
 
 def write(tmp_path, name, text):
@@ -156,6 +158,39 @@ class TestBlankLinesAndStripping:
         path = write(tmp_path, "d.csv", "a,b\n\x1c1.5,2\x1f\n3,4\n")
         assert read_csv_data(path).columns == ((1.5, 3.0), (2.0, 4.0))
 
+    def test_cells_come_as_written(self, tmp_path):
+        path = write(tmp_path, "d.csv", " a ,b\n\x1c1.5, 2\n")
+        assert read_cells(path) == [[" a ", "b"], ["\x1c1.5", " 2"]]
+
+    def test_padded_header_name_is_selected_by_its_name(self, tmp_path, capsys):
+        path = write(tmp_path, "d.csv", " a ,b,\tc\u3000\n1,2,3\n2,3,5\n4,3,4\n")
+        data = read_csv_data(path, columns=("a",))
+        assert (data.var_names, data.columns) == (("a",), ((1.0, 2.0, 4.0),))
+        assert read_csv_data(path).var_names == ("a", "b", "c")
+        # One selected column is too few for a coefficient, but it is found.
+        assert main(["compute", str(path), "--columns", "a"]) == 1
+        assert capsys.readouterr().err == (
+            "error: DIMENSION_TOO_SMALL: need at least 2 variables, got 1\n")
+        assert main(["compute", str(path), "--columns", "c,a"]) == 0
+
+    def test_bad_cell_is_quoted_stripped(self, tmp_path, capsys):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n x ,3\n4,3\n")
+        with pytest.raises(ParseError, match=r"^row 3, column a: cannot use cell 'x'$"):
+            read_csv_data(path)
+        assert main(["compute", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: PARSE_ERROR: row 3, column a: cannot use cell 'x'\n")
+        matrix = write(tmp_path, "m.csv", "1,0.2\n0.2,\x1c oops \n")
+        with pytest.raises(ParseError, match=r"^row 2, column 2: cannot parse 'oops'$"):
+            read_matrix(matrix)
+
+    @pytest.mark.parametrize("cell", ["\x1cnan", " inf ", "\x1f-inf", "\u00a0NaN\x1d"])
+    def test_stripped_non_finite_cells_are_missing(self, tmp_path, cell):
+        path = write(tmp_path, "d.csv", f"a,b\n1,2\n{cell},3\n4,3\n5,1\n")
+        with pytest.raises(ParseError, match=r"^row 3, column a: cannot use cell "):
+            read_csv_data(path)
+        assert read_csv_data(path, drop_na=True).columns == ((1.0, 4.0, 5.0), (2.0, 3.0, 1.0))
+
 
 class TestTextColumnCost:
     """A column whose cells cannot start a number costs one float() call."""
@@ -189,6 +224,57 @@ class TestTextColumnCost:
         assert main(["compute", path, "--columns", "id", "--drop-na"]) == 1
         assert capsys.readouterr().err == (
             "error: TOO_FEW_ROWS: 0 usable rows after deletion, need at least 2\n")
+
+
+class TestGarbageCollectionState:
+    """read_csv_data pauses cyclic collection while the cells are alive and
+    leaves it as it found it, when it raises too."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text, drop_na, error", [
+        ("a,b\n1,2\n3,5\n", False, None),
+        ("a,b\n1,2\nx,5\n", False, ParseError),
+        ("a,b\n1,2\nNA,5\n", True, TooFewRows),
+    ])
+    def test_state_is_left_as_found(self, tmp_path, monkeypatch, enabled, text, drop_na, error):
+        path = write(tmp_path, "d.csv", text)
+        seen = []
+        real = mcor_io._parse_selected_columns
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(mcor_io, "_parse_selected_columns", recording)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if error is None:
+                read_csv_data(path, drop_na=drop_na)
+            else:
+                with pytest.raises(error):
+                    read_csv_data(path, drop_na=drop_na)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+
+class TestUncheckedCore:
+    """read_csv_data builds its DataMatrix without from_columns' checks; it
+    must still be the one from_columns builds."""
+
+    @pytest.mark.parametrize("name", ["tb_area1.csv", "tb_area2.csv"])
+    def test_bundled_fixtures_read_as_data(self, name):
+        data = read_csv_data(bundled_fixture(name))
+        assert (data.n_obs, data.n_vars) == (6, 6)
+        assert_as_checked(data)
+
+    def test_deleted_rows_and_selected_columns(self, tmp_path):
+        path = write(tmp_path, "d.csv", "id,a,b,c\nr1,1,2,3\nr2,NA,3,4\nr3,2,\x1c5,6\nr4,3,1,7\n")
+        data = read_csv_data(path, columns=("c", "a"), drop_na=True)
+        assert data.columns == ((3.0, 6.0, 7.0), (1.0, 2.0, 3.0))
+        assert_as_checked(data)
 
 
 class TestParseColumn:

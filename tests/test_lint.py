@@ -87,18 +87,32 @@ def test_roundoff_clamp_is_written_once():
     assert package_sites(raises_beyond_roundoff) == ["linalg._clamp"]
 
 
-def calls_os(name: str):
+def calls(name: str, on: str | None = None):
+    """Matches a call of ``on.name(...)``, or of ``<anything>.name(...)``
+    when ``on`` is None."""
     def matches(node) -> bool:
         func = node.func if isinstance(node, ast.Call) else None
         return (isinstance(func, ast.Attribute) and func.attr == name
-                and isinstance(func.value, ast.Name) and func.value.id == "os")
+                and (on is None or isinstance(func.value, ast.Name) and func.value.id == on))
     return matches
 
 
 # Forking is confined to the Monte Carlo harness, whose children leave only by os._exit.
 @pytest.mark.parametrize("name", ["fork", "_exit"])
 def test_process_forking_is_written_once(name):
-    assert package_sites(calls_os(name)) == ["simulate._forked_values"]
+    assert package_sites(calls(name, on="os")) == ["simulate._forked_values"]
+
+
+# Cyclic collection is a process-wide switch, paused only while a data file's
+# cells are alive.
+def test_garbage_collection_is_paused_once():
+    assert package_sites(calls("disable", on="gc")) == ["io.read_csv_data"]
+
+
+# Only producers whose values are finite floats by construction skip the checks.
+def test_unchecked_data_matrix_core_has_three_callers():
+    assert package_sites(calls("_from_finite")) == [
+        "corestats.DataMatrix.from_columns", "io.read_csv_data", "simulate.generate"]
 
 
 def test_rule_sites_are_caught():
@@ -118,4 +132,11 @@ def test_rule_sites_are_caught():
     assert rule_sites(source, "m", calls_frexp) == ["m", "m.A.f.g", "m.A.f"]
     assert rule_sites(source, "m", raises_beyond_roundoff) == ["m.h"]
     assert rule_sites("import os\nos.fork()\ndef f():\n    os._exit(1)\n    fork()\n",
-                      "m", calls_os("_exit")) == ["m.f"]
+                      "m", calls("_exit", on="os")) == ["m.f"]
+    assert rule_sites("import gc\ngc.disable()\ndef f():\n    gc.enable()\n    gc.disable\n"
+                      "class C:\n    def g(self):\n        x.disable()\n        gc.disable()\n",
+                      "m", calls("disable", on="gc")) == ["m", "m.C.g"]
+    assert rule_sites("class D:\n    @classmethod\n    def h(cls):\n        cls._from_finite(a, b)\n"
+                      "def f():\n    D._from_finite(a, b)\n    _from_finite(a, b)\n"
+                      "    return D._from_finite\n",
+                      "m", calls("_from_finite")) == ["m.D.h", "m.f"]

@@ -31,8 +31,9 @@ from mcor import (
 )
 from mcor.cli import main
 from mcor.errors import McorError
-from mcor.io import _parse_column
+from mcor.io import _parse_column, read_csv_data, read_matrix
 from oracles import _parse_number, always_scaled_sample_sd
+from support import assert_as_checked
 
 EPS = sys.float_info.epsilon
 
@@ -95,12 +96,18 @@ def _no_constant(token):
     raise ValueError(f"JSON holds {token}")
 
 
-def check_contract(argv):
-    """Run the CLI once and check its output contract."""
+def cli_outcome(argv):
+    """Exit code, stdout and stderr of one CLI run; an escaping exception
+    fails the test."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)  # an escaping exception fails the test
-    out, err = out.getvalue(), err.getvalue()
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv):
+    """Run the CLI once and check its output contract."""
+    code, out, err = cli_outcome(argv)
     assert code in (0, 1, 2)
     if code:
         assert out == ""
@@ -157,6 +164,61 @@ def test_parse_column_matches_the_per_cell_rule(first_fails, data):
     values, bad = _parse_column(cells)
     assert bad == [i for i, v in enumerate(expected) if v is None]
     assert values == [0.0 if v is None else v for v in expected]
+
+
+# Whitespace float() ignores, and the separators \x1c-\x1f it keeps but
+# str.strip drops; a cell or header name is read as if it were stripped.
+PADS = st.lists(st.sampled_from([" ", "\t", "\u00a0", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f"]),
+                max_size=2).map("".join)
+DATA_CELLS = st.sampled_from(["0", "1", "-2.5", "3e1", "0.25", "7", "\u0663", "NA", "", "x",
+                              "nan", "inf", "-inf", "1e400"])
+
+
+@st.composite
+def padded_data_csv(draw):
+    """A small data CSV as text, plain and with every cell and header name
+    padded, and the names of a column selection."""
+    d = draw(st.integers(1, 3))
+    header = [f"c{j}" for j in range(d)]
+    body = draw(st.lists(st.lists(DATA_CELLS, min_size=d, max_size=d), max_size=5))
+    rows = [header] + body
+    padded = [[draw(PADS) + cell + draw(PADS) for cell in row] for row in rows]
+    chosen = tuple(draw(st.lists(st.sampled_from(header), min_size=1, max_size=d, unique=True)))
+
+    def text(grid):
+        return "".join(",".join(row) + "\n" for row in grid)
+
+    return text(rows), text(padded), chosen
+
+
+def outcome(call, *args, **kwargs):
+    """A call's result, or the type and message of the McorError it raised."""
+    try:
+        return call(*args, **kwargs)
+    except McorError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_data_csv())
+def test_padding_cells_and_names_changes_nothing(tmp_path_factory, csv_texts):
+    plain, padded, chosen = csv_texts
+    path = tmp_path_factory.mktemp("padded") / "d.csv"
+    seen = []
+    for text in (plain, padded):
+        path.write_text(text, encoding="utf-8")
+        p = str(path)
+        seen.append([
+            *(outcome(read_csv_data, path, columns, drop_na)
+              for columns in (None, chosen) for drop_na in (False, True)),
+            outcome(read_matrix, path),
+            *(cli_outcome(argv) for argv in (["compute", p], ["compute", p, "--drop-na"],
+                                              ["matrix", p])),
+        ])
+    assert seen[1] == seen[0]
+    for result in seen[1][:4]:
+        if isinstance(result, DataMatrix):
+            assert_as_checked(result)
 
 
 # Invariance tolerances. The solver is backward stable: its eigenvalues are

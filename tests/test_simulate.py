@@ -24,6 +24,7 @@ from mcor.cli import main
 from mcor.errors import BadArguments, ZeroVariance
 from mcor.linalg import eigenvalues_symmetric
 from oracles import ScalarSplitMix64
+from support import assert_as_checked
 
 
 class TestScenario:
@@ -114,6 +115,13 @@ class TestGenerate:
                     z = x + 2.0 * y + rng.normal()
                 rows.append((x, y, z))
             assert generate(scenario, n, seed).columns == tuple(zip(*rows))
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_columns_are_what_from_columns_builds(self, scenario):
+        # generate skips from_columns' checks: its values are finite floats
+        # by construction.
+        for n in (2, 51):
+            assert_as_checked(generate(scenario, n, 7))
 
     def test_too_few_observations(self):
         with pytest.raises(BadArguments):
