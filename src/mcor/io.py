@@ -64,14 +64,16 @@ def read_cells(path) -> list[list[str]]:
 
 
 def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
-    """Floats of a column and the ascending indices of the cells that are
-    not finite numbers: float() fails on them or returns nan or +-inf
-    (0.0 stands in for those).
+    """Floats of a column's cells as ``str.strip`` would leave them, and the
+    ascending indices of the cells that are not finite numbers: float()
+    fails on them or returns nan or +-inf (0.0 stands in for those).
 
     float() runs over the cells at C speed and resumes after each bad
     token, so only bad tokens cost a Python-level step: list.extend keeps
     the items it appended before the exception, and the shared iterator
-    has already consumed the rejected cell.
+    has already consumed the rejected cell. float() ignores every
+    character str.strip drops except \\x1c-\\x1f, so only a rejected cell
+    can parse differently stripped; it is tried once more, stripped.
 
     A column whose first cell fails is first screened by the cells' first
     characters, collected in one C-speed pass: a finite float's text
@@ -93,8 +95,12 @@ def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
             if not values and not _may_hold_a_number(cells):
                 n = len(cells)
                 return [0.0] * n, list(range(n))
-            bad.append(len(values))
-            values.append(0.0)
+            i = len(values)
+            try:
+                values.append(float(cells[i].strip()))
+            except ValueError:
+                bad.append(i)
+                values.append(0.0)
     if not all(map(math.isfinite, values)):
         bad = sorted(set(bad).union(
             i for i, v in enumerate(values) if not math.isfinite(v)))
@@ -108,25 +114,6 @@ def _may_hold_a_number(cells: Sequence[str]) -> bool:
     start with; "" starts none."""
     return any(c in _NUMBER_SIGNS or c.isdecimal() or c.isspace()
                for c in set(map(itemgetter(slice(0, 1)), cells)))
-
-
-def _parse_cells(cells: Sequence[str]) -> tuple[list[float], list[int]]:
-    """``_parse_column`` of the cells as ``str.strip`` would leave them.
-
-    float() ignores every character str.strip drops except \\x1c-\\x1f, so
-    only a bad cell can parse differently once stripped; it is parsed
-    again, stripped, when stripping changes it, and a finite result
-    replaces its 0.0.
-    """
-    values, bad = _parse_column(cells)
-    retry = [i for i in bad if cells[i] != cells[i].strip()]
-    if not retry:
-        return values, bad
-    again, failed = _parse_column([cells[i].strip() for i in retry])
-    for i, v in zip(retry, again):
-        values[i] = v
-    rescued = set(retry).difference(map(retry.__getitem__, failed))
-    return values, [i for i in bad if i not in rescued]
 
 
 def read_csv_data(
@@ -200,11 +187,11 @@ def _parse_selected_columns(
                 f"column(s) not in header: {', '.join(sorted(missing))}"
             )
         selected = [header.index(name) for name in columns]
-        parsed = {j: _parse_cells(by_column[j]) for j in selected}
+        parsed = {j: _parse_column(by_column[j]) for j in selected}
     else:
         parsed = {
             j: column
-            for j, column in enumerate(map(_parse_cells, by_column))
+            for j, column in enumerate(map(_parse_column, by_column))
             if len(column[1]) < len(body)
         }
         selected = list(parsed)
@@ -229,13 +216,13 @@ def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
     cells = read_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
-    if _parse_cells(cells[0])[1]:
+    if _parse_column(cells[0])[1]:
         cells = cells[1:]
         if not cells:
             raise ParseError(f"{path} has a header but no rows")
     grid = []
     for offset, row in enumerate(cells):
-        values, bad = _parse_cells(row)
+        values, bad = _parse_column(row)
         if bad:
             raise ParseError(
                 f"row {offset + 1}, column {bad[0] + 1}: cannot parse {row[bad[0]].strip()!r}"

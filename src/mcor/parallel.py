@@ -1,0 +1,78 @@
+"""One forked map over consecutive chunks of an index range: the only place
+the package starts processes."""
+
+from __future__ import annotations
+
+import os
+import threading
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def chunk_map(work, count: int) -> list[bytes]:
+    """``work(chunk)`` for consecutive chunks of ``range(count)``, in chunk
+    order; ``work`` takes a ``range`` and returns ``bytes``.
+
+    ``range(count)`` is split into one chunk per usable CPU, at most
+    ``count``, with bounds ``count * k // workers``. Each chunk after the
+    first runs in a forked child that writes its payload, after an 8-byte
+    length, to a pipe; this process runs the first. A chunk whose child
+    exits non-zero or sends an incomplete payload is computed again here,
+    so an error is raised as a serial run raises it. Children still
+    running when this process raises, KeyboardInterrupt included, are
+    killed and reaped.
+
+    The run is one ``work(range(count))`` call with one usable CPU, without
+    ``os.fork``, or while another thread is alive: forking a threaded
+    process can deadlock. A fork costs about 1.7 ms and no work threshold
+    applies: forking pays from about 4-10 ms of serial work on.
+    """
+    workers = min(count, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(range(count))]
+    bounds = [count * k // workers for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child only computes and writes: it never returns into the
+                # caller's stack, prints, or flushes the stdio it inherited.
+                code = 1
+                try:
+                    os.close(read_fd)
+                    payload = work(chunk)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.writelines((len(payload).to_bytes(8, "little"), payload))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)  # so that the pipe ends when this child exits
+            children.append((pid, open(read_fd, "rb"), chunk))
+        payloads = [work(chunks[0])]
+        while children:
+            pid, pipe, chunk = children[0]
+            with pipe:
+                size, payload = pipe.read(8), pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status == 0 and size == len(payload).to_bytes(8, "little"):
+                payloads.append(payload)
+            else:
+                payloads.append(work(chunk))
+        return payloads
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            # SIGKILL is 9 on every POSIX system; importing the signal module
+            # would add about 130 KB to the peak RSS of every simulate run.
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)

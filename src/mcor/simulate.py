@@ -19,9 +19,8 @@ evaluation order, nor on how many processes evaluate them.
 from __future__ import annotations
 
 import math
-import os
 import struct
-import threading
+from functools import partial
 from itertools import islice
 from math import fsum
 from typing import NamedTuple
@@ -29,6 +28,7 @@ from typing import NamedTuple
 from .corestats import DataMatrix, sample_sd
 from .errors import BadArguments
 from .multiway import mcor
+from .parallel import chunk_map
 from .rng import SplitMix64, derive_seed, polar_normals
 from .scenarios import Scenario
 
@@ -113,91 +113,23 @@ def population_mcor(scenario: Scenario) -> float:
     return math.sqrt((25.0 / 37.0 + 121.0 / 181.0 + 6241.0 / 6697.0) / 3.0)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _values(scenario: Scenario, n_obs: int, seed: int, indices: range) -> list[float]:
-    """The coefficient of each replicate in ``indices``, in order."""
-    return [mcor(generate(scenario, n_obs, derive_seed(seed, i))).mcor for i in indices]
-
-
-def _forked_values(scenario: Scenario, n_obs: int, seed: int, chunks: list[range]) -> list[float]:
-    """``_values`` over the consecutive ``chunks``: each chunk after the first
-    in a forked child that writes its doubles to a pipe, the first one here.
-
-    A chunk whose child exits non-zero or sends short data is computed again
-    here, so an error is raised as the serial loop raises it. Children still
-    running when this process raises, KeyboardInterrupt included, are killed
-    and reaped.
-    """
-    children = []
-    try:
-        for chunk in chunks[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # The child only computes and writes: it never returns into the
-                # caller's stack, prints, or flushes the stdio it inherited.
-                code = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(struct.pack(f"{len(chunk)}d",
-                                               *_values(scenario, n_obs, seed, chunk)))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)  # so that the pipe ends when this child exits
-            children.append((pid, open(read_fd, "rb"), chunk))
-        values = _values(scenario, n_obs, seed, chunks[0])
-        while children:
-            pid, pipe, chunk = children[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            layout = f"{len(chunk)}d"
-            if status == 0 and len(payload) == struct.calcsize(layout):
-                values.extend(struct.unpack(layout, payload))
-            else:
-                values.extend(_values(scenario, n_obs, seed, chunk))
-        return values
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            # SIGKILL is 9 on every POSIX system; importing the signal module
-            # would add about 130 KB to the peak RSS of every simulate run.
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
+def _values(scenario: Scenario, n_obs: int, seed: int, indices: range) -> bytes:
+    """The coefficient of each replicate in ``indices``, in order, as doubles."""
+    return struct.pack(f"{len(indices)}d", *[
+        mcor(generate(scenario, n_obs, derive_seed(seed, i))).mcor for i in indices])
 
 
 def monte_carlo(
     scenario: Scenario, n_obs: int, replicates: int, seed: int
 ) -> MonteCarloSummary:
-    """Coefficient summary over ``replicates`` fresh datasets.
-
-    Replicate i uses the substream seed derive_seed(seed, i); the summary
-    is a pure function of the four arguments. Where ``os.fork`` exists,
-    the replicates are split into consecutive chunks run side by side, one
-    process per usable CPU, and their values put back in index order, so
-    the summary is bit-identical to a serial run. While another thread is
-    alive the run stays serial: forking a threaded process can deadlock.
-    """
+    """Coefficient summary over ``replicates`` fresh datasets, replicate i
+    drawn from the substream seed derive_seed(seed, i): a pure function of
+    the four arguments, bit-identical whatever the process count."""
     _check_scenario(scenario)
     if replicates < 1:
         raise BadArguments(f"replicates must be >= 1, got {replicates}")
-    workers = min(replicates, _usable_cpus())
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        bounds = [replicates * k // workers for k in range(workers + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        values = _forked_values(scenario, n_obs, seed, chunks)
-    else:
-        values = _values(scenario, n_obs, seed, range(replicates))
+    payloads = chunk_map(partial(_values, scenario, n_obs, seed), replicates)
+    values = struct.unpack(f"{replicates}d", b"".join(payloads))
     return MonteCarloSummary(
         scenario=scenario,
         n_obs=n_obs,

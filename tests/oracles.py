@@ -14,7 +14,8 @@ reference: it scales every list by a power of two before centring, where
 the package scales only when a sum would overflow.
 
 ``_parse_number`` is the per-cell number rule (finite float() results
-only) that the package's column parser ``io._parse_column`` must match.
+only) that the package's column parser ``io._parse_column`` must match on
+each cell as ``str.strip`` leaves it.
 
 ``ScalarSplitMix64`` is the seeded generator written one word at a time,
 straight from the description in the package's ``rng`` docstring, so the

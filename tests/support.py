@@ -1,6 +1,10 @@
-"""Shared deterministic input generators for the test suite."""
+"""Shared deterministic input generators and checks for the test suite."""
 
 from __future__ import annotations
+
+import os
+
+import pytest
 
 from mcor import DataMatrix, SplitMix64, correlation_matrix, make_data_matrix
 from mcor.linalg import SymmetricMatrix, make_symmetric
@@ -23,6 +27,12 @@ def assert_as_checked(data: DataMatrix) -> None:
     assert type(data.columns) is tuple and type(data.var_names) is tuple
     assert all(type(col) is tuple for col in data.columns)
     assert all(type(v) is float for col in data.columns for v in col)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def rand_correlation(rng: SplitMix64, d: int, n: int | None = None) -> SymmetricMatrix:

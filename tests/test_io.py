@@ -154,7 +154,7 @@ class TestBlankLinesAndStripping:
 
     def test_cells_are_stripped_of_what_float_keeps(self, tmp_path):
         # float() rejects "\x1c1.5"; str.strip drops the \x1c.
-        assert _parse_column(["\x1c1.5"]) == ([0.0], [0])
+        assert _parse_column(["\x1c1.5"]) == ([1.5], [])
         path = write(tmp_path, "d.csv", "a,b\n\x1c1.5,2\x1f\n3,4\n")
         assert read_csv_data(path).columns == ((1.5, 3.0), (2.0, 4.0))
 
@@ -294,7 +294,7 @@ class TestParseColumn:
     ])
     def test_matches_parse_number_cell_by_cell(self, cells):
         values, bad = _parse_column(cells)
-        expected = [_parse_number(c) for c in cells]
+        expected = [_parse_number(c.strip()) for c in cells]
         assert bad == [i for i, v in enumerate(expected) if v is None]
         assert values == [0.0 if v is None else v for v in expected]
 

@@ -97,10 +97,11 @@ def calls(name: str, on: str | None = None):
     return matches
 
 
-# Forking is confined to the Monte Carlo harness, whose children leave only by os._exit.
-@pytest.mark.parametrize("name", ["fork", "_exit"])
+# Processes are started, fed, killed and reaped in one place, whose children
+# leave only by os._exit.
+@pytest.mark.parametrize("name", ["fork", "_exit", "pipe", "kill", "waitpid"])
 def test_process_forking_is_written_once(name):
-    assert package_sites(calls(name, on="os")) == ["simulate._forked_values"]
+    assert set(package_sites(calls(name, on="os"))) == {"parallel.chunk_map"}
 
 
 # Cyclic collection is a process-wide switch, paused only while a data file's

@@ -160,7 +160,7 @@ def fails_float(text: str) -> bool:
 def test_parse_column_matches_the_per_cell_rule(first_fails, data):
     head = CELL_TEXTS.filter(fails_float) if first_fails else CELL_TEXTS
     cells = [data.draw(head)] + data.draw(st.lists(CELL_TEXTS, max_size=6))
-    expected = [_parse_number(c) for c in cells]
+    expected = [_parse_number(c.strip()) for c in cells]
     values, bad = _parse_column(cells)
     assert bad == [i for i, v in enumerate(expected) if v is None]
     assert values == [0.0 if v is None else v for v in expected]

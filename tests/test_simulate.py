@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import mcor.parallel as mcor_parallel
 import mcor.simulate as mcor_simulate
 from mcor import (
     DataMatrix,
@@ -24,7 +25,7 @@ from mcor.cli import main
 from mcor.errors import BadArguments, ZeroVariance
 from mcor.linalg import eigenvalues_symmetric
 from oracles import ScalarSplitMix64
-from support import assert_as_checked
+from support import assert_as_checked, assert_no_child_left
 
 
 class TestScenario:
@@ -215,11 +216,6 @@ def serial_summary(scenario, n_obs, replicates, seed):
         sample_sd(values) if replicates > 1 else 0.0, min(values), max(values))
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 class TestForkedReplicates:
     """Replicates split over forked processes; the CPU count is forced through
@@ -228,7 +224,7 @@ class TestForkedReplicates:
     @pytest.fixture
     def cpus(self, monkeypatch):
         def force(count):
-            monkeypatch.setattr(mcor_simulate, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(mcor_parallel, "_usable_cpus", lambda: count)
         return force
 
     @pytest.fixture

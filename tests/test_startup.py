@@ -27,7 +27,8 @@ def test_cli_import_skips_what_only_some_commands_need():
                            "print(' '.join(sorted(set(sys.modules) - before)))").stdout
     loaded = set(out.decode().split())
     assert "mcor.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "mcor.rng", "mcor.simulate"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "mcor.parallel", "mcor.rng",
+                               "mcor.simulate"})
 
 
 def test_cli_import_skips_importlib_resources():
