@@ -106,7 +106,8 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parsed options; ``run`` is the command's handler, called with them."""
+    """Parsed options; ``run`` is the command's handler, which takes them and
+    returns the record ``_emit`` prints."""
     args = _build_parser().parse_args(argv)
     if args.run is None:
         raise UsageError("a command is required (compute, matrix, compare, simulate, validate)")
@@ -133,8 +134,12 @@ def _report_dict(report: McorReport) -> dict:
     return result
 
 
-def _emit(kind: str, inputs, result: dict, warnings, args: argparse.Namespace, text: str) -> None:
-    if args.output == "json":
+def _emit(output: str, kind: str, inputs, result: dict, warnings, lines) -> None:
+    """Print one command's record ``(kind, inputs, result, warnings, lines)``,
+    the only writer of stdout. ``json`` prints ``kind``, ``inputs``, the
+    rounded ``result`` and ``warnings``; ``text`` prints ``lines`` followed by
+    one ``  warning: <w>`` line per warning."""
+    if output == "json":
         payload = {
             "kind": kind,
             "inputs": list(inputs),
@@ -145,6 +150,8 @@ def _emit(kind: str, inputs, result: dict, warnings, args: argparse.Namespace, t
             text = json.dumps(payload, indent=2, allow_nan=False)
         except ValueError:
             raise NonFiniteEntry(f"{kind} result is not finite, which JSON cannot hold") from None
+    else:
+        text = "\n".join(lines + [f"  warning: {w}" for w in warnings])
     print(text)
 
 
@@ -152,8 +159,8 @@ def _fmt_eigs(values) -> str:
     return ", ".join(f"{v:.4f}" for v in values)
 
 
-def _report_text(report: McorReport, source: str) -> str:
-    lines = [
+def _report_lines(report: McorReport, source: str) -> list[str]:
+    return [
         "multi-way correlation report",
         f"  input:               {source}",
         f"  d:                   {report.d}",
@@ -163,25 +170,15 @@ def _report_text(report: McorReport, source: str) -> str:
         f"  rescaled sphericity: {report.rescaled_sphericity:.4f}",
         f"  min eigenvalue:      {report.min_eigenvalue:.6g}",
     ]
-    if report.warnings:
-        lines.extend(f"  warning: {w}" for w in report.warnings)
-    return "\n".join(lines)
 
 
-def _run_single(args: argparse.Namespace) -> int:
+def _run_single(args: argparse.Namespace):
     if args.kind == "matrix":
         report = mcor_from_matrix(read_matrix(args.path))
     else:
         report = mcor(read_csv_data(args.path, columns=args.columns, drop_na=args.drop_na))
-    _emit(
-        "mcor_report",
-        [args.path],
-        _report_dict(report),
-        report.warnings,
-        args,
-        _report_text(report, args.path),
-    )
-    return 0
+    return ("mcor_report", [args.path], _report_dict(report), report.warnings,
+            _report_lines(report, args.path))
 
 
 def _compare_input(path: str, cells, args: argparse.Namespace) -> tuple[str, McorReport]:
@@ -201,7 +198,7 @@ def _compare_input(path: str, cells, args: argparse.Namespace) -> tuple[str, Mco
     return "data", mcor(data)
 
 
-def _run_compare(args: argparse.Namespace) -> int:
+def _run_compare(args: argparse.Namespace):
     path_a, path_b = args.path_a, args.path_b
     # Both files are read before either is judged: an unreadable file is reported first.
     cells_a, cells_b = read_cells(path_a), read_cells(path_b)
@@ -222,7 +219,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     }
     warnings = [f"A: {w}" for w in report_a.warnings]
     warnings += [f"B: {w}" for w in report_b.warnings]
-    text = "\n".join([
+    return "comparison", [path_a, path_b], result, warnings, [
         "comparison",
         f"  A ({kind_a}): {path_a}",
         f"      mcor: {report_a.mcor:.4f}   eigenvalues: {_fmt_eigs(report_a.eigenvalues)}",
@@ -230,9 +227,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         f"      mcor: {report_b.mcor:.4f}   eigenvalues: {_fmt_eigs(report_b.eigenvalues)}",
         f"  delta (A - B):   {delta:.4f}",
         f"  more correlated: {verdict}",
-    ] + [f"  warning: {w}" for w in warnings])
-    _emit("comparison", [path_a, path_b], result, warnings, args, text)
-    return 0
+    ]
 
 
 def monte_carlo(scenario: Scenario, n_obs: int, replicates: int, seed: int):
@@ -241,11 +236,11 @@ def monte_carlo(scenario: Scenario, n_obs: int, replicates: int, seed: int):
     return monte_carlo(scenario, n_obs, replicates, seed)
 
 
-def _run_simulate(args: argparse.Namespace) -> int:
+def _run_simulate(args: argparse.Namespace):
     scenario = Scenario.from_cli_name(args.scenario)
     summary = monte_carlo(scenario, args.n, args.reps, args.seed)
     result = summary._asdict() | {"scenario": summary.scenario.value}
-    text = "\n".join([
+    return "monte_carlo", [f"scenario:{summary.scenario.value}"], result, [], [
         "monte carlo summary",
         f"  scenario:   {summary.scenario.value} ({summary.scenario.description})",
         f"  n_obs:      {summary.n_obs}",
@@ -255,46 +250,35 @@ def _run_simulate(args: argparse.Namespace) -> int:
         f"  mcor sd:    {summary.mcor_sd:.4f}",
         f"  mcor min:   {summary.mcor_min:.4f}",
         f"  mcor max:   {summary.mcor_max:.4f}",
-    ])
-    _emit("monte_carlo", [f"scenario:{summary.scenario.value}"], result, [], args, text)
-    return 0
+    ]
 
 
-def _run_validate(args: argparse.Namespace) -> int:
+def _run_validate(args: argparse.Namespace):
     path = args.path
     checked = read_checked_matrix(path)
-    d = checked.matrix.dim
-    max_asym = checked.max_asymmetry
-    max_diag_dev = checked.max_diagonal_deviation
     min_eig = eigenvalues_symmetric(checked.matrix).values[-1]
-    checks = {
-        "symmetric": max_asym <= MATRIX_ENTRY_TOL,
-        "unit_diagonal": max_diag_dev <= MATRIX_ENTRY_TOL,
-        "psd": min_eig >= PSD_EIG_FLOOR,
-    }
-    warnings = [f"failed check: {name}" for name, ok in checks.items() if not ok]
     result = {
-        "d": d,
-        "symmetric": checks["symmetric"],
-        "max_asymmetry": max_asym,
-        "unit_diagonal": checks["unit_diagonal"],
-        "max_diagonal_deviation": max_diag_dev,
-        "psd": checks["psd"],
+        "d": checked.matrix.dim,
+        "symmetric": checked.max_asymmetry <= MATRIX_ENTRY_TOL,
+        "max_asymmetry": checked.max_asymmetry,
+        "unit_diagonal": checked.max_diagonal_deviation <= MATRIX_ENTRY_TOL,
+        "max_diagonal_deviation": checked.max_diagonal_deviation,
+        "psd": min_eig >= PSD_EIG_FLOOR,
         "min_eigenvalue": min_eig,
     }
-    text = "\n".join([
+    warnings = [f"failed check: {name}" for name in ("symmetric", "unit_diagonal", "psd")
+                if not result[name]]
+    return "validation", [path], result, warnings, [
         "correlation-matrix diagnostics",
         f"  input:                  {path}",
-        f"  d:                      {d}",
-        f"  symmetric:              {'yes' if checks['symmetric'] else 'NO'}"
-        f" (max asymmetry {max_asym:.3e})",
-        f"  unit diagonal:          {'yes' if checks['unit_diagonal'] else 'NO'}"
-        f" (max deviation {max_diag_dev:.3e})",
-        f"  PSD within tolerance:   {'yes' if checks['psd'] else 'NO'}"
+        f"  d:                      {result['d']}",
+        f"  symmetric:              {'yes' if result['symmetric'] else 'NO'}"
+        f" (max asymmetry {result['max_asymmetry']:.3e})",
+        f"  unit diagonal:          {'yes' if result['unit_diagonal'] else 'NO'}"
+        f" (max deviation {result['max_diagonal_deviation']:.3e})",
+        f"  PSD within tolerance:   {'yes' if result['psd'] else 'NO'}"
         f" (min eigenvalue {min_eig:.6g})",
-    ] + [f"  warning: {w}" for w in warnings])
-    _emit("validation", [path], result, warnings, args, text)
-    return 0
+    ]
 
 
 def main(argv=None) -> int:
@@ -303,13 +287,11 @@ def main(argv=None) -> int:
             args = parse_args(argv)  # None reads sys.argv[1:]
         except SystemExit as exc:  # --help lands here
             return int(exc.code or 0)
-        return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
+        _emit(args.output, *args.run(args))
+        return 0
     except McorError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except MemoryError:
         print("error: OUT_OF_MEMORY: not enough memory for this input file or --n",
               file=sys.stderr)

@@ -18,7 +18,6 @@ from .errors import (
     BadArguments,
     LengthMismatch,
     NonFiniteEntry,
-    NumericInconsistency,
     TooFewRows,
     TooFewValues,
     ZeroVariance,
@@ -146,10 +145,9 @@ def _centered(xs: Sequence[float]) -> tuple[list[float], float, int]:
 def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
     # One sqrt of the product loses less than a product of two sqrts and
     # keeps exactly-linear integer data at exactly +-1. _centered keeps
-    # the product a normal double.
+    # the product a normal double, and Cauchy-Schwarz bounds the numerator
+    # by its root, so r is finite.
     r = fsum(map(mul, cx, cy)) / math.sqrt(sxx * syy)
-    if not math.isfinite(r):
-        raise NumericInconsistency(f"correlation evaluated to {r!r}")
     return _clamp(r, -1.0, 1.0, "correlation", CLAMP_EPS)
 
 

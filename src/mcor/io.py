@@ -146,11 +146,11 @@ def read_csv_data(
             for i in bad_rows:
                 keep[i] = False
             frozen = tuple(tuple(compress(col, keep)) for col in cols)
+            n = len(frozen[0])
+            if n < 2:
+                raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
         else:
             frozen = tuple(map(tuple, cols))
-        n = len(frozen[0])
-        if n < 2:
-            raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
         # The values are floats that _parse_column has proven finite.
         return DataMatrix._from_finite(frozen, tuple(names))
     finally:

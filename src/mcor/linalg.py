@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import (BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry,
                      NumericInconsistency)
 
-DEFAULT_MAX_SWEEPS = 100
+MAX_SWEEPS = 100  # QL iterations allowed for any one eigenvalue
 # Results may poke past their bounds by roundoff only; larger overshoot means a
 # solver bug and must not be masked by clamping.
 CLAMP_EPS = 1e-12
@@ -124,9 +124,11 @@ def _unscale(value: float, shift: int, what: str) -> float:
 
 
 def _clamp(value: float, lo: float, hi: float, what: str, slack: float) -> float:
-    """``value`` clamped onto [lo, hi]; NumericInconsistency if it lies more
-    than ``slack`` outside, further than roundoff can carry it."""
-    if lo - value > slack or value - hi > slack:
+    """``value`` clamped onto [lo, hi]; NumericInconsistency if it is NaN or
+    lies more than ``slack`` outside, further than roundoff can carry it."""
+    if not (lo - value <= slack and value - hi <= slack):  # false for NaN too
+        if math.isnan(value):
+            raise NumericInconsistency(f"{what} = {value!r} is not a number")
         side = f"fell below {lo:g}" if value < lo else f"rose above {hi:g}"
         raise NumericInconsistency(f"{what} = {value!r} {side} beyond roundoff")
     return min(max(value, lo), hi)
@@ -217,15 +219,13 @@ def _ql(diag: list[float], sub: list[float], max_iter: int) -> int:
     return most
 
 
-def eigenvalues_symmetric(
-    m: SymmetricMatrix, max_sweeps: int = DEFAULT_MAX_SWEEPS
-) -> EigenSpectrum:
+def eigenvalues_symmetric(m: SymmetricMatrix) -> EigenSpectrum:
     """All eigenvalues of ``m`` from its lower triangle: Householder
     reduction to tridiagonal form, then implicit QL (Wilkinson & Reinsch
     1971; Golub & Van Loan §8.3), with an absolute error of about
     d * eps * max|entry|.
 
-    ``max_sweeps`` caps the QL iterations for any one eigenvalue; past it
+    ``MAX_SWEEPS`` caps the QL iterations for any one eigenvalue; past it
     NoConvergence is raised. ``sweeps_used`` is the most any eigenvalue
     took (0 for a diagonal matrix), ``off_diag_residual`` is
     sqrt(2 * sum(e**2)) over the final sub-diagonal e. The solve runs on a
@@ -236,10 +236,10 @@ def eigenvalues_symmetric(
     flat, shift = _scaled([v for i, row in enumerate(m.rows) for v in row[: i + 1]])
     a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(m.dim)]
     diag, sub = _tridiagonal(a)
-    sweeps = _ql(diag, sub, max_sweeps)
+    sweeps = _ql(diag, sub, MAX_SWEEPS)
     residual = _unscale(math.sqrt(2.0 * fsum(v * v for v in sub)), shift, "residual")
-    if sweeps > max_sweeps:
-        raise NoConvergence(f"an eigenvalue is not split off after {max_sweeps} QL iterations"
+    if sweeps > MAX_SWEEPS:
+        raise NoConvergence(f"an eigenvalue is not split off after {MAX_SWEEPS} QL iterations"
                             f" (off-diagonal residual {residual:.3e})", residual=residual)
     return EigenSpectrum(
         values=tuple(_unscale(v, shift, "eigenvalue") for v in sorted(diag, reverse=True)),

@@ -173,7 +173,7 @@ def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float
 
 def mcor(data: DataMatrix) -> McorReport:
     """Coefficient of a raw data matrix: correlation matrix, then its
-    spectrum (NoConvergence past linalg.DEFAULT_MAX_SWEEPS QL iterations
+    spectrum (NoConvergence past linalg.MAX_SWEEPS QL iterations
     on one eigenvalue), then the dispersion statistic."""
     if data.n_vars < 2:
         raise DimensionTooSmall(f"need at least 2 variables, got {data.n_vars}")

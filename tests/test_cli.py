@@ -9,7 +9,7 @@ import pytest
 
 import mcor.cli as mcor_cli
 import mcor.io as mcor_io
-import mcor.multiway as mcor_multiway
+import mcor.linalg as mcor_linalg
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import NotSymmetric, UsageError
@@ -166,6 +166,17 @@ class TestComputeCommand:
         assert code == 0
         assert json.loads(out)["result"]["d"] == 2
 
+    @pytest.mark.parametrize("text, options, n", [
+        ("a,b\n1,2\n", [], 1),
+        ("a,b\n1,2\n", ["--drop-na"], 1),
+        ("a,b\n", ["--columns", "a,b"], 0),
+    ])
+    def test_too_few_rows_without_deletion(self, tmp_path, capsys, text, options, n):
+        # "after deletion" is reserved for files whose rows --drop-na removed.
+        path = write(tmp_path, "d.csv", text)
+        assert run_cli(capsys, "compute", path, *options) == (
+            1, "", f"error: TOO_FEW_ROWS: need at least 2 observations, got {n}\n")
+
     def test_column_spanning_the_float_range(self, tmp_path, capsys):
         path = write(tmp_path, "d.csv", "a,b\n1e300,1\n-1e300,2\n0,3\n")
         code, out, err = run_cli(capsys, "compute", path)
@@ -222,9 +233,7 @@ class TestMatrixCommand:
 
     def test_no_convergence_is_one_error_line(self, capsys, monkeypatch):
         # The fixture needs more than one QL iteration on some eigenvalue.
-        solve = mcor_multiway.eigenvalues_symmetric
-        monkeypatch.setattr(mcor_multiway, "eigenvalues_symmetric",
-                            lambda m: solve(m, max_sweeps=1))
+        monkeypatch.setattr(mcor_linalg, "MAX_SWEEPS", 1)
         code, out, err = run_cli(capsys, "matrix", AREA1)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1

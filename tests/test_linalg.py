@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcor import SplitMix64
-from mcor.errors import BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry
+from mcor import linalg
+from mcor.errors import (BadArguments, LengthMismatch, NoConvergence, NonFiniteEntry,
+                         NumericInconsistency)
 from mcor.linalg import (
-    DEFAULT_MAX_SWEEPS,
+    MAX_SWEEPS,
     EigenSpectrum,
+    _clamp,
     eigenvalues_symmetric,
     frobenius_norm_sq,
     make_symmetric,
@@ -146,10 +149,11 @@ class TestEigenvaluesSymmetric:
                 for i in range(len(spectrum.values) - 1)
             )
 
-    def test_no_convergence_carries_residual(self):
+    def test_no_convergence_carries_residual(self, monkeypatch):
         m = make_symmetric(2, [1.0, 0.9, 1.0])
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence) as excinfo:
-            eigenvalues_symmetric(m, max_sweeps=0)
+            eigenvalues_symmetric(m)
         assert excinfo.value.residual > 0.0
 
     @pytest.mark.parametrize("tri, expected", [
@@ -294,7 +298,7 @@ class TestClosedFormSpectra:
 
 
 class TestIterationCap:
-    def test_sweeps_used_is_the_cap_that_suffices(self):
+    def test_sweeps_used_is_the_cap_that_suffices(self, monkeypatch):
         # The cap bounds each eigenvalue's QL iterations: the count the
         # solver reports is enough, one fewer is not.
         rng = SplitMix64(404)
@@ -302,11 +306,18 @@ class TestIterationCap:
             d = 2 + rng.next_u64() % 11
             m = rand_symmetric(rng, d)
             spectrum = eigenvalues_symmetric(m)
-            assert 1 <= spectrum.sweeps_used <= DEFAULT_MAX_SWEEPS
-            assert eigenvalues_symmetric(m, max_sweeps=spectrum.sweeps_used) == spectrum
-            with pytest.raises(NoConvergence) as excinfo:
-                eigenvalues_symmetric(m, max_sweeps=spectrum.sweeps_used - 1)
+            assert 1 <= spectrum.sweeps_used <= MAX_SWEEPS
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "MAX_SWEEPS", spectrum.sweeps_used)
+                assert eigenvalues_symmetric(m) == spectrum
+                patch.setattr(linalg, "MAX_SWEEPS", spectrum.sweeps_used - 1)
+                with pytest.raises(NoConvergence) as excinfo:
+                    eigenvalues_symmetric(m)
             assert excinfo.value.residual > 0.0
+
+    def test_takes_no_iteration_cap(self):
+        with pytest.raises(TypeError):
+            eigenvalues_symmetric(make_symmetric(2, [1.0, 0.5, 1.0]), max_sweeps=5)
 
     def test_residual_is_at_roundoff_level(self):
         # A sub-diagonal entry is dropped only once adding it no longer
@@ -317,3 +328,17 @@ class TestIterationCap:
             m = rand_symmetric(rng, d)
             largest = max(abs(v) for row in m.rows for v in row)
             assert eigenvalues_symmetric(m).off_diag_residual <= d * d * 2.0**-52 * largest
+
+
+class TestClamp:
+    def test_nan_is_not_clamped(self):
+        with pytest.raises(NumericInconsistency, match=r"^x = nan is not a number$"):
+            _clamp(math.nan, 0.0, 1.0, "x", 1e-12)
+
+    @pytest.mark.parametrize("value, side", [
+        (math.inf, "rose above 1"),
+        (-math.inf, "fell below 0"),
+    ])
+    def test_infinities_keep_their_messages(self, value, side):
+        with pytest.raises(NumericInconsistency, match=rf"^x = {value!r} {side} beyond roundoff$"):
+            _clamp(value, 0.0, 1.0, "x", 1e-12)

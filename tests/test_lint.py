@@ -97,6 +97,19 @@ def calls(name: str, on: str | None = None):
     return matches
 
 
+def calls_bare(name: str):
+    """Matches a call of the bare name ``name(...)``."""
+    def matches(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+    return matches
+
+
+# Handlers return their record; one function writes stdout and main writes stderr.
+def test_printing_is_written_in_cli_emit_and_main():
+    assert set(package_sites(calls_bare("print"))) == {"cli._emit", "cli.main"}
+
+
 # Processes are started, fed, killed and reaped in one place, whose children
 # leave only by os._exit.
 @pytest.mark.parametrize("name", ["fork", "_exit", "pipe", "kill", "waitpid"])
@@ -141,3 +154,6 @@ def test_rule_sites_are_caught():
                       "def f():\n    D._from_finite(a, b)\n    _from_finite(a, b)\n"
                       "    return D._from_finite\n",
                       "m", calls("_from_finite")) == ["m.D.h", "m.f"]
+    assert rule_sites("print(1)\ndef f():\n    log.print(2)\n    print\n"
+                      "def g():\n    return print(3)\n",
+                      "m", calls_bare("print")) == ["m", "m.g"]
