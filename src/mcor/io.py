@@ -3,6 +3,8 @@
 Data files are RFC-4180-style with a header row; ``NA`` or an empty cell
 means missing. Matrix files are square numeric grids with an optional
 header row (detected when any first-row cell fails to parse as a number).
+Both readers check every row's width before they parse a cell, and errors
+number the file's non-blank rows from 1, the header being row 1.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def read_csv_data(
     is selected. ``drop_na=True`` removes rows with a missing or
     unparseable cell in any selected column (listwise deletion);
     ``drop_na=False`` makes such a cell a hard error naming its row and
-    column. Row numbers in errors count the header as row 1.
+    column, numbered by the module's row rule.
 
     Cyclic garbage collection is paused for the call and resumed, if it
     was enabled, once the cells are freed: the row lists ``csv.reader``
@@ -141,16 +143,13 @@ def read_csv_data(
     gc.disable()
     try:
         names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na, cells)
-        if bad_rows:
-            keep = [True] * len(cols[0])
-            for i in bad_rows:
-                keep[i] = False
-            frozen = tuple(tuple(compress(col, keep)) for col in cols)
-            n = len(frozen[0])
-            if n < 2:
-                raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
-        else:
-            frozen = tuple(map(tuple, cols))
+        keep = [True] * len(cols[0])
+        for i in bad_rows:
+            keep[i] = False
+        frozen = tuple(tuple(compress(col, keep)) for col in cols)
+        n = len(frozen[0])
+        if bad_rows and n < 2:
+            raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
         # The values are floats that _parse_column has proven finite.
         return DataMatrix._from_finite(frozen, tuple(names))
     finally:
@@ -172,14 +171,9 @@ def _parse_selected_columns(
         raise ParseError(f"{path} is empty")
     header = [name.strip() for name in cells[0]]
     body = cells[1:]
-    width = len(header)
-    for offset, row in enumerate(body):
-        if len(row) != width:
-            raise ParseError(
-                f"row {offset + 2}: expected {width} cells, found {len(row)}"
-            )
+    _check_widths(body, len(header), 2)
     # Transposed once; each selected column is parsed once.
-    by_column = list(zip(*body)) if body else [()] * width
+    by_column = list(zip(*body)) if body else [()] * len(header)
     if columns is not None:
         missing = [name for name in columns if name not in header]
         if missing:
@@ -211,29 +205,34 @@ def _parse_selected_columns(
     return [header[j] for j in selected], [parsed[j][0] for j in selected], bad_rows
 
 
+def _check_widths(rows: list[list[str]], width: int, first: int) -> None:
+    """Raise at the first row not ``width`` cells wide; ``rows[0]`` is row ``first``."""
+    for number, row in enumerate(rows, first):
+        if len(row) != width:
+            raise ParseError(f"row {number}: expected {width} cells, found {len(row)}")
+
+
 def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
-    """Square numeric block of a matrix CSV, optional header stripped."""
+    """Square numeric block of a matrix CSV, optional header stripped; its
+    first data row sets the width."""
     cells = read_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
+    first = 1
     if _parse_column(cells[0])[1]:
+        first = 2
         cells = cells[1:]
         if not cells:
             raise ParseError(f"{path} has a header but no rows")
+    width = len(cells[0])
+    _check_widths(cells, width, first)
     grid = []
-    for offset, row in enumerate(cells):
+    for number, row in enumerate(cells, first):
         values, bad = _parse_column(row)
         if bad:
-            raise ParseError(
-                f"row {offset + 1}, column {bad[0] + 1}: cannot parse {row[bad[0]].strip()!r}"
-            )
+            raise ParseError(f"row {number}, column {bad[0] + 1}: "
+                             f"cannot parse {row[bad[0]].strip()!r}")
         grid.append(values)
-    width = len(grid[0])
-    for offset, row in enumerate(grid):
-        if len(row) != width:
-            raise ParseError(
-                f"row {offset + 1}: expected {width} cells, found {len(row)}"
-            )
     if len(grid) != width:
         raise NotSquare(f"{len(grid)} rows x {width} columns")
     return grid

@@ -170,12 +170,12 @@ def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float]]:
     return [a[i][i] for i in range(d)], sub
 
 
-def _ql(diag: list[float], sub: list[float], max_iter: int) -> int:
+def _ql(diag: list[float], sub: list[float]) -> int:
     """Overwrite ``diag`` with the eigenvalues of the tridiagonal matrix
     (diag, sub) by implicit QL with Wilkinson shifts (Handbook ``tql1``).
 
-    Returns the largest number of iterations one eigenvalue took, or
-    ``max_iter + 1`` when one is still not split off after ``max_iter``.
+    Returns the most iterations one eigenvalue took, or ``MAX_SWEEPS + 1``
+    (read at call time) when one is still not split off after that many.
     An entry of ``sub`` counts as zero once adding it leaves the largest
     |diag[l]| + |sub[l]| seen so far unchanged.
     """
@@ -191,8 +191,8 @@ def _ql(diag: list[float], sub: list[float], max_iter: int) -> int:
                 m += 1
             if m == l:
                 break
-            if its == max_iter:
-                return max_iter + 1
+            if its == MAX_SWEEPS:
+                return MAX_SWEEPS + 1
             its += 1
             g = (diag[l + 1] - diag[l]) / (2.0 * sub[l])
             g = diag[m] - diag[l] + sub[l] / (g + math.copysign(math.hypot(g, 1.0), g))
@@ -236,7 +236,7 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> EigenSpectrum:
     flat, shift = _scaled([v for i, row in enumerate(m.rows) for v in row[: i + 1]])
     a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(m.dim)]
     diag, sub = _tridiagonal(a)
-    sweeps = _ql(diag, sub, MAX_SWEEPS)
+    sweeps = _ql(diag, sub)
     residual = _unscale(math.sqrt(2.0 * fsum(v * v for v in sub)), shift, "residual")
     if sweeps > MAX_SWEEPS:
         raise NoConvergence(f"an eigenvalue is not split off after {MAX_SWEEPS} QL iterations"

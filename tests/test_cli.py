@@ -239,6 +239,14 @@ class TestMatrixCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: NO_CONVERGENCE: an eigenvalue is not split off after 1 ")
 
+    @pytest.mark.parametrize("argv", [["matrix", "{m}"], ["validate", "{m}"],
+                                      ["compare", "{m}", "{m}", "--as", "matrix"]])
+    def test_rows_of_a_headed_matrix_count_the_header(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "m.csv", "a,b\n1,x\n")
+        code, out, err = run_cli(capsys, *(arg.replace("{m}", path) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == "error: PARSE_ERROR: row 2, column 2: cannot parse 'x'\n"
+
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_hand_rounded_matrix_is_accepted(self, tmp_path, capsys, output):
         # Its coefficient is 1 + 5e-10, above 1 by more than roundoff but

@@ -317,6 +317,17 @@ class TestReadMatrix:
         headed = write(tmp_path, "m2.csv", "c1,c2\n1,0.5\n0.5,1\n")
         assert read_matrix(bare).rows == read_matrix(headed).rows
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,x\n", "row 2, column 2: cannot parse 'x'"),
+        ("a,b\n1,0.5\n0.5\n", "row 3: expected 2 cells, found 1"),
+        # Widths are checked before cells.
+        ("1,0.5\n0.5\nx,1\n", "row 2: expected 2 cells, found 1"),
+    ])
+    def test_rows_are_numbered_with_the_header_as_row_1(self, tmp_path, text, message):
+        with pytest.raises(ParseError) as info:
+            read_matrix(write(tmp_path, "m.csv", text))
+        assert str(info.value) == message
+
     def test_not_square(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5,0.2\n0.5,1,0.1\n")
         with pytest.raises(NotSquare):

@@ -123,6 +123,11 @@ def test_garbage_collection_is_paused_once():
     assert package_sites(calls("disable", on="gc")) == ["io.read_csv_data"]
 
 
+# Listwise deletion is written once, and every data file goes through it.
+def test_listwise_deletion_is_written_once():
+    assert package_sites(calls_bare("compress")) == ["io.read_csv_data"]
+
+
 # Only producers whose values are finite floats by construction skip the checks.
 def test_unchecked_data_matrix_core_has_three_callers():
     assert package_sites(calls("_from_finite")) == [

@@ -30,7 +30,7 @@ from mcor import (
     sample_sd,
 )
 from mcor.cli import main
-from mcor.errors import McorError
+from mcor.errors import McorError, ParseError
 from mcor.io import _parse_column, read_csv_data, read_matrix
 from oracles import _parse_number, always_scaled_sample_sd
 from support import assert_as_checked
@@ -219,6 +219,39 @@ def test_padding_cells_and_names_changes_nothing(tmp_path_factory, csv_texts):
     for result in seen[1][:4]:
         if isinstance(result, DataMatrix):
             assert_as_checked(result)
+
+
+@st.composite
+def broken_headed_grid(draw):
+    """A k x k numeric grid under k names as CSV text, with one cell dropped
+    from a data row after the first or one cell replaced by ``x``; whether
+    a cell was dropped, and the file's number for the broken row."""
+    k = draw(st.integers(2, 4))
+    rows = [[f"c{j}" for j in range(k)]] + [
+        [repr(draw(st.floats(-1e6, 1e6))) for _ in range(k)] for _ in range(k)]
+    short = draw(st.booleans())
+    i = draw(st.integers(2 if short else 1, k))
+    if short:
+        del rows[i][draw(st.integers(0, k - 1))]
+    else:
+        rows[i][draw(st.integers(0, k - 1))] = "x"
+    return "".join(",".join(row) + "\n" for row in rows), short, i + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken_headed_grid())
+def test_data_and_matrix_readers_number_rows_alike(tmp_path_factory, case):
+    text, short, number = case
+    path = tmp_path_factory.mktemp("rows") / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    messages = []
+    for read in (read_csv_data, read_matrix):
+        with pytest.raises(ParseError) as info:
+            read(path)
+        messages.append(str(info.value))
+    assert [re.match(r"row (\d+)[:,]", m).group(1) for m in messages] == [str(number)] * 2
+    if short:
+        assert messages[0] == messages[1]
 
 
 # Invariance tolerances. The solver is backward stable: its eigenvalues are
