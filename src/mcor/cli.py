@@ -16,7 +16,7 @@ import sys
 from .errors import McorError, NonFiniteEntry, NotSquare, ParseError, UsageError
 from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix
 from .linalg import eigenvalues_symmetric
-from .multiway import MATRIX_ENTRY_TOL, PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
+from .multiway import PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .scenarios import Scenario
 
 TIE_THRESHOLD = 1e-9
@@ -192,7 +192,7 @@ def _compare_input(path: str, cells, args: argparse.Namespace) -> tuple[str, Mco
             if args.as_kind == "matrix":
                 raise
         else:
-            if args.as_kind == "matrix" or checked.max_diagonal_deviation <= MATRIX_ENTRY_TOL:
+            if args.as_kind == "matrix" or checked.unit_diagonal:
                 return "matrix", mcor_from_matrix(checked.symmetric_matrix())
     data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells)
     return "data", mcor(data)
@@ -259,9 +259,9 @@ def _run_validate(args: argparse.Namespace):
     min_eig = eigenvalues_symmetric(checked.matrix).values[-1]
     result = {
         "d": checked.matrix.dim,
-        "symmetric": checked.max_asymmetry <= MATRIX_ENTRY_TOL,
+        "symmetric": checked.symmetric,
         "max_asymmetry": checked.max_asymmetry,
-        "unit_diagonal": checked.max_diagonal_deviation <= MATRIX_ENTRY_TOL,
+        "unit_diagonal": checked.unit_diagonal,
         "max_diagonal_deviation": checked.max_diagonal_deviation,
         "psd": min_eig >= PSD_EIG_FLOOR,
         "min_eigenvalue": min_eig,

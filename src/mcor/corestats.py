@@ -142,15 +142,6 @@ def _centered(xs: Sequence[float]) -> tuple[list[float], float, int]:
         values, shift = _scaled(xs)
 
 
-def _corr_from_centered(cx, cy, sxx: float, syy: float) -> float:
-    # One sqrt of the product loses less than a product of two sqrts and
-    # keeps exactly-linear integer data at exactly +-1. _centered keeps
-    # the product a normal double, and Cauchy-Schwarz bounds the numerator
-    # by its root, so r is finite.
-    r = fsum(map(mul, cx, cy)) / math.sqrt(sxx * syy)
-    return _clamp(r, -1.0, 1.0, "correlation", CLAMP_EPS)
-
-
 def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     """d x d sample correlation matrix with an exactly-unit diagonal.
 
@@ -167,7 +158,12 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
         cx, sxx, _ = moments[i]
         for j in range(i):
             cy, syy, _ = moments[j]
-            tri.append(_corr_from_centered(cx, cy, sxx, syy))
+            # One sqrt of the product loses less than a product of two sqrts
+            # and keeps exactly-linear integer data at exactly +-1. _centered
+            # keeps the product a normal double, and Cauchy-Schwarz bounds
+            # the numerator by its root, so r is finite.
+            r = fsum(map(mul, cx, cy)) / math.sqrt(sxx * syy)
+            tri.append(_clamp(r, -1.0, 1.0, "correlation", CLAMP_EPS))
         tri.append(1.0)
     return make_symmetric(d, tri)
 

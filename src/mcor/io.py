@@ -13,13 +13,14 @@ import csv
 import gc
 import math
 from collections.abc import Sequence
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .corestats import DataMatrix
 from .errors import (
+    BadArguments,
     EmptySelection,
     FileError,
     NotSquare,
@@ -180,6 +181,10 @@ def _parse_selected_columns(
             raise EmptySelection(
                 f"column(s) not in header: {', '.join(sorted(missing))}"
             )
+        repeated = {name for name in columns if columns.count(name) > 1}
+        if repeated:
+            raise BadArguments(
+                f"column(s) selected more than once: {', '.join(sorted(repeated))}")
         selected = [header.index(name) for name in columns]
         parsed = {j: _parse_column(by_column[j]) for j in selected}
     else:
@@ -239,8 +244,9 @@ def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
 
 
 class CheckedMatrix(NamedTuple):
-    """A square matrix CSV with its two triangles averaged, and how far the
-    file itself was from symmetric with a unit diagonal."""
+    """A square matrix CSV with its two triangles averaged, how far the file
+    itself was from symmetric with a unit diagonal, and the two verdicts on
+    it, ``symmetric`` and ``unit_diagonal``: each distance is within 1e-9."""
 
     matrix: SymmetricMatrix  # mirrored entries averaged
     max_asymmetry: float
@@ -249,10 +255,18 @@ class CheckedMatrix(NamedTuple):
     # row-major order, whose gap is max_asymmetry; indices are 0-based.
     worst_pair: tuple[int, int, float, float]
 
+    @property
+    def symmetric(self) -> bool:
+        return self.max_asymmetry <= MATRIX_ENTRY_TOL
+
+    @property
+    def unit_diagonal(self) -> bool:
+        return self.max_diagonal_deviation <= MATRIX_ENTRY_TOL
+
     def symmetric_matrix(self) -> SymmetricMatrix:
-        """The averaged matrix, once the file's mirrored entries are known
-        to agree within 1e-9; NotSymmetric names the worst pair otherwise."""
-        if self.max_asymmetry > MATRIX_ENTRY_TOL:
+        """The averaged matrix, once the file is ``symmetric``; NotSymmetric
+        names the worst pair otherwise."""
+        if not self.symmetric:
             i, j, upper, lower = self.worst_pair
             raise NotSymmetric(
                 f"entries ({i + 1},{j + 1}) = {upper!r} and "
@@ -266,26 +280,24 @@ def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMa
     plus the asymmetry and diagonal deviation the file had."""
     grid = _numeric_grid(path, cells)
     d = len(grid)
-    # Halved gaps are ranked: two full gaps past the float maximum would
-    # both be inf and the first would win.
+    # Pairs i < j in row-major order. Halved gaps are ranked: two full gaps
+    # past the float maximum would both be inf and the first would win.
     worst = 0.0
     worst_at = (0, 0)
+    lower = [[] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             half_gap = abs(0.5 * grid[i][j] - 0.5 * grid[j][i])
             if half_gap > worst:
                 worst = half_gap
                 worst_at = (i, j)
-    tri = []
-    for i in range(d):
-        for j in range(i):
             # Halved first: a + b may overflow. Same bits as 0.5 * (a + b)
             # whenever that is finite and neither half is subnormal.
-            tri.append(0.5 * grid[i][j] + 0.5 * grid[j][i])
-        tri.append(grid[i][i])
+            lower[j].append(0.5 * grid[j][i] + 0.5 * grid[i][j])
+        lower[i].append(grid[i][i])
     i, j = worst_at
     return CheckedMatrix(
-        matrix=make_symmetric(d, tri),
+        matrix=make_symmetric(d, list(chain.from_iterable(lower))),
         max_asymmetry=abs(grid[i][j] - grid[j][i]),
         max_diagonal_deviation=max(abs(grid[k][k] - 1.0) for k in range(d)),
         worst_pair=(i, j, grid[i][j], grid[j][i]),

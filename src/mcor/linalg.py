@@ -61,15 +61,11 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
         i, j = next((i, j) for i in range(dim) for j in range(i + 1)
                     if not _all_finite((lower_triangle[i * (i + 1) // 2 + j],)))
         raise NonFiniteEntry(f"matrix entry at row {i + 1}, column {j + 1} is not finite")
-    grid = [[0.0] * dim for _ in range(dim)]
-    pos = 0
-    for i in range(dim):
-        for j in range(i + 1):
-            value = float(lower_triangle[pos])
-            grid[i][j] = value
-            grid[j][i] = value
-            pos += 1
-    return SymmetricMatrix(dim=dim, rows=tuple(tuple(row) for row in grid))
+    rows = [list(map(float, lower_triangle[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]))
+            for i in range(dim)]
+    for i, row in enumerate(rows):
+        row.extend(map(itemgetter(i), rows[i + 1:]))
+    return SymmetricMatrix(dim=dim, rows=tuple(map(tuple, rows)))
 
 
 def frobenius_norm_sq(m: SymmetricMatrix) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from functools import partial
 from itertools import islice
 from math import fsum
@@ -53,12 +54,19 @@ def _check_scenario(scenario: Scenario) -> None:
         raise BadArguments(f"scenario must be a Scenario member, got {scenario!r}")
 
 
+def _check_n_obs(n_obs: int) -> None:
+    """BadArguments unless 2 <= n_obs <= sys.maxsize // 3: draws take 3 * n_obs words."""
+    if n_obs < 2:
+        raise BadArguments(f"n_obs must be >= 2, got {n_obs}")
+    if n_obs > sys.maxsize // 3:
+        raise BadArguments(f"n_obs must be <= {sys.maxsize // 3}, got {n_obs}")
+
+
 def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
     """Draw one dataset (columns x, y, z) for ``scenario``; deterministic
     in (scenario, n_obs, seed)."""
     _check_scenario(scenario)
-    if n_obs < 2:
-        raise BadArguments(f"n_obs must be >= 2, got {n_obs}")
+    _check_n_obs(n_obs)
     # The stream is private, so reading its uniforms a block ahead draws
     # nothing another caller would see.
     us = SplitMix64(seed).rest_as_uniforms()
@@ -128,6 +136,9 @@ def monte_carlo(
     _check_scenario(scenario)
     if replicates < 1:
         raise BadArguments(f"replicates must be >= 1, got {replicates}")
+    if replicates > sys.maxsize:
+        raise BadArguments(f"replicates must be <= {sys.maxsize}, got {replicates}")
+    _check_n_obs(n_obs)  # before any process is forked
     payloads = chunk_map(partial(_values, scenario, n_obs, seed), replicates)
     values = struct.unpack(f"{replicates}d", b"".join(payloads))
     return MonteCarloSummary(

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,12 @@ import pytest
 import mcor.cli as mcor_cli
 import mcor.io as mcor_io
 import mcor.linalg as mcor_linalg
+import mcor.parallel as mcor_parallel
 from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import NotSymmetric, UsageError
 from mcor.io import bundled_fixture, read_matrix
-from support import rand_data
+from support import assert_no_child_left, rand_data
 
 AREA1 = str(bundled_fixture("tb_area1.csv"))
 AREA2 = str(bundled_fixture("tb_area2.csv"))
@@ -165,6 +167,16 @@ class TestComputeCommand:
                                "--output", "json")
         assert code == 0
         assert json.loads(out)["result"]["d"] == 2
+
+    @pytest.mark.parametrize("columns, line", [
+        ("a,a", "BAD_ARGUMENTS: column(s) selected more than once: a"),
+        ("b,a,b", "BAD_ARGUMENTS: column(s) selected more than once: b"),
+        ("b,a,b,zz", "EMPTY_SELECTION: column(s) not in header: zz"),
+    ])
+    def test_column_selected_twice(self, tmp_path, capsys, columns, line):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n2,1\n4,3\n")
+        code, out, err = run_cli(capsys, "compute", path, "--columns", columns)
+        assert (code, out, err) == (1, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("text, options, n", [
         ("a,b\n1,2\n", [], 1),
@@ -365,6 +377,19 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "quadratic")
         assert code == 2
         assert err.startswith("error: USAGE: ")
+
+    # Each is one error line, whether or not the replicates would be forked.
+    @pytest.mark.parametrize("n, reps, message", [
+        ("100000000000000000000", "1",
+         f"n_obs must be <= {sys.maxsize // 3}, got 100000000000000000000"),
+        ("5", "100000000000000000000",
+         f"replicates must be <= {sys.maxsize}, got 100000000000000000000"),
+    ])
+    def test_sizes_past_the_index_range(self, capsys, monkeypatch, n, reps, message):
+        monkeypatch.setattr(mcor_parallel, "_usable_cpus", lambda: 2)
+        code, out, err = run_cli(capsys, "simulate", "independent", "--n", n, "--reps", reps)
+        assert (code, out, err) == (1, "", f"error: BAD_ARGUMENTS: {message}\n")
+        assert_no_child_left()
 
     def test_all_linear_text(self, capsys):
         code, out, err = run_cli(

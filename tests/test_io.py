@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import mcor.io as mcor_io
 from mcor.cli import main
 from mcor.errors import (
+    BadArguments,
     EmptySelection,
     FileError,
     NotSquare,
@@ -59,6 +60,20 @@ class TestReadCsvData:
         path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n")
         with pytest.raises(EmptySelection, match="nope"):
             read_csv_data(path, columns=("a", "nope"))
+
+    def test_column_selected_twice(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b,c\n1,2,3\n3,4,0\n")
+        with pytest.raises(BadArguments) as info:
+            read_csv_data(path, columns=("c", "a", "c", "a", "b"))
+        assert str(info.value) == "column(s) selected more than once: a, c"
+        # A missing name is reported before a repeated one.
+        with pytest.raises(EmptySelection, match="column\\(s\\) not in header: zz$"):
+            read_csv_data(path, columns=("a", "a", "zz"))
+
+    def test_repeated_header_names_stay_legal(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,a,b\n1,2,3\n3,4,0\n")
+        assert read_csv_data(path).var_names == ("a", "a", "b")
+        assert read_csv_data(path, columns=("a", "b")).values == ((1.0, 3.0), (3.0, 0.0))
 
     def test_na_dropped_listwise(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n NA ,3\n4,\n5,6\n")
@@ -364,6 +379,31 @@ class TestReadMatrix:
         path = tmp_path_factory.mktemp("avg") / "m.csv"
         path.write_text(f"1,{a!r}\n{b!r},1\n", encoding="utf-8")
         assert read_checked_matrix(path).matrix.rows[1][0] == 0.5 * (a + b)
+
+    def test_symmetric_verdict_at_the_tolerance(self, tmp_path):
+        # Entries 0 and g differ by exactly g.
+        past = math.nextafter(1e-9, 1.0)
+        for gap, verdict in ((1e-9, True), (past, False)):
+            path = write(tmp_path, "m.csv", f"1,{gap!r}\n0,1\n")
+            checked = read_checked_matrix(path)
+            assert checked.max_asymmetry == gap
+            assert checked.symmetric is verdict
+        with pytest.raises(NotSymmetric, match=r"differ by 1\.000e-09"):
+            checked.symmetric_matrix()
+
+    def test_unit_diagonal_verdict_at_the_tolerance(self, tmp_path):
+        # |x - 1| is exact for x near 1, a multiple of 2**-53, so no file's
+        # diagonal lands on 1e-9: the deviation is set on the record instead.
+        checked = read_checked_matrix(write(tmp_path, "m.csv", "1,0\n0,1\n"))
+        assert checked.unit_diagonal is True
+        at = checked._replace(max_diagonal_deviation=1e-9)
+        past = checked._replace(max_diagonal_deviation=math.nextafter(1e-9, 1.0))
+        assert (at.unit_diagonal, past.unit_diagonal) == (True, False)
+        # The nearest diagonals a file can hold fall either side of it.
+        below, above = 1.0 + 4503599 * 2.0**-52, 1.0 + 4503600 * 2.0**-52
+        for x, verdict in ((below, True), (above, False), (2.0 - below, True)):
+            path = write(tmp_path, "m.csv", f"{x!r},0\n0,1\n")
+            assert read_checked_matrix(path).unit_diagonal is verdict
 
     def test_tiny_asymmetry_averaged(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5000000001\n0.4999999999,1\n")

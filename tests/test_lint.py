@@ -105,6 +105,23 @@ def calls_bare(name: str):
     return matches
 
 
+def compares_name(name: str):
+    """Matches a comparison with the bare name ``name`` as one of its operands."""
+    def matches(node) -> bool:
+        return isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Name) and side.id == name
+            for side in (node.left, *node.comparators))
+    return matches
+
+
+# Matrix-file entry rules are judged by the verdicts on CheckedMatrix and by
+# mcor_from_matrix, not again by the CLI.
+def test_matrix_entry_tolerance_is_compared_in_two_homes():
+    assert package_sites(compares_name("MATRIX_ENTRY_TOL")) == [
+        "io.CheckedMatrix.symmetric", "io.CheckedMatrix.unit_diagonal",
+        "multiway.mcor_from_matrix", "multiway.mcor_from_matrix"]
+
+
 # Handlers return their record; one function writes stdout and main writes stderr.
 def test_printing_is_written_in_cli_emit_and_main():
     assert set(package_sites(calls_bare("print"))) == {"cli._emit", "cli.main"}
@@ -162,3 +179,6 @@ def test_rule_sites_are_caught():
     assert rule_sites("print(1)\ndef f():\n    log.print(2)\n    print\n"
                       "def g():\n    return print(3)\n",
                       "m", calls_bare("print")) == ["m", "m.g"]
+    assert rule_sites("T = 1\nif x <= T:\n    pass\ndef f(y):\n    return T * y, y > T, y < m.T\n"
+                      "class C:\n    @property\n    def g(self):\n        return 0 < self.v <= T\n",
+                      "m", compares_name("T")) == ["m", "m.f", "m.C.g"]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import threading
 import time
 
@@ -128,6 +129,14 @@ class TestGenerate:
         with pytest.raises(BadArguments):
             generate(Scenario.INDEPENDENT, 1, 0)
 
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_more_observations_than_draws_can_index(self, scenario, monkeypatch):
+        # Three columns take 3 * n_obs words, which must be a valid size. It is
+        # rejected before a stream exists: some recipes would draw until memory ran out.
+        monkeypatch.setattr(mcor_simulate, "SplitMix64", None)
+        with pytest.raises(BadArguments, match=rf"n_obs must be <= {sys.maxsize // 3}, got"):
+            generate(scenario, sys.maxsize // 3 + 1, 0)
+
 
 class TestPopulationMcor:
     def test_all_linear(self):
@@ -182,6 +191,10 @@ class TestMonteCarlo:
     def test_replicates_must_be_positive(self):
         with pytest.raises(BadArguments):
             monte_carlo(Scenario.INDEPENDENT, 100, 0, 3)
+
+    def test_replicates_must_fit_a_size(self):
+        with pytest.raises(BadArguments, match=rf"replicates must be <= {sys.maxsize}, got"):
+            monte_carlo(Scenario.INDEPENDENT, 100, 10**30, 3)
 
     def test_replicates_use_distinct_substreams(self):
         s = monte_carlo(Scenario.INDEPENDENT, 100, 30, 12)
@@ -246,6 +259,13 @@ class TestForkedReplicates:
         assert monte_carlo(scenario, 80, 7, 5) == serial_summary(scenario, 80, 7, 5)
         assert len(forks) == workers - 1
         assert_no_child_left()
+
+    @pytest.mark.parametrize("n_obs", [1, sys.maxsize // 3 + 1])
+    def test_no_fork_for_a_bad_n_obs(self, cpus, forks, n_obs):
+        cpus(2)
+        with pytest.raises(BadArguments, match="n_obs must be"):
+            monte_carlo(Scenario.INDEPENDENT, n_obs, 4, 1)
+        assert forks == []
 
     def test_no_fork_for_one_replicate(self, cpus, forks):
         cpus(2)
