@@ -173,11 +173,13 @@ def _ql(diag: list[float], sub: list[float]) -> int:
     Returns the most iterations one eigenvalue took, or ``MAX_SWEEPS + 1``
     (read at call time) when one is still not split off after that many.
     An entry of ``sub`` counts as zero once adding it leaves the largest
-    |diag[l]| + |sub[l]| seen so far unchanged.
+    |diag[l]| + |sub[l]| so far unchanged. That max starts at eps times the
+    largest of all, so a tiny leading block cannot keep QL iterating on an
+    entry far below the solve's d * eps * max|entry| accuracy.
     """
     d = len(diag)
     most = 0
-    norm = 0.0
+    norm = 2.0**-52 * max(abs(x) + abs(e) for x, e in zip(diag, sub))
     for l in range(d):
         norm = max(norm, abs(diag[l]) + abs(sub[l]))
         its = 0

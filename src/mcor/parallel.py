@@ -1,8 +1,9 @@
-"""One forked map over consecutive chunks of an index range: the only place
-the package starts processes."""
+"""One forked map over an index range: the only place the package starts
+processes, and the only one that knows how values cross between them."""
 
 from __future__ import annotations
 
+import marshal
 import os
 import threading
 
@@ -15,27 +16,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def chunk_map(work, count: int) -> list[bytes]:
-    """``work(chunk)`` for consecutive chunks of ``range(count)``, in chunk
-    order; ``work`` takes a ``range`` and returns ``bytes``.
+def chunk_map(f, count: int) -> list:
+    """``[f(i) for i in range(count)]``, computed in one chunk of
+    ``range(count)`` per usable CPU, at most ``count``, with bounds
+    ``count * k // workers``. ``f`` returns what ``marshal`` writes exactly:
+    None, bool, int, float, str, bytes, or lists, tuples or dicts of them.
 
-    ``range(count)`` is split into one chunk per usable CPU, at most
-    ``count``, with bounds ``count * k // workers``. Each chunk after the
-    first runs in a forked child that writes its payload, after an 8-byte
-    length, to a pipe; this process runs the first. A chunk whose child
-    exits non-zero or sends an incomplete payload is computed again here,
-    so an error is raised as a serial run raises it. Children still
-    running when this process raises, KeyboardInterrupt included, are
-    killed and reaped.
+    Each chunk after the first runs in a forked child that writes its
+    values, marshalled after an 8-byte length, to a pipe; this process runs
+    the first. A chunk whose child fails, as on a value marshal cannot
+    write, or sends an incomplete payload is computed again here, so an
+    error is raised as a serial run raises it. Children still running when
+    this process raises, KeyboardInterrupt included, are killed and reaped.
 
-    The run is one ``work(range(count))`` call with one usable CPU, without
-    ``os.fork``, or while another thread is alive: forking a threaded
-    process can deadlock. A fork costs about 1.7 ms and no work threshold
-    applies: forking pays from about 4-10 ms of serial work on.
+    The run is serial with one usable CPU, without ``os.fork``, or while
+    another thread is alive: forking a threaded process can deadlock. A
+    fork costs about 1.7 ms and no work threshold applies: forking pays
+    from about 4-10 ms of serial work on.
     """
     workers = min(count, _usable_cpus())
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [work(range(count))]
+        return list(map(f, range(count)))
     bounds = [count * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     children = []
@@ -49,7 +50,7 @@ def chunk_map(work, count: int) -> list[bytes]:
                 code = 1
                 try:
                     os.close(read_fd)
-                    payload = work(chunk)
+                    payload = marshal.dumps(list(map(f, chunk)))
                     with open(write_fd, "wb") as pipe:
                         pipe.writelines((len(payload).to_bytes(8, "little"), payload))
                     code = 0
@@ -57,7 +58,7 @@ def chunk_map(work, count: int) -> list[bytes]:
                     os._exit(code)
             os.close(write_fd)  # so that the pipe ends when this child exits
             children.append((pid, open(read_fd, "rb"), chunk))
-        payloads = [work(chunks[0])]
+        values = list(map(f, chunks[0]))
         while children:
             pid, pipe, chunk = children[0]
             with pipe:
@@ -65,10 +66,10 @@ def chunk_map(work, count: int) -> list[bytes]:
             status = os.waitpid(pid, 0)[1]
             del children[0]
             if status == 0 and size == len(payload).to_bytes(8, "little"):
-                payloads.append(payload)
+                values += marshal.loads(payload)
             else:
-                payloads.append(work(chunk))
-        return payloads
+                values += map(f, chunk)
+        return values
     finally:
         for pid, pipe, _ in children:
             pipe.close()

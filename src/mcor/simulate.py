@@ -19,7 +19,6 @@ evaluation order, nor on how many processes evaluate them.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from functools import partial
 from itertools import islice
@@ -121,10 +120,9 @@ def population_mcor(scenario: Scenario) -> float:
     return math.sqrt((25.0 / 37.0 + 121.0 / 181.0 + 6241.0 / 6697.0) / 3.0)
 
 
-def _values(scenario: Scenario, n_obs: int, seed: int, indices: range) -> bytes:
-    """The coefficient of each replicate in ``indices``, in order, as doubles."""
-    return struct.pack(f"{len(indices)}d", *[
-        mcor(generate(scenario, n_obs, derive_seed(seed, i))).mcor for i in indices])
+def _value(scenario: Scenario, n_obs: int, seed: int, i: int) -> float:
+    """The coefficient of replicate ``i``."""
+    return mcor(generate(scenario, n_obs, derive_seed(seed, i))).mcor
 
 
 def monte_carlo(
@@ -139,8 +137,7 @@ def monte_carlo(
     if replicates > sys.maxsize:
         raise BadArguments(f"replicates must be <= {sys.maxsize}, got {replicates}")
     _check_n_obs(n_obs)  # before any process is forked
-    payloads = chunk_map(partial(_values, scenario, n_obs, seed), replicates)
-    values = struct.unpack(f"{replicates}d", b"".join(payloads))
+    values = chunk_map(partial(_value, scenario, n_obs, seed), replicates)
     return MonteCarloSummary(
         scenario=scenario,
         n_obs=n_obs,

@@ -431,6 +431,14 @@ class TestValidateCommand:
         assert code == 0 and err == ""
         assert "PSD within tolerance:   NO (min eigenvalue -2e+200)" in out
 
+    def test_entries_far_below_a_tiny_leading_block(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "1,1e-200,1e-200\n1e-200,0,0\n1e-200,0,-1\n")
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("correlation-matrix diagnostics\n")
+        assert out.count("correlation-matrix diagnostics") == 1
+        assert "  PSD within tolerance:   NO (min eigenvalue -1)\n" in out
+
     def test_mirrored_entries_near_the_float_maximum(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "1,1e308\n1.5e308,1\n")
         code, out, err = run_cli(capsys, "validate", path, "--output", "json")

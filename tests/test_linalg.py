@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcor import SplitMix64
@@ -165,6 +165,16 @@ class TestEigenvaluesSymmetric:
         spectrum = eigenvalues_symmetric(make_symmetric(2, tri))
         assert spectrum.values == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("tri, expected", [
+        ([1.0, 1e-200, 0.0, 1e-200, 0.0, -1.0], (1.0, 0.0, -1.0)),
+        ([0.0, 3.9150092286940095e-307, 0.0, 0.0, 1.0, 2.0],
+         (1.0 + math.sqrt(2.0), 0.0, 1.0 - math.sqrt(2.0))),
+    ])
+    def test_entries_far_below_the_scale_beside_a_tiny_block(self, tri, expected):
+        # Such an entry must count as zero, or QL spins until MAX_SWEEPS.
+        spectrum = eigenvalues_symmetric(make_symmetric(3, tri))
+        assert spectrum.values == pytest.approx(expected, rel=0.0, abs=1e-15)
+
     def test_power_of_two_scaling_is_exact(self):
         m = rand_symmetric(SplitMix64(23), 6)
         base = eigenvalues_symmetric(m)
@@ -212,6 +222,8 @@ class TestSpectralIdentities:
             )
         )
     )
+    @example(tri=[0.0, 1.1125369292536007e-308, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    @example(tri=[1.0, 1e-200, 0.0, 1e-200, 0.0, -1.0])
     def test_trace_identity_hypothesis(self, tri):
         d = int((math.isqrt(8 * len(tri) + 1) - 1) // 2)
         m = make_symmetric(d, tri)

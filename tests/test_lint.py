@@ -134,6 +134,12 @@ def test_process_forking_is_written_once(name):
     assert set(package_sites(calls(name, on="os"))) == {"parallel.chunk_map"}
 
 
+# Values cross between processes in one format, written and read by the map.
+@pytest.mark.parametrize("name", ["dumps", "loads"])
+def test_marshal_is_called_once(name):
+    assert package_sites(calls(name, on="marshal")) == ["parallel.chunk_map"]
+
+
 # Cyclic collection is a process-wide switch, paused only while a data file's
 # cells are alive.
 def test_garbage_collection_is_paused_once():

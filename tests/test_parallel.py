@@ -1,7 +1,8 @@
-"""The forked map over index chunks, with a payload that is the chunk's own
-indices as bytes."""
+"""The forked map over an index range, with an ``f`` that returns its index."""
 
+import marshal
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,18 +12,17 @@ from support import assert_no_child_left
 
 
 def recording(in_a_child):
-    """A payload function that gives a chunk's indices as bytes and
-    ``in_a_child(chunk)`` in a forked child, and the list of the chunks it
-    computed in this process."""
+    """An ``f`` that returns its index here and ``in_a_child(i)`` in a forked
+    child, and the list of the indices it computed in this process."""
     parent, here = os.getpid(), []
 
-    def work(chunk):
+    def f(i):
         if os.getpid() != parent:
-            return in_a_child(chunk)
-        here.append(chunk)
-        return bytes(chunk)
+            return in_a_child(i)
+        here.append(i)
+        return i
 
-    return work, here
+    return f, here
 
 
 class Overstated(bytes):
@@ -30,6 +30,21 @@ class Overstated(bytes):
 
     def __len__(self):
         return super().__len__() + 1
+
+
+def exit_0_before_writing(monkeypatch):
+    return lambda i: os._exit(0)
+
+
+def overstate_the_length(monkeypatch):
+    # The forked child inherits the patch; this process only reads.
+    monkeypatch.setattr(mcor_parallel, "marshal", SimpleNamespace(
+        dumps=lambda value: Overstated(marshal.dumps(value)), loads=marshal.loads))
+    return lambda i: i
+
+
+def return_what_marshal_cannot_write(monkeypatch):
+    return lambda i: object()
 
 
 @pytest.fixture
@@ -45,20 +60,19 @@ class TestChunkMap:
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     def test_payloads_come_in_chunk_order(self, cpus, count, workers):
         cpus(workers)
-        used = min(count, workers)
-        bounds = [count * k // used for k in range(used + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        work, here = recording(bytes)
-        assert chunk_map(work, count) == [bytes(chunk) for chunk in chunks]
+        f, here = recording(lambda i: i)
+        assert chunk_map(f, count) == list(range(count))
         # The first chunk is computed here, every other one in a child.
-        assert here == chunks[:1]
+        assert here == list(range(count // min(count, workers)))
         assert_no_child_left()
 
-    @pytest.mark.parametrize("in_a_child", [lambda chunk: os._exit(0), Overstated],
-                             ids=["exit-0-before-writing", "overstated-length"])
-    def test_child_without_its_full_payload_is_recomputed(self, cpus, in_a_child):
+    @pytest.mark.parametrize("fault", [exit_0_before_writing, overstate_the_length,
+                                       return_what_marshal_cannot_write],
+                             ids=["exit-0-before-writing", "overstated-length",
+                                  "value-marshal-cannot-write"])
+    def test_child_without_its_full_payload_is_recomputed(self, cpus, monkeypatch, fault):
         cpus(3)
-        work, here = recording(in_a_child)
-        assert chunk_map(work, 6) == [bytes([0, 1]), bytes([2, 3]), bytes([4, 5])]
-        assert here == [range(0, 2), range(2, 4), range(4, 6)]
+        f, here = recording(fault(monkeypatch))
+        assert chunk_map(f, 6) == list(range(6))
+        assert here == list(range(6))
         assert_no_child_left()
