@@ -59,10 +59,11 @@ __all__ = [
 
 
 def __getattr__(name):
-    """The seven names of ``__all__`` not bound above, taken from ``simulate``
-    (two of them it imports from ``rng``) on first access, as PEP 562 allows:
-    a command that does not simulate never loads either module."""
+    """The seven names of ``__all__`` not bound above, taken on first access,
+    as PEP 562 allows: ``SplitMix64`` from ``rng``, the rest from ``simulate``
+    (which imports ``derive_seed`` from ``rng``). A command that does not
+    simulate never loads either module."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulate
-    return getattr(simulate, name)
+    from . import rng, simulate
+    return getattr(rng if name == "SplitMix64" else simulate, name)

@@ -263,11 +263,13 @@ def _run_validate(args: argparse.Namespace):
         "max_asymmetry": checked.max_asymmetry,
         "unit_diagonal": checked.unit_diagonal,
         "max_diagonal_deviation": checked.max_diagonal_deviation,
+        "off_diagonal_in_range": checked.off_diagonal_in_range,
+        "max_off_diagonal_excess": checked.max_off_diagonal_excess,
         "psd": min_eig >= PSD_EIG_FLOOR,
         "min_eigenvalue": min_eig,
     }
-    warnings = [f"failed check: {name}" for name in ("symmetric", "unit_diagonal", "psd")
-                if not result[name]]
+    verdicts = ("symmetric", "unit_diagonal", "off_diagonal_in_range", "psd")
+    warnings = [f"failed check: {name}" for name in verdicts if not result[name]]
     return "validation", [path], result, warnings, [
         "correlation-matrix diagnostics",
         f"  input:                  {path}",
@@ -276,6 +278,8 @@ def _run_validate(args: argparse.Namespace):
         f" (max asymmetry {result['max_asymmetry']:.3e})",
         f"  unit diagonal:          {'yes' if result['unit_diagonal'] else 'NO'}"
         f" (max deviation {result['max_diagonal_deviation']:.3e})",
+        f"  off-diagonal in [-1,1]: {'yes' if result['off_diagonal_in_range'] else 'NO'}"
+        f" (max excess {result['max_off_diagonal_excess']:.3e})",
         f"  PSD within tolerance:   {'yes' if result['psd'] else 'NO'}"
         f" (min eigenvalue {min_eig:.6g})",
     ]
@@ -290,7 +294,10 @@ def main(argv=None) -> int:
         _emit(args.output, *args.run(args))
         return 0
     except McorError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        # Column names and paths may hold any character: escape, as repr
+        # does, those that do not print, so the error stays on one line.
+        message = f"error: {exc.code}: {exc}"
+        print("".join(c if c.isprintable() else repr(c)[1:-1] for c in message), file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
     except MemoryError:
         print("error: OUT_OF_MEMORY: not enough memory for this input file or --n",

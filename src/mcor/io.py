@@ -245,8 +245,10 @@ def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
 
 class CheckedMatrix(NamedTuple):
     """A square matrix CSV with its two triangles averaged, how far the file
-    itself was from symmetric with a unit diagonal, and the two verdicts on
-    it, ``symmetric`` and ``unit_diagonal``: each distance is within 1e-9."""
+    itself was from symmetric with a unit diagonal, how far the averaged
+    off-diagonal entries reach past [-1, 1], and the three verdicts on it,
+    ``symmetric``, ``unit_diagonal`` and ``off_diagonal_in_range``: each
+    distance is within 1e-9."""
 
     matrix: SymmetricMatrix  # mirrored entries averaged
     max_asymmetry: float
@@ -254,6 +256,7 @@ class CheckedMatrix(NamedTuple):
     # (i, j, entry (i, j), entry (j, i)) of the first pair, i < j in
     # row-major order, whose gap is max_asymmetry; indices are 0-based.
     worst_pair: tuple[int, int, float, float]
+    max_off_diagonal_excess: float  # max(0, |averaged entry| - 1) over i != j
 
     @property
     def symmetric(self) -> bool:
@@ -262,6 +265,10 @@ class CheckedMatrix(NamedTuple):
     @property
     def unit_diagonal(self) -> bool:
         return self.max_diagonal_deviation <= MATRIX_ENTRY_TOL
+
+    @property
+    def off_diagonal_in_range(self) -> bool:
+        return self.max_off_diagonal_excess <= MATRIX_ENTRY_TOL
 
     def symmetric_matrix(self) -> SymmetricMatrix:
         """The averaged matrix, once the file is ``symmetric``; NotSymmetric
@@ -277,13 +284,15 @@ class CheckedMatrix(NamedTuple):
 
 def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMatrix:
     """Load a square matrix CSV without judging it: the averaged entries
-    plus the asymmetry and diagonal deviation the file had."""
+    plus the asymmetry, diagonal deviation and off-diagonal excess the file
+    had."""
     grid = _numeric_grid(path, cells)
     d = len(grid)
     # Pairs i < j in row-major order. Halved gaps are ranked: two full gaps
     # past the float maximum would both be inf and the first would win.
     worst = 0.0
     worst_at = (0, 0)
+    largest = 1.0  # largest averaged off-diagonal magnitude, at least 1
     lower = [[] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -293,7 +302,9 @@ def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMa
                 worst_at = (i, j)
             # Halved first: a + b may overflow. Same bits as 0.5 * (a + b)
             # whenever that is finite and neither half is subnormal.
-            lower[j].append(0.5 * grid[j][i] + 0.5 * grid[i][j])
+            entry = 0.5 * grid[j][i] + 0.5 * grid[i][j]
+            largest = max(largest, abs(entry))
+            lower[j].append(entry)
         lower[i].append(grid[i][i])
     i, j = worst_at
     return CheckedMatrix(
@@ -301,6 +312,7 @@ def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMa
         max_asymmetry=abs(grid[i][j] - grid[j][i]),
         max_diagonal_deviation=max(abs(grid[k][k] - 1.0) for k in range(d)),
         worst_pair=(i, j, grid[i][j], grid[j][i]),
+        max_off_diagonal_excess=largest - 1.0,
     )
 
 

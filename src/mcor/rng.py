@@ -7,24 +7,25 @@ new state passed through two xor-shift-multiply rounds (multipliers
 is modulo 2**64, so a seed pins the sequence bit for bit on any platform.
 ``mix64`` is that finalizer for one word.
 
-A stream mixes its words a block at a time rather than one by one. The
-states seed + k*GOLDEN_GAMMA (k = 1..size) of a block sit in consecutive
-128-bit lanes of one Python int, lane k - 1 holding state k, and each
-xor-shift and multiply runs once on the whole int. Lanes stay
-independent because every lane is masked back to its low 64 bits before
-each multiply: a 64-bit lane times a 64-bit multiplier is below 2**128,
-so no product carries into the next lane, and the mask also clears the
-bits a right shift pulls down from the lane above (after the last shift
-those bits stay in the high half, which is never read). The block is
-written out with ``int.to_bytes`` in little-endian order and read back by
-a ``struct`` format that takes each lane's low 8 bytes as a little-endian
-unsigned 64-bit word and skips the high 8. Both steps name the byte order
-rather than use the machine's, so the words are the same on every
-platform; the result is the same sequence as mixing one word at a time.
-A stream's first block holds 10 words and each next block doubles, up to
-1024 words, so a short stream, such as one small Monte Carlo replicate,
-pays for little it does not use. Block sizes change only speed, never
-the words.
+One generator, ``_blocks``, mixes a stream's words a block at a time
+rather than one by one; ``SplitMix64`` reads them as words and
+``uniform_stream`` as uniforms. The states seed + k*GOLDEN_GAMMA
+(k = 1..size) of a block sit in consecutive 128-bit lanes of one Python
+int, lane k - 1 holding state k, and each xor-shift and multiply runs
+once on the whole int. Lanes stay independent because every lane is
+masked back to its low 64 bits before each multiply: a 64-bit lane times
+a 64-bit multiplier is below 2**128, so no product carries into the next
+lane, and the mask also clears the bits a right shift pulls down from
+the lane above (after the last shift those bits stay in the high half,
+which is never read). The block is written out with ``int.to_bytes`` in
+little-endian order and read back by a ``struct`` format that takes each
+lane's low 8 bytes as a little-endian unsigned 64-bit word and skips the
+high 8. Both steps name the byte order rather than use the machine's, so
+the words are the same on every platform; the result is the same
+sequence as mixing one word at a time. A stream's first block holds 10
+words and each next block doubles, up to 1024 words, so a short stream,
+such as one small Monte Carlo replicate, pays for little it does not
+use. Block sizes change only speed, never the words.
 
 Uniform doubles lie in (0, 1]: the top 53 bits of an output word form an
 integer k in [0, 2**53) and the double is (k + 0.5) * 2**-53. The sum
@@ -41,10 +42,9 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator
-from functools import cache, partial
+from functools import cache
 from itertools import chain, islice
 from math import log, sqrt
-from operator import length_hint
 
 from .errors import BadArguments
 
@@ -120,51 +120,13 @@ def polar_normals(uniforms: Iterator[float]) -> Iterator[float]:
             yield v2 * factor
 
 
-class SplitMix64:
-    """SplitMix64 stream with uniform and normal variate helpers.
-
-    Every draw reads one iterator over the stream's words, so any
-    interleaving of the methods follows one stream.
-    """
-
-    __slots__ = ("_state", "_size", "_mixed", "_unread", "_words", "_spare")
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64  # state of the last word mixed
-        self._size = 10  # words in the next block
-        self._spare: float | None = None  # second normal of the last pair
-        self._resume(())
-
-    def _resume(self, mixed: tuple) -> None:
-        # The stream's words: those of ``mixed``, then each later block,
-        # mixed once the one before is used up.
-        self._mixed, self._unread = mixed, iter(mixed)
-        self._words = chain.from_iterable(chain((self._unread,), iter(self._hand_out, None)))
-
-    def _hand_out(self) -> Iterator[int]:
-        self._mixed = self._mix(0)
-        self._unread = unread = iter(self._mixed)
-        return unread
-
-    def __copy__(self, _memo=None) -> SplitMix64:
-        # The iterators are rebuilt rather than copied: itertools objects
-        # lose copy and pickle support in Python 3.14.
-        twin = SplitMix64(self._state)
-        twin._size, twin._spare = self._size, self._spare
-        twin._resume(self._mixed[len(self._mixed) - length_hint(self._unread):])
-        return twin
-
-    __deepcopy__ = __copy__
-
-    def _mix(self, shift: int) -> tuple[int, ...]:
-        """Mix the next block: mix64 of state + k*GOLDEN_GAMMA for
-        k = 1..size, in 128-bit lanes of one int as the module docstring
-        describes. Return each word shifted right by ``shift`` <= 33 bits."""
-        size = self._size
-        self._size = min(2 * size, _MAX_BLOCK)
+def _blocks(seed: int, shift: int) -> Iterator[tuple[int, ...]]:
+    """The stream's words a block at a time: mix64 of seed + k*GOLDEN_GAMMA
+    for k = 1, 2, ..., in 128-bit lanes of one int as the module docstring
+    describes, each word shifted right by ``shift`` <= 33 bits."""
+    state, size = seed & MASK64, 10
+    while True:
         step, ones, gamma_ramp, low, nbytes, unpack = _block(size)
-        state = self._state
-        self._state = (state + step) & MASK64
         z = (state * ones + gamma_ramp) & low
         z = (((z ^ (z >> 30)) & low) * _MULT1) & low
         z = (((z ^ (z >> 27)) & low) * _MULT2) & low
@@ -172,7 +134,29 @@ class SplitMix64:
         # lane's high half, which unpack skips, and into its low half only
         # high-half bits 64..96, which are still 0 after the xor.
         z ^= z >> 31
-        return unpack((z >> shift).to_bytes(nbytes, "little"))
+        yield unpack((z >> shift).to_bytes(nbytes, "little"))
+        state, size = (state + step) & MASK64, min(2 * size, _MAX_BLOCK)
+
+
+def uniform_stream(seed: int) -> Iterator[float]:
+    """The uniforms of ``SplitMix64(seed)`` without end, each block mixed
+    straight into its words' top 53 bits."""
+    return chain.from_iterable(map(_uniforms, _blocks(seed, 11)))
+
+
+class SplitMix64:
+    """SplitMix64 stream of words and uniform doubles. Every draw reads one
+    iterator over the stream's words, so any interleaving of the methods
+    follows one stream. Copying or pickling raises TypeError, as a copy
+    would share that iterator: start a second stream from the seed."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, seed: int):
+        self._words = chain.from_iterable(_blocks(seed, 0))
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("a SplitMix64 stream cannot be copied or pickled")
 
     def next_u64(self) -> int:
         return next(self._words)
@@ -184,22 +168,3 @@ class SplitMix64:
     def uniforms(self, count: int) -> list[float]:
         """``count`` uniforms; same stream as repeated uniform() calls."""
         return _uniforms([w >> 11 for w in islice(self._words, count)])
-
-    def rest_as_uniforms(self) -> Iterator[float]:
-        """The rest of the stream as uniforms: the rest of the current block
-        at once, then each later block mixed straight into its words' top
-        53 bits. Words drawn from the stream itself afterwards follow the
-        last block this has read, so it suits a caller that reads nothing
-        else from the stream."""
-        blocks = map(_uniforms, iter(partial(self._mix, 11), None))
-        return chain.from_iterable(chain((self.uniforms(length_hint(self._unread)),), blocks))
-
-    def normal(self) -> float:
-        """One standard normal by the polar method; the second normal of
-        each accepted pair is kept for the next call."""
-        if self._spare is None:
-            pair = polar_normals(iter(self.uniform, None))
-            value, self._spare = next(pair), next(pair)
-            return value
-        value, self._spare = self._spare, None
-        return value

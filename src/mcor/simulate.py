@@ -29,7 +29,7 @@ from .corestats import DataMatrix, sample_sd
 from .errors import BadArguments
 from .multiway import mcor
 from .parallel import chunk_map
-from .rng import SplitMix64, derive_seed, polar_normals
+from .rng import derive_seed, polar_normals, uniform_stream
 from .scenarios import Scenario
 
 
@@ -66,9 +66,7 @@ def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
     in (scenario, n_obs, seed)."""
     _check_scenario(scenario)
     _check_n_obs(n_obs)
-    # The stream is private, so reading its uniforms a block ahead draws
-    # nothing another caller would see.
-    us = SplitMix64(seed).rest_as_uniforms()
+    us = uniform_stream(seed)
     if scenario is Scenario.ALL_LINEAR:
         xs = list(islice(us, n_obs))
         ys = [2.0 * u for u in xs]

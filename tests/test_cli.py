@@ -414,6 +414,16 @@ class TestValidateCommand:
         assert payload["result"]["symmetric"] is False
         assert "failed check: symmetric" in payload["warnings"]
 
+    def test_entry_past_unit_magnitude_is_diagnosed(self, tmp_path, capsys):
+        # PSD within tolerance at d = 2, but past matrix's [-1, 1] rule.
+        path = write(tmp_path, "m.csv", "1,1.000000005\n1.000000005,1\n")
+        assert run_cli(capsys, "matrix", path)[0] == 1
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, err) == (0, "")
+        assert "  off-diagonal in [-1,1]: NO (max excess 5.000e-09)\n" in out
+        assert "  PSD within tolerance:   yes" in out
+        assert out.endswith("  warning: failed check: off_diagonal_in_range\n")
+
     def test_non_psd_diagnosed(self, tmp_path, capsys):
         a = "-0.9"
         path = write(tmp_path, "m.csv",
@@ -530,6 +540,23 @@ class TestOutputStability:
             assert code == 1
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ('"b\nc",d\n1,2\nx,3\n', (), "PARSE_ERROR: row 3, column b\\nc: cannot use cell 'x'"),
+        ("a,b\n1,2\n3,5\n", ("--columns", "a,no\nsuch"),
+         "EMPTY_SELECTION: column(s) not in header: no\\nsuch"),
+    ], ids=["header", "columns"])
+    def test_a_name_that_does_not_print_is_escaped(self, tmp_path, capsys, text, argv, message):
+        path = write(tmp_path, "d.csv", text)
+        assert run_cli(capsys, "compute", path, *argv) == (1, "", f"error: {message}\n")
+
+    def test_a_path_that_does_not_print_is_escaped(self, tmp_path, capsys):
+        path = str(tmp_path / "no\nsuch.csv")
+        code, out, err = run_cli(capsys, "compute", path)
+        assert (code, out) == (1, "")
+        escaped = path.replace("\n", "\\n")
+        assert err.startswith(f"error: FILE_ERROR: cannot read {escaped}: ")
+        assert err.endswith(f"'{escaped}'\n") and err.count("\n") == 1
 
     def test_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

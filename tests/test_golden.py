@@ -3,7 +3,9 @@
 The expected files under ``tests/golden/`` were recorded from the
 row-major implementation that preceded the column layout of DataMatrix,
 the ``validate-*`` files from the command before it shared
-``io.read_checked_matrix``, and the ``compare-*`` files and
+``io.read_checked_matrix`` (re-recorded, with every ``validate-*`` entry
+of ``matrix-files.json``, when ``validate`` gained its off-diagonal
+[-1, 1] check), and the ``compare-*`` files and
 ``usage-errors.json`` (exit code, stdout and stderr of each rejected
 command line) from the CLI before its options moved into argparse
 defaults; its ``max-sweeps-zero`` entry was re-recorded when that option

@@ -10,11 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcor.io as mcor_io
+from mcor import mcor_from_matrix
 from mcor.cli import main
 from mcor.errors import (
     BadArguments,
     EmptySelection,
     FileError,
+    NotACorrelationMatrix,
     NotSquare,
     NotSymmetric,
     ParseError,
@@ -404,6 +406,23 @@ class TestReadMatrix:
         for x, verdict in ((below, True), (above, False), (2.0 - below, True)):
             path = write(tmp_path, "m.csv", f"{x!r},0\n0,1\n")
             assert read_checked_matrix(path).unit_diagonal is verdict
+
+    def test_off_diagonal_verdict_is_the_matrix_rule(self, tmp_path):
+        # The nearest entries a file can hold either side of 1 + 1e-9, and
+        # their negatives: validate's verdict is matrix's accept or reject.
+        below, above = 1.0 + 4503599 * 2.0**-52, 1.0 + 4503600 * 2.0**-52
+        for x, verdict in ((below, True), (above, False), (-below, True), (-above, False)):
+            path = write(tmp_path, "m.csv", f"1,{x!r}\n{x!r},1\n")
+            checked = read_checked_matrix(path)
+            assert checked.max_off_diagonal_excess == abs(x) - 1.0
+            assert checked.off_diagonal_in_range is verdict
+            if verdict:
+                mcor_from_matrix(checked.symmetric_matrix())
+            else:
+                with pytest.raises(NotACorrelationMatrix, match="outside"):
+                    mcor_from_matrix(checked.symmetric_matrix())
+        inside = read_checked_matrix(write(tmp_path, "m.csv", "1,-1\n-1,1\n"))
+        assert (inside.max_off_diagonal_excess, inside.off_diagonal_in_range) == (0.0, True)
 
     def test_tiny_asymmetry_averaged(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5000000001\n0.4999999999,1\n")

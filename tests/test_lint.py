@@ -119,6 +119,7 @@ def compares_name(name: str):
 def test_matrix_entry_tolerance_is_compared_in_two_homes():
     assert package_sites(compares_name("MATRIX_ENTRY_TOL")) == [
         "io.CheckedMatrix.symmetric", "io.CheckedMatrix.unit_diagonal",
+        "io.CheckedMatrix.off_diagonal_in_range",
         "multiway.mcor_from_matrix", "multiway.mcor_from_matrix"]
 
 

@@ -112,6 +112,7 @@ def check_contract(argv):
     if code:
         assert out == ""
         assert re.fullmatch(r"error: [A-Z_]+: [^\n]*\n", err), err
+        assert err[:-1].isprintable(), err
     else:
         assert err == ""
         if "json" in argv:
@@ -120,6 +121,7 @@ def check_contract(argv):
 
 @settings(max_examples=60, deadline=None)
 @given(hostile_csv(), hostile_csv())
+@example(b'"1\n2",0\n0,1\n0,0', b"")  # a line break in a header name
 def test_hostile_files_keep_the_cli_contract(tmp_path_factory, first, second):
     folder = tmp_path_factory.mktemp("hostile")
     path_a, path_b = folder / "a.csv", folder / "b.csv"

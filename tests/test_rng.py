@@ -1,9 +1,9 @@
 """The seeded generator: reference vectors, determinism, variate shape."""
 
 import copy
-import copyreg
 import math
-from itertools import chain, islice
+import pickle
+from itertools import islice
 from math import fsum
 
 import pytest
@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from mcor import rng
 from mcor.errors import BadArguments
-from mcor.rng import GOLDEN_GAMMA, MASK64, SplitMix64, derive_seed, mix64
+from mcor.rng import (
+    GOLDEN_GAMMA,
+    MASK64,
+    SplitMix64,
+    derive_seed,
+    mix64,
+    polar_normals,
+    uniform_stream,
+)
 from oracles import ScalarSplitMix64, unmix64
 
 # 0, 1, the top bit alone, the largest seed (its first state wraps), and a
@@ -23,17 +31,6 @@ SIZES = (10, 20, 40, 80, 160, 320, 640, 1024)
 # Enough words to run through every smaller block and then three
 # largest-size blocks and into a fourth.
 SPAN = sum(SIZES[:-1]) + 3 * rng._MAX_BLOCK + 7
-
-
-@pytest.fixture
-def no_iterator_copying(monkeypatch):
-    """Make copy and pickle fail on the iterators a stream is built from,
-    as they will where itertools objects lose that support (Python 3.14)."""
-    def refuse(iterator):
-        raise TypeError(f"{type(iterator).__name__} must not be copied")
-
-    for example in (chain(), islice((), 0), iter(()), iter(int, 0), map(int, ())):
-        monkeypatch.setitem(copyreg.dispatch_table, type(example), refuse)
 
 
 class TestCoreGenerator:
@@ -61,20 +58,13 @@ class TestCoreGenerator:
         b = SplitMix64(987654321)
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
-    def test_a_copy_continues_the_stream_on_its_own(self, no_iterator_copying):
-        a = SplitMix64(77)
-        a.uniforms(15)  # part way into a block
-        b = copy.copy(a)
-        assert [a.next_u64() for _ in range(40)] == [b.next_u64() for _ in range(40)]
-
-    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
-    def test_a_copy_keeps_a_pending_spare_normal(self, copier, no_iterator_copying):
-        a = SplitMix64(78)
-        a.normal()  # the pair's second normal is now pending
-        b = copier(a)
-        c = copier(b)  # a copy of a copy, still inside its first block
-        draws = [[s.normal(), s.uniform(), *s.uniforms(50), s.normal()] for s in (a, b, c)]
-        assert draws[0] == draws[1] == draws[2]
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickle.dumps])
+    def test_a_stream_cannot_be_copied_or_pickled(self, copier):
+        # A shallow copy would share the stream's one iterator of words.
+        stream = SplitMix64(77)
+        stream.uniforms(15)  # part way into a block
+        with pytest.raises(TypeError, match="cannot be copied or pickled"):
+            copier(stream)
 
     def test_seed_is_masked_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
@@ -97,12 +87,12 @@ class TestUniforms:
         assert seed == 0x31628AF67B2131AB
         assert SplitMix64(seed).next_u64() == MASK64
         assert SplitMix64(seed).uniform() == 1.0
-        assert next(SplitMix64(seed).rest_as_uniforms()) == 1.0
-        # v1 = 2*1.0 - 1 = 1 makes s >= 1, so normal() rejects that pair
-        # and draws as a stream that skipped its two words would.
-        a, b = SplitMix64(seed), SplitMix64(seed)
-        b.uniforms(2)
-        assert [a.normal() for _ in range(2)] == [b.normal() for _ in range(2)]
+        assert next(uniform_stream(seed)) == 1.0
+        # v1 = 2*1.0 - 1 = 1 makes s >= 1, so polar_normals rejects that
+        # pair and yields what a stream that skipped its two words would.
+        normals = polar_normals(uniform_stream(seed))
+        skipped = polar_normals(islice(uniform_stream(seed), 2, None))
+        assert list(islice(normals, 2)) == list(islice(skipped, 2))
 
     def test_batch_matches_single_calls(self):
         a = SplitMix64(1234)
@@ -124,34 +114,33 @@ class TestUniforms:
 
 
 class TestNormals:
+    """polar_normals over a stream's uniforms, as generate draws them."""
+
     def test_deterministic(self):
-        a = SplitMix64(55)
-        b = SplitMix64(55)
-        assert [a.normal() for _ in range(100)] == [b.normal() for _ in range(100)]
+        a = polar_normals(uniform_stream(55))
+        b = polar_normals(uniform_stream(55))
+        assert list(islice(a, 100)) == list(islice(b, 100))
 
     def test_moments(self):
-        rng = SplitMix64(300)
-        draws = [rng.normal() for _ in range(50000)]
+        draws = list(islice(polar_normals(uniform_stream(300)), 50000))
         mean = fsum(draws) / len(draws)
         var = fsum((v - mean) ** 2 for v in draws) / (len(draws) - 1)
         assert abs(mean) < 0.02
         assert abs(math.sqrt(var) - 1.0) < 0.02
 
     def test_pair_caching_order(self):
-        # The two normals of one accepted polar pair consume the same
-        # uniforms: drawing them one by one equals drawing them in pairs.
-        a = SplitMix64(909)
-        singles = [a.normal() for _ in range(10)]
-        b = SplitMix64(909)
-        pairs = []
-        for _ in range(5):
-            pairs.extend((b.normal(), b.normal()))
-        assert singles == pairs
-
+        # The two normals of one accepted pair come from the same two
+        # uniforms, and the next pair is read only once both are taken:
+        # a uniform drawn after any normal is the oracle's, whose normal()
+        # keeps the pair's second value for the next call.
+        us, b = uniform_stream(909), ScalarSplitMix64(909)
+        normals = polar_normals(us)
+        for _ in range(1000):
+            assert next(normals) == b.normal()
+            assert next(us) == b.uniform()
 
     def test_polar_method_on_next_u64(self):
-        # normal() reads the word buffer itself; rebuild the polar method
-        # from next_u64().
+        # Rebuild the polar method from next_u64() of the same seed.
         def reference(rng):
             while True:
                 v1 = 2.0 * (((rng.next_u64() >> 11) + 0.5) * 2.0 ** -53) - 1.0
@@ -161,12 +150,12 @@ class TestNormals:
                     factor = math.sqrt(-2.0 * math.log(s) / s)
                     return v1 * factor, v2 * factor
 
-        a = SplitMix64(2718)
-        b = SplitMix64(2718)
+        us, b = uniform_stream(2718), SplitMix64(2718)
+        normals = polar_normals(us)
         for _ in range(2000):
-            assert (a.normal(), a.normal()) == reference(b)
+            assert (next(normals), next(normals)) == reference(b)
             # interleaved uniforms continue from the same state
-            assert a.uniform() == b.uniform()
+            assert next(us) == b.uniform()
 
 
 class TestAgainstScalarOracle:
@@ -194,26 +183,20 @@ class TestAgainstScalarOracle:
         # Block sizes are even, so lead = 1 puts the second word of some
         # polar attempts first in a new block. Each normal uses about 1.27
         # words on average.
-        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
-        assert a.uniforms(lead) == b.uniforms(lead)
+        us, b = uniform_stream(seed), ScalarSplitMix64(seed)
+        assert list(islice(us, lead)) == b.uniforms(lead)
         count = SPAN * 4 // 5
-        assert [a.normal() for _ in range(count)] == [b.normal() for _ in range(count)]
+        assert list(islice(polar_normals(us), count)) == [b.normal() for _ in range(count)]
 
     @pytest.mark.parametrize("lead", (0, 1, 9, 10, 31, 1270, 1271))
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_rest_as_uniforms(self, seed, lead):
-        # Read past the end of the first block after the lead; the stream's
-        # own draws then resume at the next block boundary.
-        a, b = SplitMix64(seed), ScalarSplitMix64(seed)
-        assert a.uniforms(lead) == b.uniforms(lead)
-        ends = [sum(SIZES[:k]) for k in range(1, len(SIZES) + 1)]
-        ends += [ends[-1] + k * rng._MAX_BLOCK for k in (1, 2, 3)]
-        end = next(e for e in ends if e > lead)
-        count = end - lead + 3
-        assert list(islice(a.rest_as_uniforms(), count)) == b.uniforms(count)
-        following = next(e for e in ends if e >= lead + count)
-        b.uniforms(following - lead - count)
-        assert a.next_u64() == b.next_u64()
+        # uniform_stream read in two parts, the first ``lead`` uniforms and
+        # then the rest of SPAN, through every block boundary; some leads
+        # stop on a boundary or one word either side of it.
+        us, b = uniform_stream(seed), ScalarSplitMix64(seed)
+        assert list(islice(us, lead)) == b.uniforms(lead)
+        assert list(islice(us, SPAN - lead)) == b.uniforms(SPAN - lead)
 
     def test_the_zero_word(self):
         stream = SplitMix64((-5 * GOLDEN_GAMMA) % 2**64)
@@ -224,7 +207,7 @@ class TestAgainstScalarOracle:
         seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, MASK64)),
         calls=st.lists(
             st.one_of(
-                st.sampled_from(["next_u64", "uniform", "normal"]),
+                st.sampled_from(["next_u64", "uniform"]),
                 st.integers(0, 3 * rng._MAX_BLOCK),
             ),
             max_size=25,

@@ -133,7 +133,7 @@ class TestGenerate:
     def test_more_observations_than_draws_can_index(self, scenario, monkeypatch):
         # Three columns take 3 * n_obs words, which must be a valid size. It is
         # rejected before a stream exists: some recipes would draw until memory ran out.
-        monkeypatch.setattr(mcor_simulate, "SplitMix64", None)
+        monkeypatch.setattr(mcor_simulate, "uniform_stream", None)
         with pytest.raises(BadArguments, match=rf"n_obs must be <= {sys.maxsize // 3}, got"):
             generate(scenario, sys.maxsize // 3 + 1, 0)
 
