@@ -29,7 +29,7 @@ from .errors import (
     TooFewRows,
 )
 from .linalg import SymmetricMatrix, make_symmetric
-from .multiway import MATRIX_ENTRY_TOL
+from .multiway import MATRIX_ENTRY_TOL, _entry_excesses
 
 
 def bundled_fixture(name: str) -> Path:
@@ -128,8 +128,9 @@ def read_csv_data(
     """Load a header-plus-rows CSV into a DataMatrix.
 
     With ``columns`` unset, every column holding at least one numeric cell
-    is selected. ``drop_na=True`` removes rows with a missing or
-    unparseable cell in any selected column (listwise deletion);
+    is selected (every column of a file with no rows); a ``columns`` name
+    the header holds twice is an error. ``drop_na=True`` removes rows with a
+    missing or unparseable cell in any selected column (listwise deletion);
     ``drop_na=False`` makes such a cell a hard error naming its row and
     column, numbered by the module's row rule.
 
@@ -185,13 +186,18 @@ def _parse_selected_columns(
         if repeated:
             raise BadArguments(
                 f"column(s) selected more than once: {', '.join(sorted(repeated))}")
+        ambiguous = {name for name in columns if header.count(name) > 1}
+        if ambiguous:
+            raise BadArguments(f"column(s) named more than once in the header: "
+                               f"{', '.join(sorted(ambiguous))}")
         selected = [header.index(name) for name in columns]
         parsed = {j: _parse_column(by_column[j]) for j in selected}
     else:
+        # Every cell bad drops a column, unless it has no cells: no rows.
         parsed = {
             j: column
             for j, column in enumerate(map(_parse_column, by_column))
-            if len(column[1]) < len(body)
+            if len(column[1]) < len(body) or not body
         }
         selected = list(parsed)
     if not selected:
@@ -244,19 +250,25 @@ def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
 
 
 class CheckedMatrix(NamedTuple):
-    """A square matrix CSV with its two triangles averaged, how far the file
-    itself was from symmetric with a unit diagonal, how far the averaged
-    off-diagonal entries reach past [-1, 1], and the three verdicts on it,
-    ``symmetric``, ``unit_diagonal`` and ``off_diagonal_in_range``: each
-    distance is within 1e-9."""
+    """A square matrix CSV with its two triangles averaged and how far the
+    file itself was from symmetric. ``max_diagonal_deviation`` and
+    ``max_off_diagonal_excess`` read ``multiway``'s measure of the entries,
+    0 when none is past its bound; the verdicts ``symmetric``,
+    ``unit_diagonal`` and ``off_diagonal_in_range`` each hold within 1e-9."""
 
     matrix: SymmetricMatrix  # mirrored entries averaged
     max_asymmetry: float
-    max_diagonal_deviation: float
     # (i, j, entry (i, j), entry (j, i)) of the first pair, i < j in
     # row-major order, whose gap is max_asymmetry; indices are 0-based.
     worst_pair: tuple[int, int, float, float]
-    max_off_diagonal_excess: float  # max(0, |averaged entry| - 1) over i != j
+
+    @property
+    def max_diagonal_deviation(self) -> float:
+        return max((e for i, j, e in _entry_excesses(self.matrix) if i == j), default=0.0)
+
+    @property
+    def max_off_diagonal_excess(self) -> float:
+        return max((e for i, j, e in _entry_excesses(self.matrix) if i != j), default=0.0)
 
     @property
     def symmetric(self) -> bool:
@@ -284,15 +296,13 @@ class CheckedMatrix(NamedTuple):
 
 def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMatrix:
     """Load a square matrix CSV without judging it: the averaged entries
-    plus the asymmetry, diagonal deviation and off-diagonal excess the file
-    had."""
+    and the asymmetry the file had, with its worst pair."""
     grid = _numeric_grid(path, cells)
     d = len(grid)
     # Pairs i < j in row-major order. Halved gaps are ranked: two full gaps
     # past the float maximum would both be inf and the first would win.
     worst = 0.0
     worst_at = (0, 0)
-    largest = 1.0  # largest averaged off-diagonal magnitude, at least 1
     lower = [[] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -302,17 +312,13 @@ def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMa
                 worst_at = (i, j)
             # Halved first: a + b may overflow. Same bits as 0.5 * (a + b)
             # whenever that is finite and neither half is subnormal.
-            entry = 0.5 * grid[j][i] + 0.5 * grid[i][j]
-            largest = max(largest, abs(entry))
-            lower[j].append(entry)
+            lower[j].append(0.5 * grid[j][i] + 0.5 * grid[i][j])
         lower[i].append(grid[i][i])
     i, j = worst_at
     return CheckedMatrix(
         matrix=make_symmetric(d, list(chain.from_iterable(lower))),
         max_asymmetry=abs(grid[i][j] - grid[j][i]),
-        max_diagonal_deviation=max(abs(grid[k][k] - 1.0) for k in range(d)),
         worst_pair=(i, j, grid[i][j], grid[j][i]),
-        max_off_diagonal_excess=largest - 1.0,
     )
 
 

@@ -180,6 +180,17 @@ def mcor(data: DataMatrix) -> McorReport:
     return _report(eigenvalues_symmetric(correlation_matrix(data)), (), CLAMP_EPS)
 
 
+def _entry_excesses(matrix: SymmetricMatrix) -> list[tuple[int, int, float]]:
+    """(i, j, excess), 0-based, of every entry past its correlation-matrix
+    bound: the diagonal first, by |r_ii - 1|, then the upper triangle row by
+    row, by |r_ij| - 1. The one measure of a correlation matrix's entries."""
+    rows = matrix.rows
+    diagonal = [(i, i, abs(row[i] - 1.0)) for i, row in enumerate(rows)]
+    upper = [(i, j, abs(r) - 1.0) for i, row in enumerate(rows)
+             for j, r in enumerate(row[i + 1:], i + 1) if abs(r) > 1.0]
+    return [entry for entry in diagonal if entry[2] > 0.0] + upper
+
+
 def mcor_from_matrix(matrix: SymmetricMatrix) -> McorReport:
     """Coefficient of a precomputed correlation matrix.
 
@@ -192,25 +203,12 @@ def mcor_from_matrix(matrix: SymmetricMatrix) -> McorReport:
     if d < 2:
         raise DimensionTooSmall(f"need at least a 2x2 matrix, got {d}x{d}")
     warnings = []
-    for i in range(d):
-        dev = abs(matrix.rows[i][i] - 1.0)
-        if dev > MATRIX_ENTRY_TOL:
+    for i, j, excess in _entry_excesses(matrix):
+        at, entry = f"({i + 1},{j + 1})", matrix.rows[i][j]
+        if excess > MATRIX_ENTRY_TOL:
             raise NotACorrelationMatrix(
-                f"diagonal entry ({i + 1},{i + 1}) = {matrix.rows[i][i]!r}, expected 1"
-            )
-        if dev > 0.0:
-            warnings.append(f"diagonal entry ({i + 1},{i + 1}) off unit by {dev:.3e}")
-    for i in range(d):
-        for j in range(i + 1, d):
-            over = abs(matrix.rows[i][j]) - 1.0
-            if over > MATRIX_ENTRY_TOL:
-                raise NotACorrelationMatrix(
-                    f"off-diagonal entry ({i + 1},{j + 1}) = {matrix.rows[i][j]!r} "
-                    "is outside [-1, 1]"
-                )
-            if over > 0.0:
-                warnings.append(
-                    f"off-diagonal entry ({i + 1},{j + 1}) exceeds unit magnitude "
-                    f"by {over:.3e}"
-                )
+                f"diagonal entry {at} = {entry!r}, expected 1" if i == j
+                else f"off-diagonal entry {at} = {entry!r} is outside [-1, 1]")
+        warnings.append(f"diagonal entry {at} off unit by {excess:.3e}" if i == j
+                        else f"off-diagonal entry {at} exceeds unit magnitude by {excess:.3e}")
     return _report(eigenvalues_symmetric(matrix), warnings, MATRIX_CLAMP_EPS)

@@ -5,27 +5,27 @@ increment GOLDEN_GAMMA = 0x9E3779B97F4A7C15 and each output word is the
 new state passed through two xor-shift-multiply rounds (multipliers
 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB, shifts 30/27/31). Everything
 is modulo 2**64, so a seed pins the sequence bit for bit on any platform.
-``mix64`` is that finalizer for one word.
 
 One generator, ``_blocks``, mixes a stream's words a block at a time
-rather than one by one; ``SplitMix64`` reads them as words and
-``uniform_stream`` as uniforms. The states seed + k*GOLDEN_GAMMA
-(k = 1..size) of a block sit in consecutive 128-bit lanes of one Python
-int, lane k - 1 holding state k, and each xor-shift and multiply runs
-once on the whole int. Lanes stay independent because every lane is
-masked back to its low 64 bits before each multiply: a 64-bit lane times
-a 64-bit multiplier is below 2**128, so no product carries into the next
-lane, and the mask also clears the bits a right shift pulls down from
-the lane above (after the last shift those bits stay in the high half,
-which is never read). The block is written out with ``int.to_bytes`` in
-little-endian order and read back by a ``struct`` format that takes each
-lane's low 8 bytes as a little-endian unsigned 64-bit word and skips the
-high 8. Both steps name the byte order rather than use the machine's, so
-the words are the same on every platform; the result is the same
-sequence as mixing one word at a time. A stream's first block holds 10
-words and each next block doubles, up to 1024 words, so a short stream,
-such as one small Monte Carlo replicate, pays for little it does not
-use. Block sizes change only speed, never the words.
+rather than one by one; ``SplitMix64`` reads them as words,
+``uniform_stream`` as uniforms and ``derive_seed`` takes the first word
+of a stream. The states seed + k*GOLDEN_GAMMA (k = 1..size) of a block
+sit in consecutive 128-bit lanes of one Python int, lane k - 1 holding
+state k, and each xor-shift and multiply runs once on the whole int.
+Lanes stay independent because every lane is masked back to its low 64
+bits before each multiply: a 64-bit lane times a 64-bit multiplier is
+below 2**128, so no product carries into the next lane, and the mask
+also clears the bits a right shift pulls down from the lane above (after
+the last shift those bits stay in the high half, which is never read).
+The block is written out with ``int.to_bytes`` in little-endian order
+and read back by a ``struct`` format that takes each lane's low 8 bytes
+as a little-endian unsigned 64-bit word and skips the high 8. Both steps
+name the byte order rather than use the machine's, so the words are the
+same on every platform; the result is the same sequence as mixing one
+word at a time. A stream's first block holds 10 words and each next
+block doubles, up to 1024 words, so a short stream, such as one small
+Monte Carlo replicate, pays for little it does not use. Block sizes
+change only speed, never the words.
 
 Uniform doubles lie in (0, 1]: the top 53 bits of an output word form an
 integer k in [0, 2**53) and the double is (k + 0.5) * 2**-53. The sum
@@ -80,24 +80,17 @@ def _block(size: int) -> tuple:
     )
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 output finalizer (two xor-shift-multiply rounds)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MULT1) & MASK64
-    z = ((z ^ (z >> 27)) * _MULT2) & MASK64
-    return z ^ (z >> 31)
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Seed for substream ``index``: the (index+1)-th raw output of a
-    SplitMix64 stream started at ``master_seed``.
+    SplitMix64 stream started at ``master_seed``, which is the first word
+    of the stream started ``index`` states further on.
 
     Serial and parallel replicate evaluation therefore see identical
     seeds.
     """
     if index < 0:
         raise BadArguments(f"stream index must be >= 0, got {index}")
-    return mix64((master_seed + (index + 1) * GOLDEN_GAMMA) & MASK64)
+    return next(_blocks(master_seed + index * GOLDEN_GAMMA, 0))[0]
 
 
 def _uniforms(tops) -> list[float]:
@@ -121,9 +114,10 @@ def polar_normals(uniforms: Iterator[float]) -> Iterator[float]:
 
 
 def _blocks(seed: int, shift: int) -> Iterator[tuple[int, ...]]:
-    """The stream's words a block at a time: mix64 of seed + k*GOLDEN_GAMMA
-    for k = 1, 2, ..., in 128-bit lanes of one int as the module docstring
-    describes, each word shifted right by ``shift`` <= 33 bits."""
+    """The stream's words a block at a time: the states seed + k*GOLDEN_GAMMA
+    for k = 1, 2, ..., each through the output finalizer, in 128-bit lanes
+    of one int as the module docstring describes, each word shifted right
+    by ``shift`` <= 33 bits."""
     state, size = seed & MASK64, 10
     while True:
         step, ones, gamma_ramp, low, nbytes, unpack = _block(size)

@@ -178,13 +178,26 @@ class TestComputeCommand:
         code, out, err = run_cli(capsys, "compute", path, "--columns", columns)
         assert (code, out, err) == (1, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize("columns", ["a,b", "b,a"])
+    def test_column_named_twice_in_the_header(self, tmp_path, capsys, columns):
+        path = write(tmp_path, "d.csv", "a,a,b\n1,2,3\n2,3,5\n4,4,1\n")
+        assert run_cli(capsys, "compute", path, "--columns", columns) == (
+            1, "", "error: BAD_ARGUMENTS: column(s) named more than once in the header: a\n")
+        # Without --columns every numeric column is used, duplicates included.
+        code, out, err = run_cli(capsys, "compute", path, "--output", "json")
+        assert (code, err, json.loads(out)["result"]["d"]) == (0, "", 3)
+
     @pytest.mark.parametrize("text, options, n", [
         ("a,b\n1,2\n", [], 1),
         ("a,b\n1,2\n", ["--drop-na"], 1),
         ("a,b\n", ["--columns", "a,b"], 0),
+        ("a,b\n", [], 0),
+        ("a,b\n", ["--drop-na"], 0),
+        ("a,b\n", ["--drop-na", "--columns", "a"], 0),
     ])
     def test_too_few_rows_without_deletion(self, tmp_path, capsys, text, options, n):
-        # "after deletion" is reserved for files whose rows --drop-na removed.
+        # "after deletion" is reserved for files whose rows --drop-na removed;
+        # a header with no rows is short of rows however columns are chosen.
         path = write(tmp_path, "d.csv", text)
         assert run_cli(capsys, "compute", path, *options) == (
             1, "", f"error: TOO_FEW_ROWS: need at least 2 observations, got {n}\n")
@@ -285,6 +298,17 @@ class TestMatrixCommand:
 
 
 class TestCompareCommand:
+    @pytest.mark.parametrize("options", [[], ["--columns", "a,b"], ["--drop-na"]])
+    def test_header_without_rows(self, tmp_path, capsys, options):
+        path = write(tmp_path, "d.csv", "a,b\n")
+        assert run_cli(capsys, "compare", path, AREA1, *options) == (
+            1, "", "error: TOO_FEW_ROWS: need at least 2 observations, got 0\n")
+
+    def test_column_named_twice_in_the_header(self, tmp_path, capsys):
+        path = write(tmp_path, "d.csv", "a,a,b\n1,2,3\n2,3,5\n4,4,1\n")
+        assert run_cli(capsys, "compare", path, path, "--columns", "a,b") == (
+            1, "", "error: BAD_ARGUMENTS: column(s) named more than once in the header: a\n")
+
     def test_fixture_verdict(self, capsys):
         code, out, err = run_cli(capsys, "compare", AREA1, AREA2, "--output", "json")
         assert code == 0 and err == ""

@@ -73,9 +73,23 @@ class TestReadCsvData:
             read_csv_data(path, columns=("a", "a", "zz"))
 
     def test_repeated_header_names_stay_legal(self, tmp_path):
-        path = write(tmp_path, "d.csv", "a,a,b\n1,2,3\n3,4,0\n")
-        assert read_csv_data(path).var_names == ("a", "a", "b")
-        assert read_csv_data(path, columns=("a", "b")).values == ((1.0, 3.0), (3.0, 0.0))
+        # Unless --columns names one: which of its columns is meant is unknown.
+        path = write(tmp_path, "d.csv", "a,a,b,c,c\n1,2,3,4,5\n3,4,0,1,1\n")
+        assert read_csv_data(path).var_names == ("a", "a", "b", "c", "c")
+        assert read_csv_data(path, columns=("b",)).values == ((3.0,), (0.0,))
+        with pytest.raises(BadArguments) as info:
+            read_csv_data(path, columns=("c", "b", "a"))
+        assert str(info.value) == "column(s) named more than once in the header: a, c"
+        # A name selected twice is reported before a name the header holds twice.
+        with pytest.raises(BadArguments, match="selected more than once: a$"):
+            read_csv_data(path, columns=("a", "a"))
+
+    @pytest.mark.parametrize("drop_na", [False, True])
+    @pytest.mark.parametrize("columns", [None, ("a", "b"), ("b",)])
+    def test_header_without_rows(self, tmp_path, columns, drop_na):
+        path = write(tmp_path, "d.csv", "a,b\n")
+        with pytest.raises(TooFewRows, match="^need at least 2 observations, got 0$"):
+            read_csv_data(path, columns=columns, drop_na=drop_na)
 
     def test_na_dropped_listwise(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n NA ,3\n4,\n5,6\n")
@@ -393,14 +407,16 @@ class TestReadMatrix:
         with pytest.raises(NotSymmetric, match=r"differ by 1\.000e-09"):
             checked.symmetric_matrix()
 
-    def test_unit_diagonal_verdict_at_the_tolerance(self, tmp_path):
+    def test_unit_diagonal_verdict_at_the_tolerance(self, tmp_path, monkeypatch):
         # |x - 1| is exact for x near 1, a multiple of 2**-53, so no file's
-        # diagonal lands on 1e-9: the deviation is set on the record instead.
+        # diagonal lands on 1e-9: the measure the record reads returns it.
         checked = read_checked_matrix(write(tmp_path, "m.csv", "1,0\n0,1\n"))
         assert checked.unit_diagonal is True
-        at = checked._replace(max_diagonal_deviation=1e-9)
-        past = checked._replace(max_diagonal_deviation=math.nextafter(1e-9, 1.0))
-        assert (at.unit_diagonal, past.unit_diagonal) == (True, False)
+        for deviation, verdict in ((1e-9, True), (math.nextafter(1e-9, 1.0), False)):
+            monkeypatch.setattr(mcor_io, "_entry_excesses", lambda _, e=deviation: [(0, 0, e)])
+            assert checked.max_diagonal_deviation == deviation
+            assert checked.unit_diagonal is verdict
+        monkeypatch.undo()
         # The nearest diagonals a file can hold fall either side of it.
         below, above = 1.0 + 4503599 * 2.0**-52, 1.0 + 4503600 * 2.0**-52
         for x, verdict in ((below, True), (above, False), (2.0 - below, True)):

@@ -119,8 +119,28 @@ def compares_name(name: str):
 def test_matrix_entry_tolerance_is_compared_in_two_homes():
     assert package_sites(compares_name("MATRIX_ENTRY_TOL")) == [
         "io.CheckedMatrix.symmetric", "io.CheckedMatrix.unit_diagonal",
-        "io.CheckedMatrix.off_diagonal_in_range",
-        "multiway.mcor_from_matrix", "multiway.mcor_from_matrix"]
+        "io.CheckedMatrix.off_diagonal_in_range", "multiway.mcor_from_matrix"]
+
+
+# Only multiway measures a correlation matrix's entries against their bounds;
+# matrix and the CheckedMatrix record read the one measure.
+def test_matrix_entries_are_measured_once():
+    assert package_sites(calls_bare("_entry_excesses")) == [
+        "io.CheckedMatrix.max_diagonal_deviation", "io.CheckedMatrix.max_off_diagonal_excess",
+        "multiway.mcor_from_matrix"]
+
+
+def loads_name(name: str):
+    """Matches a read of the bare name ``name``."""
+    def matches(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+    return matches
+
+
+# The SplitMix64 finalizer is written once, in the block generator every draw reads.
+@pytest.mark.parametrize("name", ["_MULT1", "_MULT2"])
+def test_splitmix_multipliers_are_read_once(name):
+    assert package_sites(loads_name(name)) == ["rng._blocks"]
 
 
 # Handlers return their record; one function writes stdout and main writes stderr.
@@ -189,3 +209,5 @@ def test_rule_sites_are_caught():
     assert rule_sites("T = 1\nif x <= T:\n    pass\ndef f(y):\n    return T * y, y > T, y < m.T\n"
                       "class C:\n    @property\n    def g(self):\n        return 0 < self.v <= T\n",
                       "m", compares_name("T")) == ["m", "m.f", "m.C.g"]
+    assert rule_sites("M = 3\ndef f(x):\n    M = x\n    return x * M\nclass C:\n    k = M\n",
+                      "m", loads_name("M")) == ["m.f", "m.C"]

@@ -27,8 +27,7 @@ RECORDS = [
     ("SymmetricMatrix", ("dim", "rows"), lambda _: make_symmetric(2, [1.0, 0.5, 1.0])),
     ("EigenSpectrum", ("values", "sweeps_used", "off_diag_residual"),
      lambda _: EigenSpectrum(values=(1.5, 0.5), sweeps_used=1, off_diag_residual=0.0)),
-    ("CheckedMatrix", ("matrix", "max_asymmetry", "max_diagonal_deviation", "worst_pair",
-                       "max_off_diagonal_excess"),
+    ("CheckedMatrix", ("matrix", "max_asymmetry", "worst_pair"),
      checked_matrix),
     ("McorReport", ("d", "mcor", "eigenvalues", "sphericity", "rescaled_sphericity",
                     "min_eigenvalue", "warnings"),
