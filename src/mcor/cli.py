@@ -116,8 +116,6 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _round12(value):
     """12-significant-digit floats, recursively; shortest repr on output."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, (list, tuple)):

@@ -22,8 +22,8 @@ from .errors import (
     TooFewValues,
     ZeroVariance,
 )
-from .linalg import (CLAMP_EPS, SymmetricMatrix, _all_finite, _clamp, _scaled, _unscale,
-                     make_symmetric)
+from .linalg import (CLAMP_EPS, SymmetricMatrix, _all_finite, _clamp, _first_non_finite, _scaled,
+                     _unscale, make_symmetric)
 
 
 class DataMatrix(NamedTuple):
@@ -49,12 +49,7 @@ class DataMatrix(NamedTuple):
         _shape(columns)
         if not all(map(_all_finite, columns)):
             # Name the first offender in row-major order, as a reader of rows would.
-            i, j = min(
-                (i, j)
-                for j, col in enumerate(columns)
-                for i, v in enumerate(col)
-                if not _all_finite((v,))
-            )
+            i, j = _first_non_finite(zip(*columns))
             raise NonFiniteEntry(f"row {i + 1}, column {j + 1} is not finite")
         if var_names is None:
             var_names = [f"v{j + 1}" for j in range(len(columns))]

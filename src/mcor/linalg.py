@@ -9,7 +9,7 @@ and are not accumulated.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import fsum
 from operator import itemgetter, mul
@@ -57,12 +57,9 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
             f"lower triangle of a {dim}x{dim} matrix needs {expected} entries, "
             f"got {len(lower_triangle)}"
         )
-    if not _all_finite(lower_triangle):
-        i, j = next((i, j) for i in range(dim) for j in range(i + 1)
-                    if not _all_finite((lower_triangle[i * (i + 1) // 2 + j],)))
-        raise NonFiniteEntry(f"matrix entry at row {i + 1}, column {j + 1} is not finite")
-    rows = [list(map(float, lower_triangle[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]))
-            for i in range(dim)]
+    rows = [lower_triangle[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(dim)]
+    _check_entries(rows)
+    rows = [list(map(float, row)) for row in rows]
     for i, row in enumerate(rows):
         row.extend(map(itemgetter(i), rows[i + 1:]))
     return SymmetricMatrix(dim=dim, rows=tuple(map(tuple, rows)))
@@ -83,6 +80,19 @@ def _all_finite(values: Sequence[float]) -> bool:
         return False
 
 
+def _first_non_finite(rows: Iterable[Sequence[float]]) -> tuple[int, int]:
+    """0-based (row, column) of the first entry, row by row, that ``_all_finite`` rejects."""
+    return next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                if not _all_finite((v,)))
+
+
+def _check_entries(rows: Sequence[Sequence[float]]) -> None:
+    """NonFiniteEntry naming the first non-finite entry of a matrix's ``rows``."""
+    if not all(map(_all_finite, rows)):
+        i, j = _first_non_finite(rows)
+        raise NonFiniteEntry(f"matrix entry at row {i + 1}, column {j + 1} is not finite")
+
+
 def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
     """``values`` times 2**-shift, exact but for bits below 2**-1074, and the
     shift that brings the largest |value| into [0.5, 1), where no sum or
@@ -92,21 +102,14 @@ def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
 
 
 def _sum(values: Sequence[float], what: str) -> float:
-    """Exactly rounded sum of finite ``values``. Only when fsum's partial
-    sums overflow is the sum taken in integer multiples of 2**-1074, of
-    which every finite double is a whole number, and rounded once by the
-    correctly rounded int division; a sum past the float range raises
-    NonFiniteEntry."""
+    """Exactly rounded sum of finite ``values``: fsum's, or, when its partial sums
+    overflow, the exact ``Fraction`` sum rounded once; NonFiniteEntry past the float range."""
     try:
         return fsum(values)
     except OverflowError:
-        unit = 1 << 1074  # 1 / unit is the smallest subnormal double
-        total = 0
-        for v in values:
-            num, den = v.as_integer_ratio()
-            total += num * (unit // den)
+        from fractions import Fraction  # costs ms to import; no other sum needs it
         try:
-            return total / unit
+            return float(sum(map(Fraction, values)))
         except OverflowError:
             raise NonFiniteEntry(f"{what} exceeds the float range") from None
 
@@ -228,10 +231,13 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> EigenSpectrum:
     took (0 for a diagonal matrix), ``off_diag_residual`` is
     sqrt(2 * sum(e**2)) over the final sub-diagonal e. The solve runs on a
     copy scaled by the power of two that brings the largest |entry| into
-    [0.5, 1); the scaling is exact and is undone on the results, and an
-    eigenvalue beyond the float range raises NonFiniteEntry.
+    [0.5, 1); the scaling is exact and is undone on the results. A
+    non-finite entry of the lower triangle, named before any iteration,
+    and an eigenvalue beyond the float range raise NonFiniteEntry.
     """
-    flat, shift = _scaled([v for i, row in enumerate(m.rows) for v in row[: i + 1]])
+    lower = [row[: i + 1] for i, row in enumerate(m.rows)]
+    _check_entries(lower)
+    flat, shift = _scaled(list(chain.from_iterable(lower)))
     a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(m.dim)]
     diag, sub = _tridiagonal(a)
     sweeps = _ql(diag, sub)

@@ -157,7 +157,7 @@ class SplitMix64:
 
     def uniform(self) -> float:
         """One double in (0, 1] from the next word (see module docstring)."""
-        return ((next(self._words) >> 11) + 0.5) * _U53_SCALE
+        return self.uniforms(1)[0]
 
     def uniforms(self, count: int) -> list[float]:
         """``count`` uniforms; same stream as repeated uniform() calls."""

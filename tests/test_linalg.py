@@ -190,6 +190,18 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(NonFiniteEntry, match="eigenvalue"):
             eigenvalues_symmetric(m)
 
+    @pytest.mark.parametrize("rows, where", [
+        (((math.nan, 0.5), (0.5, 1.0)), "row 1, column 1"),
+        (((1.0, math.nan), (math.nan, 1.0)), "row 2, column 1"),
+        (((1.0, 0.2, 0.1), (0.2, 1.0, math.inf), (0.1, math.inf, 1.0)), "row 3, column 2"),
+    ])
+    def test_non_finite_entry_is_named_before_any_iteration(self, rows, where, monkeypatch):
+        # A SymmetricMatrix built directly skips make_symmetric's checks.
+        monkeypatch.setattr(linalg, "_ql", None)
+        with pytest.raises(NonFiniteEntry) as caught:
+            eigenvalues_symmetric(linalg.SymmetricMatrix(len(rows), rows))
+        assert str(caught.value) == f"matrix entry at {where} is not finite"
+
     def test_result_type(self):
         spectrum = eigenvalues_symmetric(make_symmetric(2, [2.0, 0.3, 1.0]))
         assert isinstance(spectrum, EigenSpectrum)

@@ -143,6 +143,26 @@ def test_splitmix_multipliers_are_read_once(name):
     assert package_sites(loads_name(name)) == ["rng._blocks"]
 
 
+# The uniform formula (k + 0.5) * 2**-53 is written once, in the function
+# every uniform draw reads.
+def test_uniform_scale_is_read_once():
+    assert package_sites(loads_name("_U53_SCALE")) == ["rng._uniforms"]
+
+
+def calls_on_one_element_tuple(name: str):
+    """Matches a call of the bare name ``name`` on a one-element tuple."""
+    def matches(node) -> bool:
+        return (calls_bare(name)(node) and len(node.args) == 1
+                and isinstance(node.args[0], ast.Tuple) and len(node.args[0].elts) == 1)
+    return matches
+
+
+# One function locates the first non-finite entry of a matrix or data set.
+def test_non_finite_entries_are_located_once():
+    assert package_sites(calls_on_one_element_tuple("_all_finite")) == [
+        "linalg._first_non_finite"]
+
+
 # Handlers return their record; one function writes stdout and main writes stderr.
 def test_printing_is_written_in_cli_emit_and_main():
     assert set(package_sites(calls_bare("print"))) == {"cli._emit", "cli.main"}
@@ -209,5 +229,8 @@ def test_rule_sites_are_caught():
     assert rule_sites("T = 1\nif x <= T:\n    pass\ndef f(y):\n    return T * y, y > T, y < m.T\n"
                       "class C:\n    @property\n    def g(self):\n        return 0 < self.v <= T\n",
                       "m", compares_name("T")) == ["m", "m.f", "m.C.g"]
+    assert rule_sites("f((v,))\ndef g(v):\n    return f(v), f((v, v)), f([v]), h((v,))\n"
+                      "def k(v):\n    return x.f((v,)) or f((v,))\n",
+                      "m", calls_on_one_element_tuple("f")) == ["m", "m.k"]
     assert rule_sites("M = 3\ndef f(x):\n    M = x\n    return x * M\nclass C:\n    k = M\n",
                       "m", loads_name("M")) == ["m.f", "m.C"]

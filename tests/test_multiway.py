@@ -34,7 +34,7 @@ from mcor.errors import (
 from mcor.io import bundled_fixture, read_matrix
 import mcor.corestats as mcor_corestats
 import mcor.multiway as mcor_multiway
-from mcor.linalg import EigenSpectrum
+from mcor.linalg import EigenSpectrum, SymmetricMatrix
 from mcor.multiway import MATRIX_ENTRY_TOL, TRACE_RTOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
 from oracles import oracle_mcor, rms_mcor
 from support import block_with_identity, rand_correlation, rand_data
@@ -274,6 +274,25 @@ class TestMcorFromMatrix:
         m = make_symmetric(2, [1.0, 1.2, 1.0])
         with pytest.raises(NotACorrelationMatrix, match="outside"):
             mcor_from_matrix(m)
+
+    @pytest.mark.parametrize("rows, where", [
+        (((math.nan, 0.5), (0.5, 1.0)), "row 1, column 1"),
+        (((1.0, math.nan), (math.nan, 1.0)), "row 2, column 1"),
+    ], ids=["diagonal", "off-diagonal"])
+    def test_nan_entry_is_named(self, rows, where):
+        # Every comparison with NaN is false, so the entry bounds let it
+        # through; the solver names it instead of iterating on it.
+        with pytest.raises(NonFiniteEntry, match=f"^matrix entry at {where} is not finite$"):
+            mcor_from_matrix(SymmetricMatrix(2, rows))
+
+    @pytest.mark.parametrize("rows, message", [
+        (((math.inf, 0.5), (0.5, 1.0)), r"diagonal entry \(1,1\) = inf, expected 1"),
+        (((1.0, math.inf), (math.inf, 1.0)), r"off-diagonal entry \(1,2\) = inf is outside"),
+    ], ids=["diagonal", "off-diagonal"])
+    def test_inf_entry_is_out_of_bounds(self, rows, message):
+        # The entry bounds are checked before the solver sees the entry.
+        with pytest.raises(NotACorrelationMatrix, match=message):
+            mcor_from_matrix(SymmetricMatrix(2, rows))
 
     def test_small_deviation_warns_instead(self):
         m = make_symmetric(2, [1.0 + 5e-10, 0.3, 1.0])

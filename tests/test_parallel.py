@@ -47,6 +47,11 @@ def return_what_marshal_cannot_write(monkeypatch):
     return lambda i: object()
 
 
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert mcor_parallel._usable_cpus() == (os.cpu_count() or 1)
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     def force(count):
