@@ -140,8 +140,8 @@ def _centered(xs: Sequence[float]) -> tuple[list[float], float, int]:
 def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     """d x d sample correlation matrix with an exactly-unit diagonal.
 
-    One triangle is computed and mirrored; raises ZeroVariance naming the
-    first constant column found.
+    Only the lower triangle is computed, and kept; raises ZeroVariance
+    naming the first constant column found.
     """
     d = data.n_vars
     for col, name in zip(data.columns, data.var_names):
@@ -167,7 +167,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation of two equal-length series: entry (2, 1) of the
     correlation matrix of columns ``x`` and ``y``, with its checks, errors
     and CLAMP_EPS clamp onto [-1, 1]."""
-    return correlation_matrix(DataMatrix.from_columns((x, y), ("x", "y"))).rows[1][0]
+    return correlation_matrix(DataMatrix.from_columns((x, y), ("x", "y"))).lower[1][0]
 
 
 def sample_sd(xs: Sequence[float]) -> float:

@@ -1,9 +1,9 @@
 """Dense symmetric matrices and their eigenvalues.
 
-Matrices are built from one triangle and mirrored, so symmetry holds
-exactly by construction. Eigenvalues come from Householder reduction to
-tridiagonal form followed by implicit QL; eigenvectors are never needed
-and are not accumulated.
+A matrix is held as its lower triangle, the half the solver reads, so
+it is symmetric by construction. Eigenvalues come from Householder
+reduction to tridiagonal form followed by implicit QL; eigenvectors are
+never needed and are not accumulated.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ MAX_SWEEPS = 100  # QL iterations allowed for any one eigenvalue
 # Results may poke past their bounds by roundoff only; larger overshoot means a
 # solver bug and must not be masked by clamping.
 CLAMP_EPS = 1e-12
+_TRIANGLE_SIZE = "lower triangle of a {0}x{0} matrix needs {1} entries, got {2}"
 
 
 class SymmetricMatrix(NamedTuple):
-    """d x d real matrix with ``rows[i][j] == rows[j][i]`` exactly."""
+    """d x d symmetric matrix as its lower triangle: entry (i, j), j <= i, is ``lower[i][j]``."""
 
     dim: int
-    rows: tuple[tuple[float, ...], ...]
+    lower: tuple[tuple[float, ...], ...]
 
     def trace(self) -> float:
-        return _sum([self.rows[i][i] for i in range(self.dim)], "trace")
+        return _sum([row[i] for i, row in enumerate(self.lower)], "trace")
 
 
 class EigenSpectrum(NamedTuple):
@@ -47,28 +48,23 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
 
     ``lower_triangle`` lists the entries (0,0), (1,0), (1,1), (2,0),
     (2,1), (2,2), ... and must contain exactly dim*(dim+1)/2 finite
-    values. The upper triangle is mirrored from the lower one.
+    values, kept as floats in rows of 1 ... dim entries.
     """
     if dim < 1:
         raise BadArguments(f"dim must be >= 1, got {dim}")
-    expected = dim * (dim + 1) // 2
-    if len(lower_triangle) != expected:
-        raise LengthMismatch(
-            f"lower triangle of a {dim}x{dim} matrix needs {expected} entries, "
-            f"got {len(lower_triangle)}"
-        )
+    if len(lower_triangle) != dim * (dim + 1) // 2:
+        raise LengthMismatch(_TRIANGLE_SIZE.format(dim, dim * (dim + 1) // 2, len(lower_triangle)))
     rows = [lower_triangle[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(dim)]
     _check_entries(rows)
-    rows = [list(map(float, row)) for row in rows]
-    for i, row in enumerate(rows):
-        row.extend(map(itemgetter(i), rows[i + 1:]))
-    return SymmetricMatrix(dim=dim, rows=tuple(map(tuple, rows)))
+    return SymmetricMatrix(dim=dim, lower=tuple(tuple(map(float, row)) for row in rows))
 
 
 def frobenius_norm_sq(m: SymmetricMatrix) -> float:
-    """Sum of squares of all d*d entries; NonFiniteEntry past the float range."""
-    scaled, shift = _scaled([v for row in m.rows for v in row])
-    return _unscale(fsum(v * v for v in scaled), 2 * shift, "sum of squares")
+    """Sum of squares of all d*d entries, in one exact sum; NonFiniteEntry past the float range."""
+    scaled, shift = _scaled(list(chain.from_iterable(m.lower)))
+    diagonal = {i * (i + 3) // 2 for i in range(m.dim)}
+    return _unscale(fsum(v * v if k in diagonal else 2.0 * (v * v) for k, v in enumerate(scaled)),
+                    2 * shift, "sum of squares")
 
 
 def _all_finite(values: Sequence[float]) -> bool:
@@ -232,13 +228,16 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> EigenSpectrum:
     sqrt(2 * sum(e**2)) over the final sub-diagonal e. The solve runs on a
     copy scaled by the power of two that brings the largest |entry| into
     [0.5, 1); the scaling is exact and is undone on the results. A
-    non-finite entry of the lower triangle, named before any iteration,
-    and an eigenvalue beyond the float range raise NonFiniteEntry.
+    triangle whose rows do not hold 1 ... dim entries raises LengthMismatch;
+    a non-finite entry, named before any iteration, and an eigenvalue
+    beyond the float range raise NonFiniteEntry.
     """
-    lower = [row[: i + 1] for i, row in enumerate(m.rows)]
+    d, lower = m
+    if len(lower) != d or any(len(row) != i + 1 for i, row in enumerate(lower)):
+        raise LengthMismatch(_TRIANGLE_SIZE.format(d, d * (d + 1) // 2, sum(map(len, lower))))
     _check_entries(lower)
     flat, shift = _scaled(list(chain.from_iterable(lower)))
-    a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(m.dim)]
+    a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(d)]
     diag, sub = _tridiagonal(a)
     sweeps = _ql(diag, sub)
     residual = _unscale(math.sqrt(2.0 * fsum(v * v for v in sub)), shift, "residual")

@@ -181,13 +181,13 @@ def mcor(data: DataMatrix) -> McorReport:
 
 
 def _entry_excesses(matrix: SymmetricMatrix) -> list[tuple[int, int, float]]:
-    """(i, j, excess), 0-based, of every entry past its correlation-matrix
-    bound: the diagonal first, by |r_ii - 1|, then the upper triangle row by
-    row, by |r_ij| - 1. The one measure of a correlation matrix's entries."""
-    rows = matrix.rows
-    diagonal = [(i, i, abs(row[i] - 1.0)) for i, row in enumerate(rows)]
-    upper = [(i, j, abs(r) - 1.0) for i, row in enumerate(rows)
-             for j, r in enumerate(row[i + 1:], i + 1) if abs(r) > 1.0]
+    """(i, j, excess), 0-based, i <= j, of every entry ``lower[j][i]`` past its
+    correlation-matrix bound: the diagonal first, by |r_ii - 1|, then the pairs i < j
+    row by row, by |r_ij| - 1. The one measure of a correlation matrix's entries."""
+    lower = matrix.lower
+    diagonal = [(i, i, abs(row[i] - 1.0)) for i, row in enumerate(lower)]
+    upper = [(i, j, abs(row[i]) - 1.0) for i in range(len(lower))
+             for j, row in enumerate(lower[i + 1:], i + 1) if abs(row[i]) > 1.0]
     return [entry for entry in diagonal if entry[2] > 0.0] + upper
 
 
@@ -204,7 +204,7 @@ def mcor_from_matrix(matrix: SymmetricMatrix) -> McorReport:
         raise DimensionTooSmall(f"need at least a 2x2 matrix, got {d}x{d}")
     warnings = []
     for i, j, excess in _entry_excesses(matrix):
-        at, entry = f"({i + 1},{j + 1})", matrix.rows[i][j]
+        at, entry = f"({i + 1},{j + 1})", matrix.lower[j][i]
         if excess > MATRIX_ENTRY_TOL:
             raise NotACorrelationMatrix(
                 f"diagonal entry {at} = {entry!r}, expected 1" if i == j

@@ -11,7 +11,10 @@ high-precision ``decimal`` square root, so it carries no float rounding.
 
 ``always_scaled_sample_sd`` is an earlier ``sample_sd`` formula, kept as a
 reference: it scales every list by a power of two before centring, where
-the package scales only when a sum would overflow.
+the package scales only when a sum would overflow. ``full_square_norm_sq``
+is the earlier ``frobenius_norm_sq`` formula, one sum over all d*d scaled
+squares of the full matrix, which ``full_square`` rebuilds from the lower
+triangle the package holds.
 
 ``_parse_number`` is the per-cell number rule (finite float() results
 only) that the package's column parser ``io._parse_column`` must match on
@@ -133,12 +136,30 @@ def oracle_mcor(rows) -> float:
     return sd / math.sqrt(d)
 
 
-def rms_mcor(rows) -> float:
+def rms_mcor(lower) -> float:
     """Eigensolver-free identity: for a unit-diagonal d x d matrix the
-    coefficient equals the RMS of the d(d-1)/2 off-diagonal entries."""
-    d = len(rows)
-    offs = [rows[i][j] for i in range(d) for j in range(i + 1, d)]
+    coefficient equals the RMS of the d(d-1)/2 off-diagonal entries, here
+    read from its lower triangle (row i holds entries (i, 0) ... (i, i))."""
+    offs = [v for row in lower for v in row[:-1]]
     return math.sqrt(fsum(v * v for v in offs) / len(offs))
+
+
+def full_square(lower) -> list[list[float]]:
+    """The d x d matrix whose lower triangle is ``lower``: entry (i, j) is
+    ``lower[max(i, j)][min(i, j)]``."""
+    d = len(lower)
+    return [[lower[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)]
+
+
+def full_square_norm_sq(lower) -> float:
+    """Sum of squares of all d*d entries of ``full_square(lower)``: one fsum
+    of the squares of the entries scaled by the power of two that brings the
+    largest |entry| into [0.5, 1), unscaled at the end; OverflowError if the
+    result is past the float range."""
+    entries = [v for row in full_square(lower) for v in row]
+    shift = math.frexp(max(map(abs, entries)))[1]
+    scaled = [math.ldexp(v, -shift) for v in entries]
+    return math.ldexp(fsum(v * v for v in scaled), 2 * shift)
 
 
 def exact_spectrum_mcor(values) -> float:

@@ -54,5 +54,5 @@ def block_with_identity(k: int, inner: SymmetricMatrix) -> SymmetricMatrix:
             if i < k or j < k:
                 tri.append(1.0 if i == j else 0.0)
             else:
-                tri.append(inner.rows[i - k][j - k])
+                tri.append(inner.lower[i - k][j - k])
     return make_symmetric(d, tri)

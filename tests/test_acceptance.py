@@ -30,7 +30,7 @@ from mcor import (
 from mcor.cli import main
 from mcor.io import bundled_fixture
 from mcor.linalg import eigenvalues_symmetric, frobenius_norm_sq, make_symmetric
-from oracles import eig_bisect, exact_spectrum_mcor
+from oracles import eig_bisect, exact_spectrum_mcor, full_square
 from support import block_with_identity, rand_correlation, rand_data, rand_symmetric
 
 AREA1 = str(bundled_fixture("tb_area1.csv"))
@@ -170,7 +170,7 @@ def test_criterion_6_eigensolver_oracle():
         d = 2 + rng.next_u64() % 5  # d in [2, 6]
         m = rand_symmetric(rng, d, scale=3.0)
         spectrum = eigenvalues_symmetric(m)
-        oracle = eig_bisect([list(row) for row in m.rows])
+        oracle = eig_bisect(full_square(m.lower))
         worst = max(worst, max(abs(a - b) for a, b in zip(spectrum.values, oracle)))
         trace = m.trace()
         if abs(math.fsum(spectrum.values) - trace) > 1e-10 * max(1.0, abs(trace)):

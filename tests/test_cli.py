@@ -527,7 +527,7 @@ class TestOneMatrixTolerance:
         # still read as a matrix, so the matrix path can report the asymmetry.
         path = write(tmp_path, "m.csv", f"1,0.5\n{mirror},1\n")
         if within:
-            assert read_matrix(path).rows[0][1] == pytest.approx(0.5, abs=1e-9)
+            assert read_matrix(path).lower[1][0] == pytest.approx(0.5, abs=1e-9)
         else:
             with pytest.raises(NotSymmetric):
                 read_matrix(path)

@@ -23,6 +23,7 @@ from mcor.errors import (
     ZeroVariance,
 )
 from mcor.linalg import eigenvalues_symmetric
+from oracles import full_square
 from support import rand_data
 
 _moderate_floats = st.floats(min_value=-10.0, max_value=10.0)
@@ -87,29 +88,29 @@ class TestCorrelationMatrix:
     def test_perfectly_linear_columns(self):
         rows = [(x, 2.0 * x, x) for x in (0.3, 1.7, 0.9, 2.4)]
         m = correlation_matrix(make_data_matrix(rows))
-        assert m.rows == ((1.0, 1.0, 1.0),) * 3
+        assert m.lower == ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0))
 
     def test_matches_pearson_exactly(self):
         data = rand_data(SplitMix64(23), 50, 4)
-        m = correlation_matrix(data)
+        m = full_square(correlation_matrix(data).lower)
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert m.rows[i][j] == pearson_r(data.column(i), data.column(j))
+                    assert m[i][j] == pearson_r(data.column(i), data.column(j))
 
     def test_single_column(self):
         data = make_data_matrix([(1.0,), (2.0,), (5.0,)])
-        assert correlation_matrix(data).rows == ((1.0,),)
+        assert correlation_matrix(data).lower == ((1.0,),)
 
     def test_unit_diagonal_and_range(self):
         rng = SplitMix64(31)
         for _ in range(30):
-            m = correlation_matrix(rand_data(rng, 12, 5))
+            m = full_square(correlation_matrix(rand_data(rng, 12, 5)).lower)
             for i in range(5):
-                assert m.rows[i][i] == 1.0
+                assert m[i][i] == 1.0
                 for j in range(5):
                     if i != j:
-                        assert -1.0 <= m.rows[i][j] <= 1.0
+                        assert -1.0 <= m[i][j] <= 1.0
 
     def test_zero_variance_names_column(self):
         rows = [(1.0, 7.0), (2.0, 7.0), (3.0, 7.0)]
@@ -119,25 +120,25 @@ class TestCorrelationMatrix:
     def test_positive_affine_invariance(self):
         rng = SplitMix64(37)
         data = rand_data(rng, 20, 4)
-        base = correlation_matrix(data)
+        base = full_square(correlation_matrix(data).lower)
         scaled_rows = [
             (3.5 * r[0] + 1.0, r[1], 0.02 * r[2] - 7.0, r[3]) for r in data.values
         ]
-        scaled = correlation_matrix(make_data_matrix(scaled_rows))
+        scaled = full_square(correlation_matrix(make_data_matrix(scaled_rows)).lower)
         for i in range(4):
             for j in range(4):
-                assert abs(scaled.rows[i][j] - base.rows[i][j]) <= 1e-12
+                assert abs(scaled[i][j] - base[i][j]) <= 1e-12
 
     def test_negative_scale_flips_row_and_column(self):
         rng = SplitMix64(41)
         data = rand_data(rng, 20, 3)
-        base = correlation_matrix(data)
+        base = full_square(correlation_matrix(data).lower)
         flipped_rows = [(r[0], -2.0 * r[1], r[2]) for r in data.values]
-        flipped = correlation_matrix(make_data_matrix(flipped_rows))
+        flipped = full_square(correlation_matrix(make_data_matrix(flipped_rows)).lower)
         for i in range(3):
             for j in range(3):
-                want = base.rows[i][j] if (i == 1) == (j == 1) else -base.rows[i][j]
-                assert abs(flipped.rows[i][j] - want) <= 1e-12
+                want = base[i][j] if (i == 1) == (j == 1) else -base[i][j]
+                assert abs(flipped[i][j] - want) <= 1e-12
 
     def test_psd_up_to_roundoff(self):
         rng = SplitMix64(43)
@@ -165,9 +166,9 @@ class TestMomentsAcrossTheFloatRange:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
     def test_scaled_data_set(self, scale):
-        base = correlation_matrix(make_data_matrix(self.ROWS)).rows
+        base = correlation_matrix(make_data_matrix(self.ROWS)).lower
         scaled = correlation_matrix(make_data_matrix(
-            [[v * scale for v in row] for row in self.ROWS])).rows
+            [[v * scale for v in row] for row in self.ROWS])).lower
         for a, b in zip(base, scaled):
             assert b == pytest.approx(a, abs=1e-15)
 
@@ -180,7 +181,7 @@ class TestMomentsAcrossTheFloatRange:
         base = correlation_matrix(make_data_matrix(rows))
         scaled = correlation_matrix(make_data_matrix(
             [[math.ldexp(v, k) for v in row] for row in rows]))
-        assert scaled.rows == base.rows
+        assert scaled.lower == base.lower
 
 
 class TestDataMatrix:

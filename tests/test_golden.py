@@ -35,7 +35,7 @@ import pytest
 from mcor import Scenario, SplitMix64, correlation_matrix, derive_seed, generate, monte_carlo
 from mcor.cli import main
 from mcor.io import bundled_fixture, read_csv_data
-from oracles import rms_mcor
+from oracles import full_square, rms_mcor
 
 GOLDEN = Path(__file__).with_name("golden")
 SIM_ARGS = ("--n", "300", "--reps", "7", "--seed", "11")
@@ -61,8 +61,7 @@ def golden_csv() -> str:
 def near_symmetric_csv(csv_path: str) -> str:
     """Headerless 4x4 correlation matrix of the golden data, repr digits,
     with two mirrored pairs and one diagonal entry off by less than 1e-9."""
-    rows = correlation_matrix(read_csv_data(csv_path, drop_na=True)).rows
-    grid = [list(row) for row in rows]
+    grid = full_square(correlation_matrix(read_csv_data(csv_path, drop_na=True)).lower)
     grid[0][1] += 4e-10
     grid[3][2] -= 7e-10
     grid[2][2] += 3e-10
@@ -202,8 +201,8 @@ def library_values(csv_path: str) -> dict:
         s = monte_carlo(scenario, 300, 7, 11)
         values[f"monte_carlo:{scenario.value}"] = [
             repr(v) for v in (s.mcor_mean, s.mcor_sd, s.mcor_min, s.mcor_max)]
-    rows = correlation_matrix(read_csv_data(csv_path, drop_na=True)).rows
-    values["correlation_matrix:compute-drop-na"] = [repr(v) for row in rows for v in row]
+    square = full_square(correlation_matrix(read_csv_data(csv_path, drop_na=True)).lower)
+    values["correlation_matrix:compute-drop-na"] = [repr(v) for row in square for v in row]
     return values
 
 
@@ -270,7 +269,7 @@ def test_library_monte_carlo_floats_match_the_rms_route(scenario):
     # off-diagonal entries, which needs no eigensolver; the summary from
     # statistics, which needs no package code.
     expected = json.loads((GOLDEN / "library.json").read_text(encoding="utf-8"))
-    values = [rms_mcor(correlation_matrix(generate(scenario, 300, derive_seed(11, i))).rows)
+    values = [rms_mcor(correlation_matrix(generate(scenario, 300, derive_seed(11, i))).lower)
               for i in range(7)]
     route = (statistics.fmean(values), statistics.stdev(values), min(values), max(values))
     recorded = [float(v) for v in expected[f"monte_carlo:{scenario.value}"]]

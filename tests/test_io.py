@@ -164,7 +164,7 @@ class TestReadCsvData:
     def test_bom_before_a_headerless_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes("\ufeff1,0.5\n0.5,1\n".encode("utf-8"))
-        assert read_matrix(path).rows == ((1.0, 0.5), (0.5, 1.0))
+        assert read_matrix(path).lower == ((1.0,), (0.5, 1.0))
 
 
 class TestBlankLinesAndStripping:
@@ -334,19 +334,19 @@ class TestReadMatrix:
     def test_fixture_area1(self):
         m = read_matrix(bundled_fixture("tb_area1.csv"))
         assert m.dim == 6
-        assert m.rows[0][1] == -0.13
-        assert m.rows[1][4] == 0.1
+        assert m.lower[1][0] == -0.13
+        assert m.lower[4][1] == 0.1
 
     def test_fixture_area2(self):
         m = read_matrix(bundled_fixture("tb_area2.csv"))
         assert m.dim == 6
-        assert m.rows[0][5] == 0.58
-        assert m.rows[3][1] == -0.3
+        assert m.lower[5][0] == 0.58
+        assert m.lower[3][1] == -0.3
 
     def test_optional_header(self, tmp_path):
         bare = write(tmp_path, "m1.csv", "1,0.5\n0.5,1\n")
         headed = write(tmp_path, "m2.csv", "c1,c2\n1,0.5\n0.5,1\n")
-        assert read_matrix(bare).rows == read_matrix(headed).rows
+        assert read_matrix(bare).lower == read_matrix(headed).lower
 
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1,x\n", "row 2, column 2: cannot parse 'x'"),
@@ -376,9 +376,9 @@ class TestReadMatrix:
 
     def test_average_of_entries_near_the_float_maximum(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,1.5e308\n1.5e308,1\n")
-        assert read_matrix(path).rows[0][1] == 1.5e308
+        assert read_matrix(path).lower[1][0] == 1.5e308
         path = write(tmp_path, "m2.csv", "1,1e308\n1.5e308,1\n")
-        assert read_checked_matrix(path).matrix.rows[1][0] == 1.25e308
+        assert read_checked_matrix(path).matrix.lower[1][0] == 1.25e308
 
     def test_worst_pair_is_ranked_by_halved_gaps(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,1.5e308,1.7e308\n-1.5e308,1,0\n-1.7e308,0,1\n")
@@ -394,7 +394,7 @@ class TestReadMatrix:
         assume(all(x == 0.0 or abs(0.5 * x) >= sys.float_info.min for x in (a, b)))
         path = tmp_path_factory.mktemp("avg") / "m.csv"
         path.write_text(f"1,{a!r}\n{b!r},1\n", encoding="utf-8")
-        assert read_checked_matrix(path).matrix.rows[1][0] == 0.5 * (a + b)
+        assert read_checked_matrix(path).matrix.lower[1][0] == 0.5 * (a + b)
 
     def test_symmetric_verdict_at_the_tolerance(self, tmp_path):
         # Entries 0 and g differ by exactly g.
@@ -443,7 +443,7 @@ class TestReadMatrix:
     def test_tiny_asymmetry_averaged(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5000000001\n0.4999999999,1\n")
         m = read_matrix(path)
-        assert m.rows[0][1] == m.rows[1][0] == pytest.approx(0.5, abs=1e-15)
+        assert m.lower[1][0] == pytest.approx(0.5, abs=1e-15)
 
     def test_bad_token(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,x\n0.5,1\n")

@@ -18,28 +18,32 @@ from mcor.linalg import (
     frobenius_norm_sq,
     make_symmetric,
 )
-from oracles import eig_bisect
+from oracles import eig_bisect, full_square
 from support import rand_symmetric
 
 
 class TestMakeSymmetric:
     def test_2x2_from_lower_triangle(self):
         m = make_symmetric(2, [1.0, 0.5, 1.0])
-        assert m.rows == ((1.0, 0.5), (0.5, 1.0))
+        assert m.lower == ((1.0,), (0.5, 1.0))
 
     def test_dim_1(self):
-        assert make_symmetric(1, [3.0]).rows == ((3.0,),)
+        assert make_symmetric(1, [3.0]).lower == ((3.0,),)
 
     def test_all_ones_3x3(self):
         m = make_symmetric(3, [1.0] * 6)
-        assert m.rows == ((1.0, 1.0, 1.0),) * 3
+        assert m.lower == ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0))
 
-    def test_mirror_is_exact(self):
-        rng = SplitMix64(11)
-        m = rand_symmetric(rng, 7)
-        for i in range(7):
-            for j in range(7):
-                assert m.rows[i][j] == m.rows[j][i]
+    def test_keeps_exactly_the_triangle_given(self):
+        tri = [2.0 * u - 1.0 for u in SplitMix64(11).uniforms(28)]
+        m = make_symmetric(7, tri)
+        assert m.dim == 7
+        assert m.lower == tuple(tuple(tri[i * (i + 1) // 2:(i + 1) * (i + 2) // 2])
+                                for i in range(7))
+        # Entries are stored as floats, row by row, and nothing more.
+        m = make_symmetric(3, [1, -2, 3, 4, 5, -6])
+        assert m.lower == ((1.0,), (-2.0, 3.0), (4.0, 5.0, -6.0))
+        assert all(type(v) is float for row in m.lower for v in row)
 
     def test_wrong_length(self):
         with pytest.raises(LengthMismatch):
@@ -124,7 +128,7 @@ class TestEigenvaluesSymmetric:
         # [[1,0,a],[0,1,b],[a,b,1]] with a^2 + b^2 = 1 has spectrum {2, 1, 0}
         a, b = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
         m = make_symmetric(3, [1.0, 0.0, 1.0, a, b, 1.0])
-        oracle = eig_bisect([list(row) for row in m.rows])
+        oracle = eig_bisect(full_square(m.lower))
         assert oracle == pytest.approx([2.0, 1.0, 0.0], abs=1e-10)
         spectrum = eigenvalues_symmetric(m)
         assert spectrum.values == pytest.approx((2.0, 1.0, 0.0), abs=1e-10)
@@ -179,7 +183,7 @@ class TestEigenvaluesSymmetric:
         m = rand_symmetric(SplitMix64(23), 6)
         base = eigenvalues_symmetric(m)
         for k in (-1000, -600, -1, 1, 600, 1000):
-            tri = [math.ldexp(m.rows[i][j], k) for i in range(6) for j in range(i + 1)]
+            tri = [math.ldexp(v, k) for row in m.lower for v in row]
             spectrum = eigenvalues_symmetric(make_symmetric(6, tri))
             assert spectrum.values == tuple(math.ldexp(v, k) for v in base.values)
             assert spectrum.sweeps_used == base.sweeps_used
@@ -191,16 +195,33 @@ class TestEigenvaluesSymmetric:
             eigenvalues_symmetric(m)
 
     @pytest.mark.parametrize("rows, where", [
-        (((math.nan, 0.5), (0.5, 1.0)), "row 1, column 1"),
-        (((1.0, math.nan), (math.nan, 1.0)), "row 2, column 1"),
-        (((1.0, 0.2, 0.1), (0.2, 1.0, math.inf), (0.1, math.inf, 1.0)), "row 3, column 2"),
+        (((math.nan,), (0.5, 1.0)), "row 1, column 1"),
+        (((1.0,), (math.nan, 1.0)), "row 2, column 1"),
+        (((1.0,), (0.2, 1.0), (0.1, math.inf, 1.0)), "row 3, column 2"),
     ])
     def test_non_finite_entry_is_named_before_any_iteration(self, rows, where, monkeypatch):
-        # A SymmetricMatrix built directly skips make_symmetric's checks.
+        # A SymmetricMatrix built directly skips make_symmetric's checks;
+        # ``rows`` are the rows of its lower triangle.
         monkeypatch.setattr(linalg, "_ql", None)
         with pytest.raises(NonFiniteEntry) as caught:
             eigenvalues_symmetric(linalg.SymmetricMatrix(len(rows), rows))
         assert str(caught.value) == f"matrix entry at {where} is not finite"
+
+    @pytest.mark.parametrize("dim, lower, got", [
+        (2, ((1.0, math.nan), (0.5, 1.0)), 4),
+        (2, ((1.0, 0.9), (0.5, 1.0)), 4),
+        (3, ((1.0,), (0.5, 1.0)), 3),
+        (2, ((1.0, 0.5), (1.0,)), 3),
+    ], ids=["square-nan", "square", "rows-missing", "ragged"])
+    def test_a_triangle_of_the_wrong_shape_is_rejected(self, dim, lower, got, monkeypatch):
+        # A full square passed positionally must not be solved as some other
+        # matrix; the size is checked before any entry.
+        monkeypatch.setattr(linalg, "_ql", None)
+        with pytest.raises(LengthMismatch) as caught:
+            eigenvalues_symmetric(linalg.SymmetricMatrix(dim, lower))
+        needs = dim * (dim + 1) // 2
+        assert str(caught.value) == (
+            f"lower triangle of a {dim}x{dim} matrix needs {needs} entries, got {got}")
 
     def test_result_type(self):
         spectrum = eigenvalues_symmetric(make_symmetric(2, [2.0, 0.3, 1.0]))
@@ -264,7 +285,7 @@ class TestSpectralIdentities:
             for got, want in zip(spectrum.values, expected):
                 assert abs(got - want) <= 1e-10
             if i < 5:  # closed form itself verified against the oracle
-                oracle = eig_bisect([list(row) for row in m.rows])
+                oracle = eig_bisect(full_square(m.lower))
                 for got, want in zip(oracle, expected):
                     assert abs(got - want) <= 1e-9
 
@@ -274,7 +295,7 @@ class TestSpectralIdentities:
             d = 2 + rng.next_u64() % 5
             m = rand_symmetric(rng, d, scale=3.0)
             values = eigenvalues_symmetric(m).values
-            oracle = eig_bisect([list(row) for row in m.rows])
+            oracle = eig_bisect(full_square(m.lower))
             for got, want in zip(values, oracle):
                 assert abs(got - want) <= 1e-9
 
@@ -350,7 +371,7 @@ class TestIterationCap:
         for _ in range(40):
             d = 2 + rng.next_u64() % 11
             m = rand_symmetric(rng, d)
-            largest = max(abs(v) for row in m.rows for v in row)
+            largest = max(abs(v) for row in m.lower for v in row)
             assert eigenvalues_symmetric(m).off_diag_residual <= d * d * 2.0**-52 * largest
 
 

@@ -130,6 +130,11 @@ def test_matrix_entries_are_measured_once():
         "multiway.mcor_from_matrix"]
 
 
+# A matrix is only ever built from a checked lower triangle.
+def test_symmetric_matrices_are_built_in_one_place():
+    assert package_sites(calls_bare("SymmetricMatrix")) == ["linalg.make_symmetric"]
+
+
 def loads_name(name: str):
     """Matches a read of the bare name ``name``."""
     def matches(node) -> bool:

@@ -26,6 +26,7 @@ from mcor.errors import (
     BadArguments,
     DegenerateSpectrum,
     DimensionTooSmall,
+    LengthMismatch,
     NonFiniteEntry,
     NotACorrelationMatrix,
     NotACorrelationSpectrum,
@@ -36,7 +37,7 @@ import mcor.corestats as mcor_corestats
 import mcor.multiway as mcor_multiway
 from mcor.linalg import EigenSpectrum, SymmetricMatrix
 from mcor.multiway import MATRIX_ENTRY_TOL, TRACE_RTOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
-from oracles import oracle_mcor, rms_mcor
+from oracles import full_square, oracle_mcor, rms_mcor
 from support import block_with_identity, rand_correlation, rand_data
 
 # Golden values frozen from the bisection oracle on the bundled fixture
@@ -261,9 +262,9 @@ class TestMcorFromMatrix:
             ("tb_area1.csv", AREA1_MCOR),
             ("tb_area2.csv", AREA2_MCOR),
         ):
-            rows = [list(r) for r in read_matrix(bundled_fixture(name)).rows]
-            assert oracle_mcor(rows) == pytest.approx(frozen, abs=1e-9)
-            assert rms_mcor(rows) == pytest.approx(frozen, abs=1e-9)
+            lower = read_matrix(bundled_fixture(name)).lower
+            assert oracle_mcor(full_square(lower)) == pytest.approx(frozen, abs=1e-9)
+            assert rms_mcor(lower) == pytest.approx(frozen, abs=1e-9)
 
     def test_bad_diagonal_rejected(self):
         m = make_symmetric(2, [1.5, 0.2, 1.0])
@@ -275,23 +276,40 @@ class TestMcorFromMatrix:
         with pytest.raises(NotACorrelationMatrix, match="outside"):
             mcor_from_matrix(m)
 
-    @pytest.mark.parametrize("rows, where", [
-        (((math.nan, 0.5), (0.5, 1.0)), "row 1, column 1"),
-        (((1.0, math.nan), (math.nan, 1.0)), "row 2, column 1"),
+    @pytest.mark.parametrize("lower, where", [
+        (((math.nan,), (0.5, 1.0)), "row 1, column 1"),
+        (((1.0,), (math.nan, 1.0)), "row 2, column 1"),
     ], ids=["diagonal", "off-diagonal"])
-    def test_nan_entry_is_named(self, rows, where):
+    def test_nan_entry_is_named(self, lower, where):
         # Every comparison with NaN is false, so the entry bounds let it
         # through; the solver names it instead of iterating on it.
         with pytest.raises(NonFiniteEntry, match=f"^matrix entry at {where} is not finite$"):
-            mcor_from_matrix(SymmetricMatrix(2, rows))
+            mcor_from_matrix(SymmetricMatrix(2, lower))
 
-    @pytest.mark.parametrize("rows, message", [
-        (((math.inf, 0.5), (0.5, 1.0)), r"diagonal entry \(1,1\) = inf, expected 1"),
-        (((1.0, math.inf), (math.inf, 1.0)), r"off-diagonal entry \(1,2\) = inf is outside"),
+    @pytest.mark.parametrize("lower, message", [
+        (((math.inf,), (0.5, 1.0)), r"diagonal entry \(1,1\) = inf, expected 1"),
+        (((1.0,), (math.inf, 1.0)), r"off-diagonal entry \(1,2\) = inf is outside"),
     ], ids=["diagonal", "off-diagonal"])
-    def test_inf_entry_is_out_of_bounds(self, rows, message):
+    def test_inf_entry_is_out_of_bounds(self, lower, message):
         # The entry bounds are checked before the solver sees the entry.
         with pytest.raises(NotACorrelationMatrix, match=message):
+            mcor_from_matrix(SymmetricMatrix(2, lower))
+
+    def test_entry_below_the_diagonal_is_judged_as_its_upper_pair(self):
+        # Entry (2,1) of the triangle is the matrix's (1,2) and (2,1) alike.
+        with pytest.raises(NotACorrelationMatrix,
+                           match=r"^off-diagonal entry \(1,2\) = 1\.5 is outside \[-1, 1\]$"):
+            mcor_from_matrix(SymmetricMatrix(2, ((1.0,), (1.5, 1.0))))
+
+    @pytest.mark.parametrize("rows", [
+        ((1.0, math.nan), (0.5, 1.0)),
+        ((1.0, 0.9), (0.5, 1.0)),
+    ], ids=["nan-above", "asymmetric"])
+    def test_a_full_square_is_not_read_as_a_triangle(self, rows):
+        # Its entries above the diagonal are not part of any triangle: the
+        # size is wrong, so no coefficient is returned.
+        with pytest.raises(LengthMismatch,
+                           match="^lower triangle of a 2x2 matrix needs 3 entries, got 4$"):
             mcor_from_matrix(SymmetricMatrix(2, rows))
 
     def test_small_deviation_warns_instead(self):
@@ -422,7 +440,7 @@ class TestProperties:
             tri = []
             for i in range(d):
                 for j in range(i + 1):
-                    tri.append(signs[i] * signs[j] * base.rows[i][j])
+                    tri.append(signs[i] * signs[j] * base.lower[i][j])
             flipped = make_symmetric(d, tri)
             assert abs(
                 mcor_from_matrix(flipped).mcor - mcor_from_matrix(base).mcor

@@ -30,9 +30,9 @@ from mcor import (
     sample_sd,
 )
 from mcor.cli import main
-from mcor.errors import McorError, ParseError
+from mcor.errors import McorError, NonFiniteEntry, ParseError
 from mcor.io import _parse_column, read_csv_data, read_matrix
-from oracles import _parse_number, always_scaled_sample_sd
+from oracles import _parse_number, always_scaled_sample_sd, full_square_norm_sq
 from support import assert_as_checked
 
 EPS = sys.float_info.epsilon
@@ -396,6 +396,20 @@ def test_full_range_input_gives_finite_floats_or_an_mcor_error(name, data):
     except McorError:
         return
     assert all(map(math.isfinite, floats_in(result))), result
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_frobenius_norm_sq_is_the_full_square_sum(m):
+    # Off-diagonal squares counted twice from the triangle give the same
+    # bits as one sum over every square of the full matrix.
+    try:
+        expected = full_square_norm_sq(m.lower)
+    except OverflowError:
+        with pytest.raises(NonFiniteEntry, match="sum of squares"):
+            frobenius_norm_sq(m)
+        return
+    assert frobenius_norm_sq(m).hex() == expected.hex()
 
 
 def no_farther_from_exact(xs, new: float, old: float) -> bool:

@@ -24,7 +24,7 @@ def checked_matrix(tmp_path):
 RECORDS = [
     ("DataMatrix", ("n_obs", "n_vars", "columns", "var_names"),
      lambda _: make_data_matrix([(1.0, 2.0), (3.0, 5.0)], ("a", "b"))),
-    ("SymmetricMatrix", ("dim", "rows"), lambda _: make_symmetric(2, [1.0, 0.5, 1.0])),
+    ("SymmetricMatrix", ("dim", "lower"), lambda _: make_symmetric(2, [1.0, 0.5, 1.0])),
     ("EigenSpectrum", ("values", "sweeps_used", "off_diag_residual"),
      lambda _: EigenSpectrum(values=(1.5, 0.5), sweeps_used=1, off_diag_residual=0.0)),
     ("CheckedMatrix", ("matrix", "max_asymmetry", "worst_pair"),
