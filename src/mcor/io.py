@@ -1,10 +1,13 @@
 """CSV ingestion for raw data and precomputed correlation matrices.
 
 Data files are RFC-4180-style with a header row; ``NA`` or an empty cell
-means missing. Matrix files are square numeric grids with an optional
-header row (detected when any first-row cell fails to parse as a number).
-Both readers check every row's width before they parse a cell, and errors
-number the file's non-blank rows from 1, the header being row 1.
+means missing. A data file is read as a stream of rows and parsed one
+block of rows at a time, so its cell strings are never all alive at
+once. Matrix files are square numeric grids with an optional header row
+(detected when any first-row cell fails to parse as a number), read
+whole. Each reader checks the widths of the rows it holds before it
+parses their cells, and errors number the file's non-blank rows from 1,
+the header being row 1.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import csv
 import gc
 import math
-from collections.abc import Sequence
-from itertools import chain, compress
+from collections.abc import Iterator, Sequence
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -42,28 +45,42 @@ def bundled_fixture(name: str) -> Path:
 _NUMBER_SIGNS = frozenset("+-.")
 
 
-def read_cells(path) -> list[list[str]]:
+def _rows(path) -> Iterator[list[str]]:
     """Rows of a CSV file as ``csv.reader`` gives them, cells as written
-    (not stripped), blank lines dropped.
+    (not stripped), blank lines dropped, read as they are asked for.
 
     A line with no cells or with one cell that is only whitespace is
-    blank; a line of delimiters like ",," is still a row. ``read_csv_data``
-    and ``read_checked_matrix`` read them themselves, or take them as
-    ``cells`` from a caller that has already read ``path``; they strip
-    only the header and the cells float() rejects.
+    blank; a line of delimiters like ",," is still a row. An unreadable
+    file, a byte that is not UTF-8 or a ``csv`` error raises when the
+    stream reaches it. The file is closed when the stream ends, raises or
+    is closed.
     """
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports put
         # before the first header name.
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            return [row for row in reader if row[1:] or row and row[0].strip()]
+            for row in reader:
+                if row[1:] or row and row[0].strip():
+                    yield row
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FileError(f"{path} is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:  # a cell past csv.field_size_limit(), for one
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def read_cells(path) -> list[list[str]]:
+    """Every row of a CSV file, cells as written (not stripped), blank
+    lines dropped: the whole of ``_rows(path)``.
+
+    For a caller that reads a file more than once, as ``compare`` does to
+    sniff its kind. ``read_csv_data`` and ``read_checked_matrix`` take the
+    list as ``cells``; they strip only the header and the cells float()
+    rejects.
+    """
+    return list(_rows(path))
 
 
 def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
@@ -134,17 +151,23 @@ def read_csv_data(
     ``drop_na=False`` makes such a cell a hard error naming its row and
     column, numbered by the module's row rule.
 
+    The file is read as a stream and parsed ``_BLOCK_ROWS`` rows at a
+    time, so peak memory is about the parsed floats plus one block of
+    cell strings. ``cells``, rows a caller has already read from ``path``,
+    go through the same blocks.
+
     Cyclic garbage collection is paused for the call and resumed, if it
-    was enabled, once the cells are freed: the row lists ``csv.reader``
+    was enabled, once the stream is read: the row lists ``csv.reader``
     makes hold only strings and form no cycles, yet every collection
-    would scan them all. The switch is process-wide, so other threads run
+    would scan them. The switch is process-wide, so other threads run
     without cyclic collection meanwhile; reference counting still frees
     their objects.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        names, cols, bad_rows = _parse_selected_columns(path, columns, drop_na, cells)
+        rows = _rows(path) if cells is None else iter(cells)
+        names, cols, bad_rows = _parse_selected_columns(path, rows, columns, drop_na)
         keep = [True] * len(cols[0])
         for i in bad_rows:
             keep[i] = False
@@ -159,47 +182,63 @@ def read_csv_data(
             gc.enable()
 
 
-def _parse_selected_columns(
-    path, columns: Sequence[str] | None, drop_na: bool, cells: list[list[str]] | None
-) -> tuple[list[str], list[list[float]], set[int]]:
-    """Names, parsed values and bad row indices of the selected columns.
+# Body rows of a data file parsed at a time. A block's cell strings are
+# freed before the next block is read; larger blocks are no faster.
+_BLOCK_ROWS = 4096
 
-    Without ``drop_na`` a bad row is an error instead. A function of its
-    own so that the cell strings, the largest allocation, are freed before
-    the DataMatrix is built, unless the caller passed them in.
+
+def _parse_selected_columns(
+    path, rows: Iterator[list[str]], columns: Sequence[str] | None, drop_na: bool
+) -> tuple[list[str], list[list[float]], set[int]]:
+    """Names, parsed values and bad row indices of the selected columns of
+    a data file's ``rows``, the header first.
+
+    The body is parsed ``_BLOCK_ROWS`` rows at a time, only the selected
+    columns when ``columns`` is given. Without ``drop_na`` a bad row is an
+    error instead. Errors keep the order of a whole-file read, and none is
+    raised before the last row is read: an error of the stream itself
+    (raised where it is met), then the first row of the wrong width, then
+    a ``columns`` name that cannot be selected, then the first bad cell in
+    row-major order. A block is not parsed once a row of the wrong width
+    is met, so no short row is cut by the transpose.
     """
-    cells = read_cells(path) if cells is None else cells
-    if not cells:
+    first_row = next(rows, None)
+    if first_row is None:
         raise ParseError(f"{path} is empty")
-    header = [name.strip() for name in cells[0]]
-    body = cells[1:]
-    _check_widths(body, len(header), 2)
-    # Transposed once; each selected column is parsed once.
-    by_column = list(zip(*body)) if body else [()] * len(header)
-    if columns is not None:
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise EmptySelection(
-                f"column(s) not in header: {', '.join(sorted(missing))}"
-            )
-        repeated = {name for name in columns if columns.count(name) > 1}
-        if repeated:
-            raise BadArguments(
-                f"column(s) selected more than once: {', '.join(sorted(repeated))}")
-        ambiguous = {name for name in columns if header.count(name) > 1}
-        if ambiguous:
-            raise BadArguments(f"column(s) named more than once in the header: "
-                               f"{', '.join(sorted(ambiguous))}")
-        selected = [header.index(name) for name in columns]
-        parsed = {j: _parse_column(by_column[j]) for j in selected}
-    else:
+    header = [name.strip() for name in first_row]
+    selection_error = None
+    try:
+        wanted = range(len(header)) if columns is None else _column_indices(header, columns)
+    except (EmptySelection, BadArguments) as exc:
+        selection_error, wanted = exc, []
+    parsed = {j: ([], []) for j in wanted}  # values and bad row indices
+    first_bad_text = {}  # the stripped text of a column's first bad cell
+    width_error = None
+    n = 0
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        if width_error is None:
+            try:
+                _check_widths(block, len(header), n + 2)
+            except ParseError as exc:
+                width_error = exc
+        if width_error is None and parsed:
+            by_column = list(zip(*block))
+            for j, (values, bad) in parsed.items():
+                block_values, block_bad = _parse_column(by_column[j])
+                values.extend(block_values)
+                if block_bad:
+                    first_bad_text.setdefault(j, by_column[j][block_bad[0]].strip())
+                    bad.extend([i + n for i in block_bad])
+        n += len(block)
+    if width_error is not None:
+        raise width_error
+    if selection_error is not None:
+        raise selection_error
+    if columns is None:
         # Every cell bad drops a column, unless it has no cells: no rows.
-        parsed = {
-            j: column
-            for j, column in enumerate(map(_parse_column, by_column))
-            if len(column[1]) < len(body) or not body
-        }
-        selected = list(parsed)
+        selected = [j for j, (_, bad) in parsed.items() if len(bad) < n or not n]
+    else:
+        selected = wanted
     if not selected:
         raise EmptySelection("no numeric columns to select")
 
@@ -211,9 +250,25 @@ def _parse_selected_columns(
         i = min(bad_rows)
         j = next(j for j in selected if i in parsed[j][1])
         raise ParseError(
-            f"row {i + 2}, column {header[j]}: cannot use cell {body[i][j].strip()!r}"
-        )
+            f"row {i + 2}, column {header[j]}: cannot use cell {first_bad_text[j]!r}")
     return [header[j] for j in selected], [parsed[j][0] for j in selected], bad_rows
+
+
+def _column_indices(header: list[str], columns: Sequence[str]) -> list[int]:
+    """Header indices of the ``columns`` names, each of which the header
+    must hold once and ``columns`` name once."""
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise EmptySelection(f"column(s) not in header: {', '.join(sorted(missing))}")
+    repeated = {name for name in columns if columns.count(name) > 1}
+    if repeated:
+        raise BadArguments(
+            f"column(s) selected more than once: {', '.join(sorted(repeated))}")
+    ambiguous = {name for name in columns if header.count(name) > 1}
+    if ambiguous:
+        raise BadArguments(f"column(s) named more than once in the header: "
+                           f"{', '.join(sorted(ambiguous))}")
+    return [header.index(name) for name in columns]
 
 
 def _check_widths(rows: list[list[str]], width: int, first: int) -> None:

@@ -82,6 +82,13 @@ def _first_non_finite(rows: Iterable[Sequence[float]]) -> tuple[int, int]:
                 if not _all_finite((v,)))
 
 
+def _check_triangle(m: SymmetricMatrix) -> None:
+    """LengthMismatch unless ``m.lower`` holds rows of 1 ... dim entries."""
+    d, lower = m
+    if len(lower) != d or any(len(row) != i + 1 for i, row in enumerate(lower)):
+        raise LengthMismatch(_TRIANGLE_SIZE.format(d, d * (d + 1) // 2, sum(map(len, lower))))
+
+
 def _check_entries(rows: Sequence[Sequence[float]]) -> None:
     """NonFiniteEntry naming the first non-finite entry of a matrix's ``rows``."""
     if not all(map(_all_finite, rows)):
@@ -232,9 +239,8 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> EigenSpectrum:
     a non-finite entry, named before any iteration, and an eigenvalue
     beyond the float range raise NonFiniteEntry.
     """
+    _check_triangle(m)
     d, lower = m
-    if len(lower) != d or any(len(row) != i + 1 for i, row in enumerate(lower)):
-        raise LengthMismatch(_TRIANGLE_SIZE.format(d, d * (d + 1) // 2, sum(map(len, lower))))
     _check_entries(lower)
     flat, shift = _scaled(list(chain.from_iterable(lower)))
     a = [flat[i * (i + 1) // 2:(i + 1) * (i + 2) // 2] for i in range(d)]

@@ -29,8 +29,8 @@ from .errors import (
     NotACorrelationMatrix,
     NotACorrelationSpectrum,
 )
-from .linalg import (CLAMP_EPS, EigenSpectrum, SymmetricMatrix, _all_finite, _clamp, _scaled,
-                     _sum, eigenvalues_symmetric)
+from .linalg import (CLAMP_EPS, EigenSpectrum, SymmetricMatrix, _all_finite, _check_triangle,
+                     _clamp, _scaled, _sum, eigenvalues_symmetric)
 
 # Eigenvalue sums may drift from d by solver roundoff; anything past this
 # relative slack is not a correlation spectrum at all.
@@ -196,12 +196,15 @@ def mcor_from_matrix(matrix: SymmetricMatrix) -> McorReport:
 
     The diagonal must be 1 and off-diagonals within [-1, 1], both up to
     1e-9; deviations inside that tolerance are reported as warnings
-    (hand-rounded matrices are common), beyond it they are errors. mcor and
-    the rescaled sphericity are clamped to [0, 1] within MATRIX_CLAMP_EPS.
+    (hand-rounded matrices are common), beyond it they are errors. A
+    triangle whose rows do not hold 1 ... d entries raises LengthMismatch
+    first. mcor and the rescaled sphericity are clamped to [0, 1] within
+    MATRIX_CLAMP_EPS.
     """
     d = matrix.dim
     if d < 2:
         raise DimensionTooSmall(f"need at least a 2x2 matrix, got {d}x{d}")
+    _check_triangle(matrix)
     warnings = []
     for i, j, excess in _entry_excesses(matrix):
         at, entry = f"({i + 1},{j + 1})", matrix.lower[j][i]

@@ -18,7 +18,10 @@ triangle the package holds.
 
 ``_parse_number`` is the per-cell number rule (finite float() results
 only) that the package's column parser ``io._parse_column`` must match on
-each cell as ``str.strip`` leaves it.
+each cell as ``str.strip`` leaves it. ``whole_file_csv_data`` is the
+earlier data-file reader, which held every cell of the file before it
+checked a width or parsed a column; the package's block reader must build
+the same DataMatrix or raise the same error.
 
 ``ScalarSplitMix64`` is the seeded generator written one word at a time,
 straight from the description in the package's ``rng`` docstring, so the
@@ -29,10 +32,16 @@ starts with a given word.
 
 from __future__ import annotations
 
+import csv
 import math
 from decimal import Context
 from fractions import Fraction
+from itertools import compress
 from math import fsum
+
+from mcor.corestats import DataMatrix
+from mcor.errors import BadArguments, EmptySelection, FileError, ParseError, TooFewRows
+from mcor.io import _parse_column
 
 
 def char_poly(rows) -> list[float]:
@@ -196,6 +205,68 @@ def _parse_number(token: str) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _whole_file_cells(path) -> list[list[str]]:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            return [row for row in reader if row[1:] or row and row[0].strip()]
+    except OSError as exc:
+        raise FileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileError(f"{path} is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def whole_file_csv_data(path, columns=None, drop_na: bool = False) -> DataMatrix:
+    """The data-file reader that reads every cell first: all decode and
+    ``csv`` errors, then every row's width, then ``columns``, then the
+    first bad cell in row-major order."""
+    cells = _whole_file_cells(path)
+    if not cells:
+        raise ParseError(f"{path} is empty")
+    header = [name.strip() for name in cells[0]]
+    body = cells[1:]
+    for number, row in enumerate(body, 2):
+        if len(row) != len(header):
+            raise ParseError(f"row {number}: expected {len(header)} cells, found {len(row)}")
+    by_column = list(zip(*body)) if body else [()] * len(header)
+    if columns is not None:
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise EmptySelection(f"column(s) not in header: {', '.join(sorted(missing))}")
+        repeated = {name for name in columns if columns.count(name) > 1}
+        if repeated:
+            raise BadArguments(
+                f"column(s) selected more than once: {', '.join(sorted(repeated))}")
+        ambiguous = {name for name in columns if header.count(name) > 1}
+        if ambiguous:
+            raise BadArguments(f"column(s) named more than once in the header: "
+                               f"{', '.join(sorted(ambiguous))}")
+        selected = [header.index(name) for name in columns]
+        parsed = {j: _parse_column(by_column[j]) for j in selected}
+    else:
+        parsed = {j: column for j, column in enumerate(map(_parse_column, by_column))
+                  if len(column[1]) < len(body) or not body}
+        selected = list(parsed)
+    if not selected:
+        raise EmptySelection("no numeric columns to select")
+    bad_rows = set()
+    for j in selected:
+        bad_rows.update(parsed[j][1])
+    if bad_rows and not drop_na:
+        i = min(bad_rows)
+        j = next(j for j in selected if i in parsed[j][1])
+        raise ParseError(
+            f"row {i + 2}, column {header[j]}: cannot use cell {body[i][j].strip()!r}")
+    keep = [i not in bad_rows for i in range(len(body))]
+    frozen = tuple(tuple(compress(parsed[j][0], keep)) for j in selected)
+    n = len(frozen[0])
+    if bad_rows and n < 2:
+        raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
+    return DataMatrix._from_finite(frozen, tuple(header[j] for j in selected))
 
 
 class ScalarSplitMix64:

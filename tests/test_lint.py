@@ -192,6 +192,12 @@ def test_garbage_collection_is_paused_once():
     assert package_sites(calls("disable", on="gc")) == ["io.read_csv_data"]
 
 
+# CSV text is tokenised in one place, the row stream, so whole-file reads
+# and the block reader share one tokeniser and one error mapping.
+def test_csv_is_tokenised_once():
+    assert package_sites(calls("reader", on="csv")) == ["io._rows"]
+
+
 # Listwise deletion is written once, and every data file goes through it.
 def test_listwise_deletion_is_written_once():
     assert package_sites(calls_bare("compress")) == ["io.read_csv_data"]

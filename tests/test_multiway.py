@@ -312,6 +312,17 @@ class TestMcorFromMatrix:
                            match="^lower triangle of a 2x2 matrix needs 3 entries, got 4$"):
             mcor_from_matrix(SymmetricMatrix(2, rows))
 
+    @pytest.mark.parametrize("rows, got", [
+        (((1.0, 0.5), (1.0,)), 3),
+        (((1.0,), (0.5,)), 2),
+    ], ids=["ragged", "short-last-row"])
+    def test_a_short_row_is_rejected_before_its_entries_are_read(self, rows, got):
+        # A row without its diagonal entry has nothing for the entry checks
+        # to read: the shape is checked first.
+        with pytest.raises(LengthMismatch,
+                           match=f"^lower triangle of a 2x2 matrix needs 3 entries, got {got}$"):
+            mcor_from_matrix(SymmetricMatrix(2, rows))
+
     def test_small_deviation_warns_instead(self):
         m = make_symmetric(2, [1.0 + 5e-10, 0.3, 1.0])
         report = mcor_from_matrix(m)

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 from fractions import Fraction
 from math import fsum
 from statistics import fmean
@@ -31,8 +32,9 @@ from mcor import (
 )
 from mcor.cli import main
 from mcor.errors import McorError, NonFiniteEntry, ParseError
-from mcor.io import _parse_column, read_csv_data, read_matrix
-from oracles import _parse_number, always_scaled_sample_sd, full_square_norm_sq
+from mcor.io import _parse_column, read_cells, read_csv_data, read_matrix
+from oracles import (_parse_number, always_scaled_sample_sd, full_square_norm_sq,
+                     whole_file_csv_data)
 from support import assert_as_checked
 
 EPS = sys.float_info.epsilon
@@ -221,6 +223,28 @@ def test_padding_cells_and_names_changes_nothing(tmp_path_factory, csv_texts):
     for result in seen[1][:4]:
         if isinstance(result, DataMatrix):
             assert_as_checked(result)
+
+
+# Selections from a hostile_csv header: names it may hold, one it never
+# holds, a name given twice and no name at all.
+HOSTILE_SELECTIONS = st.one_of(
+    st.none(), st.lists(st.sampled_from(["c0", "c1", "c2", "c3", "c9"]), max_size=3).map(tuple))
+
+
+# Blocks of 1-3 rows make every file span blocks: a short row, a bad cell
+# and a byte that is not UTF-8 each land in some block after the first.
+@settings(max_examples=150, deadline=None)
+@given(hostile_csv(), st.integers(1, 3), HOSTILE_SELECTIONS, st.booleans())
+def test_block_reader_matches_the_whole_file_reader(tmp_path_factory, data, block_rows,
+                                                     columns, drop_na):
+    path = tmp_path_factory.mktemp("blocks") / "d.csv"
+    path.write_bytes(data)
+    expected = repr(outcome(whole_file_csv_data, path, columns, drop_na))
+    with mock.patch("mcor.io._BLOCK_ROWS", block_rows):
+        assert repr(outcome(read_csv_data, path, columns, drop_na)) == expected
+        cells = outcome(read_cells, path)
+        if isinstance(cells, list):  # compare's rows, read before the parse
+            assert repr(outcome(read_csv_data, path, columns, drop_na, cells)) == expected
 
 
 @st.composite
