@@ -14,7 +14,6 @@ from .linalg import (
     EigenSpectrum,
     SymmetricMatrix,
     eigenvalues_symmetric,
-    frobenius_norm_sq,
     make_symmetric,
 )
 from .multiway import (
@@ -41,7 +40,6 @@ __all__ = [
     "derive_seed",
     "eigenvalues_symmetric",
     "errors",
-    "frobenius_norm_sq",
     "generate",
     "independence_bound",
     "john_sphericity",

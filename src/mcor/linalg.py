@@ -31,9 +31,6 @@ class SymmetricMatrix(NamedTuple):
     dim: int
     lower: tuple[tuple[float, ...], ...]
 
-    def trace(self) -> float:
-        return _sum([row[i] for i, row in enumerate(self.lower)], "trace")
-
 
 class EigenSpectrum(NamedTuple):
     """Eigenvalues sorted in non-increasing order, plus solver metadata."""
@@ -59,14 +56,6 @@ def make_symmetric(dim: int, lower_triangle: Sequence[float]) -> SymmetricMatrix
     return SymmetricMatrix(dim=dim, lower=tuple(tuple(map(float, row)) for row in rows))
 
 
-def frobenius_norm_sq(m: SymmetricMatrix) -> float:
-    """Sum of squares of all d*d entries, in one exact sum; NonFiniteEntry past the float range."""
-    scaled, shift = _scaled(list(chain.from_iterable(m.lower)))
-    diagonal = {i * (i + 3) // 2 for i in range(m.dim)}
-    return _unscale(fsum(v * v if k in diagonal else 2.0 * (v * v) for k, v in enumerate(scaled)),
-                    2 * shift, "sum of squares")
-
-
 def _all_finite(values: Sequence[float]) -> bool:
     """Whether every value is a finite float; an int past the float range is
     not. One pass at C speed: catching the overflow costs nothing per value."""
@@ -83,10 +72,18 @@ def _first_non_finite(rows: Iterable[Sequence[float]]) -> tuple[int, int]:
 
 
 def _check_triangle(m: SymmetricMatrix) -> None:
-    """LengthMismatch unless ``m.lower`` holds rows of 1 ... dim entries."""
+    """BadArguments unless dim >= 1, as in ``make_symmetric``; LengthMismatch unless
+    ``m.lower`` holds rows of 1 ... dim entries: the entry count if it is wrong, else
+    the first row of the wrong length."""
     d, lower = m
-    if len(lower) != d or any(len(row) != i + 1 for i, row in enumerate(lower)):
-        raise LengthMismatch(_TRIANGLE_SIZE.format(d, d * (d + 1) // 2, sum(map(len, lower))))
+    if d < 1:
+        raise BadArguments(f"dim must be >= 1, got {d}")
+    count = sum(map(len, lower))
+    if count != d * (d + 1) // 2:
+        raise LengthMismatch(_TRIANGLE_SIZE.format(d, d * (d + 1) // 2, count))
+    for i, row in enumerate(lower, 1):
+        if len(row) != i:
+            raise LengthMismatch(f"row {i} of a {d}x{d} triangle has {len(row)} entries, not {i}")
 
 
 def _check_entries(rows: Sequence[Sequence[float]]) -> None:
@@ -227,17 +224,17 @@ def eigenvalues_symmetric(m: SymmetricMatrix) -> EigenSpectrum:
     """All eigenvalues of ``m`` from its lower triangle: Householder
     reduction to tridiagonal form, then implicit QL (Wilkinson & Reinsch
     1971; Golub & Van Loan §8.3), with an absolute error of about
-    d * eps * max|entry|.
+    d * eps * ||m||_2 <= d^2 * eps * max|entry|.
 
     ``MAX_SWEEPS`` caps the QL iterations for any one eigenvalue; past it
     NoConvergence is raised. ``sweeps_used`` is the most any eigenvalue
     took (0 for a diagonal matrix), ``off_diag_residual`` is
     sqrt(2 * sum(e**2)) over the final sub-diagonal e. The solve runs on a
     copy scaled by the power of two that brings the largest |entry| into
-    [0.5, 1); the scaling is exact and is undone on the results. A
-    triangle whose rows do not hold 1 ... dim entries raises LengthMismatch;
-    a non-finite entry, named before any iteration, and an eigenvalue
-    beyond the float range raise NonFiniteEntry.
+    [0.5, 1); the scaling is exact and is undone on the results. A dim
+    below 1 raises BadArguments, a triangle whose rows do not hold
+    1 ... dim entries LengthMismatch; a non-finite entry, named before any
+    iteration, and an eigenvalue beyond the float range raise NonFiniteEntry.
     """
     _check_triangle(m)
     d, lower = m

@@ -10,7 +10,8 @@ and for d == 2 it equals |Pearson r| of the two columns.
 
 John's sphericity ratio sum(l_i^2)/(sum l_i)^2 ranges over [1/d, 1] on
 correlation spectra; its rescaling (sum(l_i^2) - d)/(d(d-1)) onto [0, 1]
-is algebraically identical to the squared coefficient.
+is algebraically identical to the squared coefficient, and so, for a
+unit-diagonal R, to the mean square of its d(d-1)/2 off-diagonal entries.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NotACorrelationMatrix,
     NotACorrelationSpectrum,
 )
-from .linalg import (CLAMP_EPS, EigenSpectrum, SymmetricMatrix, _all_finite, _check_triangle,
+from .linalg import (CLAMP_EPS, SymmetricMatrix, _all_finite, _check_triangle,
                      _clamp, _scaled, _sum, eigenvalues_symmetric)
 
 # Eigenvalue sums may drift from d by solver roundoff; anything past this
@@ -41,7 +42,7 @@ MATRIX_ENTRY_TOL = 1e-9
 # Matrix-file entries may each be off by t = MATRIX_ENTRY_TOL: |entries| <= 1 + t give
 # sum(l^2) = ||R||_F^2 <= d^2 (1 + t)^2, the diagonal sum(l^2) >= d(1 - t)^2 and sum(l) >=
 # d(1 - t). So the rescaled sphericity (sum(l^2) - d) / (d(d-1)) lies in [-2t/(d-1),
-# 1 + d(2t + t^2)/(d-1)] and mcor^2 = (sum(l^2) - sum(l)^2/d) / (d(d-1)) <= 1 + 6t + t^2.
+# 1 + d(2t + t^2)/(d-1)], and mcor, the RMS of the entries off the diagonal, is <= 1 + t.
 # d = 2 is the worst case: 4t bounds each overshoot, CLAMP_EPS the t^2 terms and roundoff.
 MATRIX_CLAMP_EPS = 4 * MATRIX_ENTRY_TOL + CLAMP_EPS
 # A given spectrum within the trace check, |sum(l) - d| <= rd with r = TRACE_RTOL, has sum(l^2)
@@ -88,14 +89,11 @@ def _validated_spectrum(values: Sequence[float]) -> int:
 
 # The private cores below take a spectrum that _validated_spectrum or _spectrum_size has
 # already checked, so a report checks its spectrum once.
-def _mcor(values: Sequence[float], d: int, slack: float) -> float:
-    return _clamp(_sd(values) / math.sqrt(d), 0.0, 1.0, "mcor", slack)
-
-
 def mcor_from_spectrum(values: Sequence[float]) -> float:
     """Coefficient from a correlation spectrum: sample sd of the
     eigenvalues over sqrt(d), clamped to [0, 1] within SPECTRUM_CLAMP_EPS."""
-    return _mcor(values, _validated_spectrum(values), SPECTRUM_CLAMP_EPS)
+    d = _validated_spectrum(values)
+    return _clamp(_sd(values) / math.sqrt(d), 0.0, 1.0, "mcor", SPECTRUM_CLAMP_EPS)
 
 
 def john_sphericity(values: Sequence[float]) -> float:
@@ -151,8 +149,28 @@ def independence_bound(d: int, k: int) -> float:
     return math.sqrt(rest * (rest - 1) / (d * (d - 1)))
 
 
-def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float) -> McorReport:
-    values = spectrum.values
+def _off_diagonal_rms(lower: Sequence[Sequence[float]], slack: float) -> float:
+    """The coefficient of a unit-diagonal R from its lower triangle: the root mean square
+    of its d(d-1)/2 off-diagonal entries, clamped to [0, 1] within ``slack``."""
+    d = len(lower)
+    mean_square = fsum(v * v for row in lower for v in row[:-1]) / (d * (d - 1) // 2)
+    return _clamp(math.sqrt(mean_square), 0.0, 1.0, "mcor", slack)
+
+
+# mcor^2 from R's entries and the rescaled sphericity from its spectrum differ by roundoff
+# and, for entries off by up to t (|entry| <= m = 1 + t), by the diagonal. An eigenvalue is off
+# by about d eps ||R|| <= d^2 eps m and |l| <= d m, so sum(l^2) by 2 d^4 m^2 eps: the rescaled
+# sphericity by 2 d^3 m^2 eps / (d-1), by d m^2 eps / (d-1) more as its squares round, and
+# both routes by 4 eps as the rest rounds. A diagonal off by t moves (||R||^2 - d) / (d(d-1))
+# from the off-diagonal mean square by up to d(2t + t^2) / (d(d-1)), most at d = 2. Clamping
+# both onto [0, 1] moves them no further apart.
+def _route_allowance(d: int, t: float) -> float:
+    return ((2 * d**3 + d) * (1 + t) ** 2 / (d - 1) + 4) * 2.0**-52 + t * (2 + t) / (d - 1)
+
+
+def _report(matrix: SymmetricMatrix, extra_warnings: Sequence[str], slack: float,
+            t: float) -> McorReport:
+    values = eigenvalues_symmetric(matrix).values
     d = _validated_spectrum(values)
     min_eig = values[-1]
     warnings = list(extra_warnings)
@@ -160,24 +178,27 @@ def _report(spectrum: EigenSpectrum, extra_warnings: Sequence[str], slack: float
         warnings.append(WARN_NEAR_SINGULAR)
     if min_eig < PSD_EIG_FLOOR:
         warnings.append(WARN_NOT_PSD)
-    return McorReport(
+    report = McorReport(
         d=d,
-        mcor=_mcor(values, d, slack),
+        mcor=_off_diagonal_rms(matrix.lower, slack),
         eigenvalues=values,
         sphericity=_john_sphericity(values),
         rescaled_sphericity=_rescaled_sphericity(values, d, slack),
         min_eigenvalue=min_eig,
         warnings=tuple(warnings),
     )
+    _clamp(report.mcor * report.mcor - report.rescaled_sphericity, 0.0, 0.0,
+           "mcor^2 - rescaled sphericity", _route_allowance(d, t))
+    return report
 
 
 def mcor(data: DataMatrix) -> McorReport:
-    """Coefficient of a raw data matrix: correlation matrix, then its
-    spectrum (NoConvergence past linalg.MAX_SWEEPS QL iterations
-    on one eigenvalue), then the dispersion statistic."""
+    """Coefficient of a raw data matrix from its correlation matrix's entries;
+    the other statistics from its spectrum (NoConvergence past
+    linalg.MAX_SWEEPS QL iterations on one eigenvalue)."""
     if data.n_vars < 2:
         raise DimensionTooSmall(f"need at least 2 variables, got {data.n_vars}")
-    return _report(eigenvalues_symmetric(correlation_matrix(data)), (), CLAMP_EPS)
+    return _report(correlation_matrix(data), (), CLAMP_EPS, 0.0)
 
 
 def _entry_excesses(matrix: SymmetricMatrix) -> list[tuple[int, int, float]]:
@@ -214,4 +235,4 @@ def mcor_from_matrix(matrix: SymmetricMatrix) -> McorReport:
                 else f"off-diagonal entry {at} = {entry!r} is outside [-1, 1]")
         warnings.append(f"diagonal entry {at} off unit by {excess:.3e}" if i == j
                         else f"off-diagonal entry {at} exceeds unit magnitude by {excess:.3e}")
-    return _report(eigenvalues_symmetric(matrix), warnings, MATRIX_CLAMP_EPS)
+    return _report(matrix, warnings, MATRIX_CLAMP_EPS, MATRIX_ENTRY_TOL)

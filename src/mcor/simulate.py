@@ -25,9 +25,10 @@ from itertools import islice
 from math import fsum
 from typing import NamedTuple
 
-from .corestats import DataMatrix, sample_sd
+from .corestats import DataMatrix, correlation_matrix, sample_sd
 from .errors import BadArguments
-from .multiway import mcor
+from .linalg import CLAMP_EPS
+from .multiway import _off_diagonal_rms
 from .parallel import chunk_map
 from .rng import derive_seed, polar_normals, uniform_stream
 from .scenarios import Scenario
@@ -97,9 +98,9 @@ def generate(scenario: Scenario, n_obs: int, seed: int) -> DataMatrix:
 def population_mcor(scenario: Scenario) -> float:
     """Infinite-n value of the coefficient for ``scenario``.
 
-    For a 3x3 correlation matrix the coefficient equals the root mean
-    square of the three pairwise correlations, so each value below follows
-    from the population correlations of the recipe (var of U(0,1) = 1/12).
+    The coefficient of a correlation matrix equals the root mean square of
+    its pairwise correlations, so each value below follows from the
+    population correlations of the recipe (var of U(0,1) = 1/12).
     """
     _check_scenario(scenario)
     if scenario is Scenario.ALL_LINEAR:
@@ -119,8 +120,9 @@ def population_mcor(scenario: Scenario) -> float:
 
 
 def _value(scenario: Scenario, n_obs: int, seed: int, i: int) -> float:
-    """The coefficient of replicate ``i``."""
-    return mcor(generate(scenario, n_obs, derive_seed(seed, i))).mcor
+    """The coefficient of replicate ``i``, from its correlation matrix's entries alone."""
+    data = generate(scenario, n_obs, derive_seed(seed, i))
+    return _off_diagonal_rms(correlation_matrix(data).lower, CLAMP_EPS)
 
 
 def monte_carlo(

@@ -12,9 +12,10 @@ high-precision ``decimal`` square root, so it carries no float rounding.
 ``always_scaled_sample_sd`` is an earlier ``sample_sd`` formula, kept as a
 reference: it scales every list by a power of two before centring, where
 the package scales only when a sum would overflow. ``full_square_norm_sq``
-is the earlier ``frobenius_norm_sq`` formula, one sum over all d*d scaled
-squares of the full matrix, which ``full_square`` rebuilds from the lower
-triangle the package holds.
+is one sum over all d*d scaled squares of the full matrix, which
+``full_square`` rebuilds from the lower triangle the package holds, and
+``trace`` sums its diagonal in ``fractions``: the two sides of the
+eigensolver's Frobenius and trace identities.
 
 ``_parse_number`` is the per-cell number rule (finite float() results
 only) that the package's column parser ``io._parse_column`` must match on
@@ -169,6 +170,12 @@ def full_square_norm_sq(lower) -> float:
     shift = math.frexp(max(map(abs, entries)))[1]
     scaled = [math.ldexp(v, -shift) for v in entries]
     return math.ldexp(fsum(v * v for v in scaled), 2 * shift)
+
+
+def trace(lower) -> float:
+    """Sum of the diagonal entries of the matrix whose lower triangle is
+    ``lower``, exact in ``fractions`` and rounded once to float."""
+    return float(sum(Fraction(row[-1]) for row in lower))
 
 
 def exact_spectrum_mcor(values) -> float:

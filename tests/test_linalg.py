@@ -15,10 +15,9 @@ from mcor.linalg import (
     EigenSpectrum,
     _clamp,
     eigenvalues_symmetric,
-    frobenius_norm_sq,
     make_symmetric,
 )
-from oracles import eig_bisect, full_square
+from oracles import eig_bisect, full_square, full_square_norm_sq, trace
 from support import rand_symmetric
 
 
@@ -72,41 +71,24 @@ class TestMakeSymmetric:
             make_symmetric(0, [])
 
 
-class TestFrobeniusNormSq:
-    def test_identity_3x3(self):
-        m = make_symmetric(3, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        assert frobenius_norm_sq(m) == 3.0
+class TestExactSum:
+    """``_sum``, the exactly rounded sum behind the eigenvalue-sum check."""
 
-    def test_all_ones_3x3(self):
-        assert frobenius_norm_sq(make_symmetric(3, [1.0] * 6)) == 9.0
-
-    def test_2x2_half(self):
-        assert frobenius_norm_sq(make_symmetric(2, [1.0, 0.5, 1.0])) == 2.5
-
-    def test_sum_past_the_float_maximum_rejected(self):
-        # Each square, 1.69e308, is finite; their sum is not.
-        with pytest.raises(NonFiniteEntry):
-            frobenius_norm_sq(make_symmetric(2, [1.3e154] * 3))
-
-
-class TestTrace:
     def test_partial_sums_past_the_float_maximum(self):
         # 1e308 + 1e308 overflows on the way to the exact sum, 1e308.
-        assert make_symmetric(3, [1e308, 0, 1e308, 0, 0, -1e308]).trace() == 1e308
+        assert linalg._sum([1e308, 1e308, -1e308], "sum") == 1e308
 
     def test_sum_past_the_float_maximum_rejected(self):
-        with pytest.raises(NonFiniteEntry):
-            make_symmetric(2, [1e308, 0, 1e308]).trace()
+        with pytest.raises(NonFiniteEntry, match="^sum exceeds the float range$"):
+            linalg._sum([1e308, 1e308], "sum")
 
     def test_subnormal_sum_is_exactly_rounded(self):
-        # A scaled copy of this diagonal (shift 1) would lose the 5e-324.
-        assert make_symmetric(3, [1.0, 0, -1.0, 0, 0, 5e-324]).trace() == 5e-324
+        # A scaled copy of these values (shift 1) would lose the 5e-324.
+        assert linalg._sum([1.0, -1.0, 5e-324], "sum") == 5e-324
 
     def test_overflowing_partial_sums_keep_small_terms(self):
         # fsum overflows on 1e308 + 1e308; the exact sum is the 1e-20.
-        diagonal = [1e308, 1e308, -1e308, -1e308, 1e-20]
-        lower = [diagonal[i] if j == i else 0.0 for i in range(5) for j in range(i + 1)]
-        assert make_symmetric(5, lower).trace() == 1e-20
+        assert linalg._sum([1e308, 1e308, -1e308, -1e308, 1e-20], "sum") == 1e-20
 
 
 class TestEigenvaluesSymmetric:
@@ -207,21 +189,28 @@ class TestEigenvaluesSymmetric:
             eigenvalues_symmetric(linalg.SymmetricMatrix(len(rows), rows))
         assert str(caught.value) == f"matrix entry at {where} is not finite"
 
-    @pytest.mark.parametrize("dim, lower, got", [
-        (2, ((1.0, math.nan), (0.5, 1.0)), 4),
-        (2, ((1.0, 0.9), (0.5, 1.0)), 4),
-        (3, ((1.0,), (0.5, 1.0)), 3),
-        (2, ((1.0, 0.5), (1.0,)), 3),
-    ], ids=["square-nan", "square", "rows-missing", "ragged"])
-    def test_a_triangle_of_the_wrong_shape_is_rejected(self, dim, lower, got, monkeypatch):
+    @pytest.mark.parametrize("dim, lower, message", [
+        (2, ((1.0, math.nan), (0.5, 1.0)),
+         "lower triangle of a 2x2 matrix needs 3 entries, got 4"),
+        (2, ((1.0, 0.9), (0.5, 1.0)), "lower triangle of a 2x2 matrix needs 3 entries, got 4"),
+        (3, ((1.0,), (0.5, 1.0)), "lower triangle of a 3x3 matrix needs 6 entries, got 3"),
+        (2, ((1.0, 0.5), (1.0,)), "row 1 of a 2x2 triangle has 2 entries, not 1"),
+        (3, ((1.0,), (0.5, 1.0), (0.1, 0.2), (1.0,)),
+         "row 3 of a 3x3 triangle has 2 entries, not 3"),
+    ], ids=["square-nan", "square", "rows-missing", "ragged", "row-too-many"])
+    def test_a_triangle_of_the_wrong_shape_is_rejected(self, dim, lower, message, monkeypatch):
         # A full square passed positionally must not be solved as some other
-        # matrix; the size is checked before any entry.
+        # matrix; the size is checked before any entry. A triangle with the
+        # right number of entries in the wrong rows names the first such row.
         monkeypatch.setattr(linalg, "_ql", None)
         with pytest.raises(LengthMismatch) as caught:
             eigenvalues_symmetric(linalg.SymmetricMatrix(dim, lower))
-        needs = dim * (dim + 1) // 2
-        assert str(caught.value) == (
-            f"lower triangle of a {dim}x{dim} matrix needs {needs} entries, got {got}")
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_a_matrix_without_rows_is_rejected(self, dim):
+        with pytest.raises(BadArguments, match=f"^dim must be >= 1, got {dim}$"):
+            eigenvalues_symmetric(linalg.SymmetricMatrix(dim, ()))
 
     def test_result_type(self):
         spectrum = eigenvalues_symmetric(make_symmetric(2, [2.0, 0.3, 1.0]))
@@ -236,11 +225,11 @@ class TestSpectralIdentities:
             for _ in range(20):
                 m = rand_symmetric(rng, d, scale=5.0)
                 spectrum = eigenvalues_symmetric(m)
-                trace = m.trace()
-                assert abs(math.fsum(spectrum.values) - trace) <= 1e-10 * max(
-                    1.0, abs(trace)
+                diagonal_sum = trace(m.lower)
+                assert abs(math.fsum(spectrum.values) - diagonal_sum) <= 1e-10 * max(
+                    1.0, abs(diagonal_sum)
                 )
-                fro2 = frobenius_norm_sq(m)
+                fro2 = full_square_norm_sq(m.lower)
                 assert abs(
                     math.fsum(v * v for v in spectrum.values) - fro2
                 ) <= 1e-8 * max(1.0, fro2)
@@ -261,8 +250,9 @@ class TestSpectralIdentities:
         d = int((math.isqrt(8 * len(tri) + 1) - 1) // 2)
         m = make_symmetric(d, tri)
         spectrum = eigenvalues_symmetric(m)
-        trace = m.trace()
-        assert abs(math.fsum(spectrum.values) - trace) <= 1e-10 * max(1.0, abs(trace))
+        diagonal_sum = trace(m.lower)
+        assert abs(math.fsum(spectrum.values) - diagonal_sum) <= 1e-10 * max(
+            1.0, abs(diagonal_sum))
 
     def test_2x2_closed_form_grid(self):
         # [[1,r],[r,1]] has spectrum {1+|r|, 1-|r|}

@@ -209,6 +209,33 @@ def test_unchecked_data_matrix_core_has_three_callers():
         "corestats.DataMatrix.from_columns", "io.read_csv_data", "simulate.generate"]
 
 
+def squares_off_the_diagonal(node) -> bool:
+    """Matches a comprehension of squares ``v * v`` that reads ``v`` from
+    rows cut before their last entry, ``row[:-1]``: the off-diagonal
+    entries of a lower triangle."""
+    def cut_before_last(it) -> bool:
+        return (isinstance(it, ast.Subscript) and isinstance(it.slice, ast.Slice)
+                and it.slice.lower is None and it.slice.step is None
+                and isinstance(it.slice.upper, ast.UnaryOp)
+                and isinstance(it.slice.upper.op, ast.USub)
+                and isinstance(it.slice.upper.operand, ast.Constant)
+                and it.slice.upper.operand.value == 1)
+    if not isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+        return False
+    square = node.elt
+    return (isinstance(square, ast.BinOp) and isinstance(square.op, ast.Mult)
+            and isinstance(square.left, ast.Name) and isinstance(square.right, ast.Name)
+            and square.left.id == square.right.id
+            and any(isinstance(g.target, ast.Name) and g.target.id == square.left.id
+                    and cut_before_last(g.iter) for g in node.generators))
+
+
+# The coefficient from R is the RMS of its off-diagonal entries, written
+# once: mcor, mcor_from_matrix and the Monte Carlo replicates all read it.
+def test_off_diagonal_rms_is_written_once():
+    assert package_sites(squares_off_the_diagonal) == ["multiway._off_diagonal_rms"]
+
+
 def test_rule_sites_are_caught():
     source = (
         "import math\n"
@@ -245,3 +272,8 @@ def test_rule_sites_are_caught():
                       "m", calls_on_one_element_tuple("f")) == ["m", "m.k"]
     assert rule_sites("M = 3\ndef f(x):\n    M = x\n    return x * M\nclass C:\n    k = M\n",
                       "m", loads_name("M")) == ["m.f", "m.C"]
+    assert rule_sites("s = sum(v * v for r in low for v in r[:-1])\n"
+                      "def f(low):\n    return [x * x for x in low[:-1]], [x * x for x in low]\n"
+                      "def g(low):\n    return [x * y for r in low for x in r[:-1]], "
+                      "[x * x for r in low for x in r[1:]], [w * w for w in x[:-2]]\n",
+                      "m", squares_off_the_diagonal) == ["m", "m.f"]

@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcor import (
+    DataMatrix,
     SplitMix64,
     generate,
     independence_bound,
@@ -31,12 +33,15 @@ from mcor.errors import (
     NotACorrelationMatrix,
     NotACorrelationSpectrum,
     NumericInconsistency,
+    ZeroVariance,
 )
+from mcor.cli import main
 from mcor.io import bundled_fixture, read_matrix
 import mcor.corestats as mcor_corestats
 import mcor.multiway as mcor_multiway
 from mcor.linalg import EigenSpectrum, SymmetricMatrix
-from mcor.multiway import MATRIX_ENTRY_TOL, TRACE_RTOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD
+from mcor.multiway import (MATRIX_ENTRY_TOL, TRACE_RTOL, WARN_NEAR_SINGULAR, WARN_NOT_PSD,
+                           _route_allowance)
 from oracles import full_square, oracle_mcor, rms_mcor
 from support import block_with_identity, rand_correlation, rand_data
 
@@ -223,6 +228,67 @@ class TestMcorOnData:
         assert abs(report.mcor**2 - report.rescaled_sphericity) <= 1e-10
 
 
+class TestTwoRoutes:
+    """mcor^2 from R's off-diagonal entries against the rescaled sphericity
+    from its spectrum, within the allowance derived in ``multiway``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_routes_agree_on_data(self, data):
+        # Columns mixed from a few shared ones, so near-collinear sets are common.
+        d = data.draw(st.integers(2, 8), label="d")
+        n = data.draw(st.integers(3, 25), label="n")
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+        base = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                  min_size=1, max_size=3), label="base")
+        weights = data.draw(st.lists(st.lists(values, min_size=len(base), max_size=len(base)),
+                                     min_size=d, max_size=d), label="weights")
+        noise = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]), label="noise")
+        columns = [[math.fsum(map(mul, w, row)) + noise * k * (-1) ** i
+                    for i, row in enumerate(zip(*base))] for k, w in enumerate(weights, 1)]
+        try:
+            report = mcor(DataMatrix.from_columns(columns))
+        except ZeroVariance:
+            assume(False)
+        gap = abs(report.mcor * report.mcor - report.rescaled_sphericity)
+        assert gap <= _route_allowance(d, 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-1.0, 1.0),
+           st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+                    min_size=3, max_size=3))
+    def test_routes_agree_on_entries_off_by_the_tolerance(self, r, moves):
+        # d = 2, where a diagonal off by t moves the rescaled sphericity furthest.
+        t = 0.999 * MATRIX_ENTRY_TOL
+        tri = [v + t * m for v, m in zip((1.0, r, 1.0), moves)]
+        report = mcor_from_matrix(make_symmetric(2, tri))
+        gap = abs(report.mcor * report.mcor - report.rescaled_sphericity)
+        assert gap <= _route_allowance(2, MATRIX_ENTRY_TOL)
+
+    def test_a_solved_spectrum_off_the_entries_is_one_error_line(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        # The spectrum keeps its sum d, so the trace check passes, but its
+        # sum of squares grows by 2e-6 (top - bottom): the routes disagree.
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n1,2,4\n2,1,3\n3,5,1\n4,4,4\n", encoding="utf-8")
+        assert main(["compute", str(path)]) == 0
+        capsys.readouterr()
+        real = mcor_multiway.eigenvalues_symmetric
+
+        def perturbed(matrix):
+            spectrum = real(matrix)
+            top, *middle, bottom = spectrum.values
+            return spectrum._replace(values=(top + 1e-6, *middle, bottom - 1e-6))
+
+        monkeypatch.setattr(mcor_multiway, "eigenvalues_symmetric", perturbed)
+        assert main(["compute", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: NUMERIC_INCONSISTENCY: mcor^2 - rescaled sphericity = ")
+        assert err.endswith(" fell below 0 beyond roundoff\n")
+
+
 def test_each_report_validates_its_spectrum_once(monkeypatch):
     # The finiteness check counts in both modules that hold a spectrum check.
     data = rand_data(SplitMix64(73), 40, 5)
@@ -312,16 +378,16 @@ class TestMcorFromMatrix:
                            match="^lower triangle of a 2x2 matrix needs 3 entries, got 4$"):
             mcor_from_matrix(SymmetricMatrix(2, rows))
 
-    @pytest.mark.parametrize("rows, got", [
-        (((1.0, 0.5), (1.0,)), 3),
-        (((1.0,), (0.5,)), 2),
+    @pytest.mark.parametrize("rows, message", [
+        (((1.0, 0.5), (1.0,)), "row 1 of a 2x2 triangle has 2 entries, not 1"),
+        (((1.0,), (0.5,)), "lower triangle of a 2x2 matrix needs 3 entries, got 2"),
     ], ids=["ragged", "short-last-row"])
-    def test_a_short_row_is_rejected_before_its_entries_are_read(self, rows, got):
+    def test_a_short_row_is_rejected_before_its_entries_are_read(self, rows, message):
         # A row without its diagonal entry has nothing for the entry checks
         # to read: the shape is checked first.
-        with pytest.raises(LengthMismatch,
-                           match=f"^lower triangle of a 2x2 matrix needs 3 entries, got {got}$"):
+        with pytest.raises(LengthMismatch) as caught:
             mcor_from_matrix(SymmetricMatrix(2, rows))
+        assert str(caught.value) == message
 
     def test_small_deviation_warns_instead(self):
         m = make_symmetric(2, [1.0 + 5e-10, 0.3, 1.0])

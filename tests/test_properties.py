@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from mcor import (
     DataMatrix,
     eigenvalues_symmetric,
-    frobenius_norm_sq,
     john_sphericity,
     make_symmetric,
     mcor,
@@ -31,10 +30,9 @@ from mcor import (
     sample_sd,
 )
 from mcor.cli import main
-from mcor.errors import McorError, NonFiniteEntry, ParseError
+from mcor.errors import McorError, ParseError
 from mcor.io import _parse_column, read_cells, read_csv_data, read_matrix
-from oracles import (_parse_number, always_scaled_sample_sd, full_square_norm_sq,
-                     whole_file_csv_data)
+from oracles import _parse_number, always_scaled_sample_sd, whole_file_csv_data
 from support import assert_as_checked
 
 EPS = sys.float_info.epsilon
@@ -389,8 +387,6 @@ NUMERIC_CALLS = {
     "mcor_from_spectrum": (full_range_lists(2, 5), mcor_from_spectrum),
     "john_sphericity": (full_range_lists(2, 5), john_sphericity),
     "rescaled_sphericity": (full_range_lists(2, 5), rescaled_sphericity),
-    "frobenius_norm_sq": (symmetric_matrices(), frobenius_norm_sq),
-    "trace": (symmetric_matrices(), lambda m: m.trace()),
     "eigenvalues_symmetric": (symmetric_matrices(), eigenvalues_symmetric),
     "pearson_r": (PAIRS, lambda xy: pearson_r(*xy)),
     "mcor": (DATA, lambda columns: mcor(DataMatrix.from_columns(columns))),
@@ -420,20 +416,6 @@ def test_full_range_input_gives_finite_floats_or_an_mcor_error(name, data):
     except McorError:
         return
     assert all(map(math.isfinite, floats_in(result))), result
-
-
-@settings(max_examples=300, deadline=None)
-@given(symmetric_matrices())
-def test_frobenius_norm_sq_is_the_full_square_sum(m):
-    # Off-diagonal squares counted twice from the triangle give the same
-    # bits as one sum over every square of the full matrix.
-    try:
-        expected = full_square_norm_sq(m.lower)
-    except OverflowError:
-        with pytest.raises(NonFiniteEntry, match="sum of squares"):
-            frobenius_norm_sq(m)
-        return
-    assert frobenius_norm_sq(m).hex() == expected.hex()
 
 
 def no_farther_from_exact(xs, new: float, old: float) -> bool:

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+import mcor.linalg as mcor_linalg
+import mcor.multiway as mcor_multiway
 import mcor.parallel as mcor_parallel
 import mcor.simulate as mcor_simulate
 from mcor import (
@@ -287,15 +289,28 @@ class TestForkedReplicates:
         assert forks == []
         assert summary == serial_summary(Scenario.NOISY_COMBO, 50, 4, 1)
 
-    def test_child_that_dies_is_recomputed(self, cpus, forks, monkeypatch):
-        parent, real = os.getpid(), mcor_simulate.mcor
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_replicates_solve_no_eigenproblem(self, cpus, monkeypatch, scenario):
+        expected = monte_carlo(scenario, 80, 7, 5)
+        cpus(1)
 
-        def die_in_a_child(data):
+        def no_solve(_matrix):
+            raise AssertionError("a replicate solved an eigenproblem")
+
+        monkeypatch.setattr(mcor_linalg, "eigenvalues_symmetric", no_solve)
+        monkeypatch.setattr(mcor_multiway, "eigenvalues_symmetric", no_solve)
+        summary = monte_carlo(scenario, 80, 7, 5)
+        assert list(map(repr, summary)) == list(map(repr, expected))
+
+    def test_child_that_dies_is_recomputed(self, cpus, forks, monkeypatch):
+        parent, real = os.getpid(), mcor_simulate._off_diagonal_rms
+
+        def die_in_a_child(lower, slack):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(data)
+            return real(lower, slack)
 
-        monkeypatch.setattr(mcor_simulate, "mcor", die_in_a_child)
+        monkeypatch.setattr(mcor_simulate, "_off_diagonal_rms", die_in_a_child)
         cpus(3)
         assert monte_carlo(Scenario.CHAINED, 60, 7, 2) == serial_summary(
             Scenario.CHAINED, 60, 7, 2)
@@ -330,12 +345,12 @@ class TestForkedReplicates:
     def test_children_are_killed_when_this_process_raises(self, cpus, monkeypatch, error):
         parent = os.getpid()
 
-        def fail_here_hang_there(_data):
+        def fail_here_hang_there(_lower, _slack):
             if os.getpid() == parent:
                 raise error
             time.sleep(60)
 
-        monkeypatch.setattr(mcor_simulate, "mcor", fail_here_hang_there)
+        monkeypatch.setattr(mcor_simulate, "_off_diagonal_rms", fail_here_hang_there)
         cpus(2)
         start = time.monotonic()
         with pytest.raises(type(error)):
