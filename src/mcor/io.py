@@ -212,6 +212,10 @@ def _parse_selected_columns(
     except (EmptySelection, BadArguments) as exc:
         selection_error, wanted = exc, []
     parsed = {j: ([], []) for j in wanted}  # values and bad row indices
+    # Columns whose every cell so far is bad. Their values (all 0.0) and bad
+    # indices (all rows so far) are written only once a block holds a
+    # number, so a text column that auto-selection drops never holds them.
+    all_bad = set(wanted)
     first_bad_text = {}  # the stripped text of a column's first bad cell
     width_error = None
     n = 0
@@ -225,10 +229,16 @@ def _parse_selected_columns(
             by_column = list(zip(*block))
             for j, (values, bad) in parsed.items():
                 block_values, block_bad = _parse_column(by_column[j])
-                values.extend(block_values)
                 if block_bad:
                     first_bad_text.setdefault(j, by_column[j][block_bad[0]].strip())
-                    bad.extend([i + n for i in block_bad])
+                if j in all_bad:
+                    if len(block_bad) == len(block):
+                        continue
+                    all_bad.remove(j)
+                    values.extend([0.0] * n)
+                    bad.extend(range(n))
+                values.extend(block_values)
+                bad.extend([i + n for i in block_bad])
         n += len(block)
     if width_error is not None:
         raise width_error
@@ -236,11 +246,13 @@ def _parse_selected_columns(
         raise selection_error
     if columns is None:
         # Every cell bad drops a column, unless it has no cells: no rows.
-        selected = [j for j, (_, bad) in parsed.items() if len(bad) < n or not n]
+        selected = [j for j in parsed if j not in all_bad or not n]
     else:
         selected = wanted
     if not selected:
         raise EmptySelection("no numeric columns to select")
+    for j in all_bad.intersection(selected):
+        parsed[j] = ([0.0] * n, list(range(n)))
 
     bad_rows = set()
     for j in selected:

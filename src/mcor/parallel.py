@@ -7,6 +7,11 @@ import marshal
 import os
 import threading
 
+# True while this process runs a forked map, and in its children, which
+# inherit it: a map called from inside a chunk then runs serially, since
+# the outer map already has one process per usable CPU.
+_mapping = False
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
@@ -29,18 +34,22 @@ def chunk_map(f, count: int) -> list:
     error is raised as a serial run raises it. Children still running when
     this process raises, KeyboardInterrupt included, are killed and reaped.
 
-    The run is serial with one usable CPU, without ``os.fork``, or while
-    another thread is alive: forking a threaded process can deadlock. A
-    fork costs about 1.7 ms and no work threshold applies: forking pays
-    from about 4-10 ms of serial work on.
+    The run is serial with one usable CPU, without ``os.fork``, while
+    another thread is alive (forking a threaded process can deadlock), or
+    when called from ``f`` of a forked map, here or in its children. A
+    fork costs about 1.7 ms, and this function forks whatever the amount
+    of work: a caller gates small work itself, as
+    ``corestats.correlation_matrix`` does.
     """
+    global _mapping
     workers = min(count, _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if workers < 2 or _mapping or not hasattr(os, "fork") or threading.active_count() > 1:
         return list(map(f, range(count)))
     bounds = [count * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     children = []
     try:
+        _mapping = True
         for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
@@ -71,6 +80,7 @@ def chunk_map(f, count: int) -> list:
                 values += map(f, chunk)
         return values
     finally:
+        _mapping = False
         for pid, pipe, _ in children:
             pipe.close()
             # SIGKILL is 9 on every POSIX system; importing the signal module

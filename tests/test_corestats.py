@@ -1,22 +1,28 @@
 """Pearson correlation, correlation matrices, sample standard deviation."""
 
 import math
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mcor.corestats as mcor_corestats
 from mcor import (
     DataMatrix,
+    Scenario,
     SplitMix64,
     correlation_matrix,
     make_data_matrix,
+    monte_carlo,
     pearson_r,
     sample_sd,
 )
 from mcor.errors import (
     BadArguments,
     LengthMismatch,
+    McorError,
     NonFiniteEntry,
     TooFewRows,
     TooFewValues,
@@ -24,7 +30,7 @@ from mcor.errors import (
 )
 from mcor.linalg import eigenvalues_symmetric
 from oracles import full_square
-from support import rand_data
+from support import assert_no_child_left, rand_data
 
 _moderate_floats = st.floats(min_value=-10.0, max_value=10.0)
 # hundredth-quantized values keep centered squares clear of underflow
@@ -147,6 +153,113 @@ class TestCorrelationMatrix:
             n = d + 1 + rng.next_u64() % 20
             m = correlation_matrix(rand_data(rng, n, d))
             assert eigenvalues_symmetric(m).values[-1] >= -1e-8
+
+
+def split(saving):
+    """Patch the threshold on ``n * (pairs - d)`` from which the dot
+    products are forked: -inf forks at every d, inf never."""
+    return mock.patch.object(mcor_corestats, "_FORK_SAVING", saving)
+
+
+def outcome(data):
+    """``correlation_matrix(data)``'s triangle as repr, or its error."""
+    try:
+        return repr(correlation_matrix(data).lower)
+    except McorError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def hard_columns(draw):
+    """2-8 non-constant columns of 2-30 rows, each free, near-collinear
+    with a shared base column, or scaled to where ``_centered`` takes
+    ``_scaled``'s path (squares past the float maximum or below 2**-500)."""
+    n = draw(st.integers(2, 30))
+    values = st.lists(_moderate_floats, min_size=n, max_size=n)
+    base = draw(values)
+    columns = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(["free", "near-collinear", "huge", "tiny"]))
+        if kind == "near-collinear":
+            a = draw(st.floats(0.5, 4.0) | st.floats(-4.0, -0.5))
+            noise = draw(st.lists(st.floats(-1e-9, 1e-9), min_size=n, max_size=n))
+            col = [a * x + e for x, e in zip(base, noise)]
+        else:
+            col = draw(values)
+            col = [math.ldexp(x, {"free": 0, "huge": 1000, "tiny": -1000}[kind]) for x in col]
+        assume(len(set(col)) > 1)
+        columns.append(col)
+    return DataMatrix.from_columns(columns)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestForkedProducts:
+    """Dot products split across forked processes; the threshold and the
+    CPU count are forced, so the forked path runs on any host and data."""
+
+    def test_benchmark_shapes_lie_on_either_side(self):
+        # A tall-csv file (about 19 800 rows of 10 columns after --drop-na)
+        # forks; a sim-noisy replicate (1000 rows of 3) does not.
+        assert 1000 * (3 - 3) < mcor_corestats._FORK_SAVING <= 19_000 * (45 - 10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hard_columns())
+    def test_matrix_is_the_serial_one_bit_for_bit(self, data):
+        with split(math.inf):
+            expected = outcome(data)
+        for workers in (1, 2, 3):
+            with split(-math.inf), mock.patch("mcor.parallel._usable_cpus", lambda: workers):
+                assert outcome(data) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forks_from_the_threshold_on(self, cpus, forks, workers):
+        cpus(workers)
+        data = rand_data(SplitMix64(3), 40, 5)  # n * (pairs - d) = 40 * 5
+        with split(40 * 5 + 1):
+            below = correlation_matrix(data)
+        assert forks == []
+        with split(40 * 5):
+            at = correlation_matrix(data)
+        assert len(forks) == workers - 1
+        assert repr(at) == repr(below)
+        assert_no_child_left()
+
+    def test_zero_variance_is_raised_before_any_fork(self, cpus, forks):
+        cpus(2)
+        data = DataMatrix.from_columns([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0], [2.0, 2.0, 2.0]])
+        with split(-math.inf), pytest.raises(ZeroVariance, match="column v3"):
+            correlation_matrix(data)
+        assert forks == []
+
+    def test_child_that_dies_is_recomputed(self, cpus, forks):
+        data = rand_data(SplitMix64(5), 30, 6)
+        expected = repr(correlation_matrix(data))
+        parent = os.getpid()
+
+        def die_in_a_child(values):
+            if os.getpid() != parent:
+                os._exit(3)
+            return math.fsum(values)
+
+        cpus(3)
+        with split(-math.inf), mock.patch.object(mcor_corestats, "fsum", die_in_a_child):
+            assert repr(correlation_matrix(data)) == expected
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("replicates", [1, 5])
+    def test_monte_carlo_summary_is_unchanged(self, cpus, forks, workers, replicates):
+        cpus(1)
+        with split(math.inf):
+            expected = monte_carlo(Scenario.CHAINED, 60, replicates, 4)
+        cpus(workers)
+        with split(-math.inf):
+            assert monte_carlo(Scenario.CHAINED, 60, replicates, 4) == expected
+        # One map forks: the replicates', or with one replicate the
+        # products'. A replicate's products never fork inside it.
+        assert forks == [os.getpid()] * (workers - 1)
+        assert_no_child_left()
 
 
 class TestMomentsAcrossTheFloatRange:

@@ -319,8 +319,10 @@ class TestBlockStream:
          "row 5003: expected 2 cells, found 1"),
         (b"a,b\n1,2\n3,x\n" + MANY_ROWS + b"4,y\n", None,
          "row 3, column b: cannot use cell 'x'"),
+        (b"a,b\n1,x\n2,y\n" + MANY_ROWS, None, "row 2, column b: cannot use cell 'x'"),
     ], ids=["short-row-after-bad-cell", "bad-utf8-after-short-row", "field-limit-late",
-            "missing-name-bad-utf8", "repeated-name-short-row", "bad-cells-in-two-blocks"])
+            "missing-name-bad-utf8", "repeated-name-short-row", "bad-cells-in-two-blocks",
+            "text-blocks-then-numbers"])
     @pytest.mark.parametrize("block_rows", [1, 4096])
     def test_errors_keep_their_whole_file_precedence(self, tmp_path, monkeypatch, data, columns,
                                                      message, block_rows):
@@ -342,30 +344,52 @@ class TestBlockStream:
         assert len(handles) == 1 and handles[0].closed
 
     def test_peak_memory_is_a_block_above_what_is_kept(self, tmp_path):
-        # A text id and ten 9-digit columns, about 1% of rows missing a
-        # value. Reading every cell before parsing peaked at 4x the
-        # DataMatrix; a block at a time peaks at about 2x.
-        rng = random.Random(0)
-        lines = ["id," + ",".join(f"x{j}" for j in range(10))]
-        for i in range(20_000):
-            cells = [f"{rng.gauss(0.0, 1.0):.9g}" for _ in range(10)]
-            if rng.random() < 0.01:
-                cells[rng.randrange(10)] = "NA"
-            lines.append(f"r{i}," + ",".join(cells))
-        path = write(tmp_path, "tall.csv", "\n".join(lines) + "\n")
-        del lines
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            data = read_csv_data(path, drop_na=True)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        # Reading every cell before parsing peaked at 4x the DataMatrix; a
+        # block at a time peaks at about 2x.
+        data, kept, peak = traced(read_csv_data, write_tall(tmp_path), drop_na=True)
         assert data.n_vars == 10 and 19_000 < data.n_obs < 20_000
-        assert peak - before <= 2.5 * (kept - before)
+        assert peak <= 2.5 * kept
+
+    def test_a_dropped_text_column_holds_nothing_per_row(self, tmp_path):
+        # Auto-selection parses the text id too, but keeps no value or bad
+        # index for its cells once it has dropped it: its peak is that of
+        # naming the ten numeric columns, well within a pointer per row.
+        path = write_tall(tmp_path)
+        named = [f"x{j}" for j in range(10)]
+        by_name, _, named_peak = traced(read_csv_data, path, columns=named, drop_na=True)
+        auto, _, auto_peak = traced(read_csv_data, path, drop_na=True)
+        assert auto == by_name
+        assert auto_peak - named_peak < 8 * 20_000
+
+
+def write_tall(tmp_path):
+    """A text id and ten 9-digit columns of 20 000 rows, about 1% of rows
+    missing a value."""
+    rng = random.Random(0)
+    lines = ["id," + ",".join(f"x{j}" for j in range(10))]
+    for i in range(20_000):
+        cells = [f"{rng.gauss(0.0, 1.0):.9g}" for _ in range(10)]
+        if rng.random() < 0.01:
+            cells[rng.randrange(10)] = "NA"
+        lines.append(f"r{i}," + ",".join(cells))
+    return write(tmp_path, "tall.csv", "\n".join(lines) + "\n")
+
+
+def traced(f, *args, **kwargs):
+    """``f(*args, **kwargs)``, with the memory it left allocated and the
+    peak it reached, both over what was allocated before, as
+    ``tracemalloc`` counts them."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f(*args, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, kept - before, peak - before
 
 
 class TestUncheckedCore:

@@ -180,6 +180,21 @@ def test_process_forking_is_written_once(name):
     assert set(package_sites(calls(name, on="os"))) == {"parallel.chunk_map"}
 
 
+def calls_either(name: str):
+    """Matches a call of the bare name ``name(...)`` or of ``<anything>.name(...)``."""
+    def matches(node) -> bool:
+        return calls_bare(name)(node) or calls(name)(node)
+    return matches
+
+
+# Two computations fork: the Monte Carlo replicates and a large data set's
+# dot products. A map inside a map runs serially, so neither forks within
+# the other.
+def test_forked_map_has_two_callers():
+    assert package_sites(calls_either("chunk_map")) == [
+        "corestats.correlation_matrix", "simulate.monte_carlo"]
+
+
 # Values cross between processes in one format, written and read by the map.
 @pytest.mark.parametrize("name", ["dumps", "loads"])
 def test_marshal_is_called_once(name):
@@ -254,6 +269,9 @@ def test_rule_sites_are_caught():
     assert rule_sites(source, "m", raises_beyond_roundoff) == ["m.h"]
     assert rule_sites("import os\nos.fork()\ndef f():\n    os._exit(1)\n    fork()\n",
                       "m", calls("_exit", on="os")) == ["m.f"]
+    assert rule_sites("chunk_map(f, 2)\ndef g():\n    return parallel.chunk_map(f, 3)\n"
+                      "def h():\n    return chunk_map, map(f, x)\n",
+                      "m", calls_either("chunk_map")) == ["m", "m.g"]
     assert rule_sites("import gc\ngc.disable()\ndef f():\n    gc.enable()\n    gc.disable\n"
                       "class C:\n    def g(self):\n        x.disable()\n        gc.disable()\n",
                       "m", calls("disable", on="gc")) == ["m", "m.C.g"]

@@ -52,13 +52,6 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch):
     assert mcor_parallel._usable_cpus() == (os.cpu_count() or 1)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    def force(count):
-        monkeypatch.setattr(mcor_parallel, "_usable_cpus", lambda: count)
-    return force
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 class TestChunkMap:
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -80,4 +73,20 @@ class TestChunkMap:
         f, here = recording(fault(monkeypatch))
         assert chunk_map(f, 6) == list(range(6))
         assert here == list(range(6))
+        assert_no_child_left()
+
+    def test_a_map_inside_a_forked_map_runs_serially(self, cpus, forks):
+        # The outer map's processes already use every CPU, here and in the
+        # child: neither forks again for a map inside its chunk.
+        cpus(2)
+
+        def inner_forks(i):
+            before = forks.count(os.getpid())
+            assert chunk_map(abs, 4) == [0, 1, 2, 3]
+            return forks.count(os.getpid()) - before
+
+        assert chunk_map(inner_forks, 2) == [0, 0]
+        assert forks == [os.getpid()]
+        assert chunk_map(abs, 4) == [0, 1, 2, 3]  # and a later map forks again
+        assert forks == [os.getpid()] * 2
         assert_no_child_left()

@@ -10,7 +10,6 @@ import pytest
 
 import mcor.linalg as mcor_linalg
 import mcor.multiway as mcor_multiway
-import mcor.parallel as mcor_parallel
 import mcor.simulate as mcor_simulate
 from mcor import (
     DataMatrix,
@@ -235,24 +234,6 @@ def serial_summary(scenario, n_obs, replicates, seed):
 class TestForkedReplicates:
     """Replicates split over forked processes; the CPU count is forced through
     the private helper, so the forked path runs on any host."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        def force(count):
-            monkeypatch.setattr(mcor_parallel, "_usable_cpus", lambda: count)
-        return force
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls = []
-        real = os.fork
-
-        def counting():
-            calls.append(None)
-            return real()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return calls
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("scenario", list(Scenario))
