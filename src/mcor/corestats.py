@@ -111,42 +111,53 @@ def make_data_matrix(
     return DataMatrix.from_columns(list(zip(*rows)), var_names)
 
 
-def _centered(xs: Sequence[float]) -> tuple[list[float], float, int]:
-    """Centred values, their sum of squares, and the shift: ``xs`` times
-    2**-shift is what was centred.
+def _deviations(values: Sequence[float]) -> list[float]:
+    """``values`` minus their mean, ``fsum(values) / n``; no values when
+    that sum overflows, so that their sum of squares, 0, sends the caller
+    to ``_scaled``'s copy."""
+    try:
+        mean = fsum(values) / len(values)
+    except OverflowError:  # fsum's partial sums passed the float maximum
+        return []
+    return [x - mean for x in values]
 
-    ``xs`` is centred as it is (shift 0) unless a sum overflows or the sum
-    of squares leaves [2**-500, 2**500]; then the copy from ``_scaled``,
-    largest |value| in [0.5, 1), is centred instead. The scaling loses no
-    bit above 2**-1074 and a correlation does not depend on it. A scaled
-    non-constant series varies by at least 2**-54 about its mean, so its
-    sum of squares lies in [2**-108, 4n]. Either way the product of two
-    sums, the square of a correlation's denominator, is a normal double.
+
+def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Exactly rounded sum of the rounded products ``x * y``; inf when a
+    partial sum passes the float maximum or products of both signs
+    overflow (fsum raises OverflowError and ValueError for those)."""
+    try:
+        return fsum(map(mul, xs, ys))
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+def _ordinary(sum_sq: float) -> bool:
+    """Whether a sum of squared deviations of unscaled values is kept:
+    within [2**-500, 2**500]. Outside, NaN and inf included, the copy
+    from ``_scaled``, largest |value| in [0.5, 1), is centred instead.
+    The scaling loses no bit above 2**-1074 and a correlation does not
+    depend on it. A scaled non-constant series varies by at least 2**-54
+    about its mean, so its sum of squares lies in [2**-108, 4n]. Either
+    way the product of two sums, the square of a correlation's
+    denominator, is a normal double.
     """
-    values, shift = xs, 0
-    while True:
-        try:
-            mean = fsum(values) / len(values)
-            centered = [x - mean for x in values]
-            sum_sq = fsum(map(mul, centered, centered))
-        except OverflowError:  # fsum's partial sums passed the float maximum
-            sum_sq = math.inf
-        # A scaled copy (a new list) cannot overflow and is kept as it comes.
-        if values is not xs or 2.0**-500 <= sum_sq <= 2.0**500:
-            return centered, sum_sq, shift
-        values, shift = _scaled(xs)
+    return 2.0**-500 <= sum_sq <= 2.0**500
 
 
 # Forking pays when the products it takes off this process outweigh its
 # cost: about 1.7 ms, plus a page copy for each value that both processes
 # read (a read writes the value's reference count), about half a
-# product's time. With two workers each process computes about half of
-# the n * pairs products and reads about all n * d values, so the saving
-# grows with n * (pairs - d). At d = 3 that is 0: the parent keeps one
-# pair of three and waits for the child's two. Timed on a 2-CPU host
-# (medians of 21 alternating runs), forking lost at every d from 4 to 20
-# with n * (pairs - d) = 50 000 and won at every one with 100 000; at
-# d = 3 it lost at every n up to 300 000.
+# product's time. With two workers this process computes the first
+# tasks // 2 of the d (d + 1) / 2 tasks and waits for the child's other
+# ones, and each process reads about all n * d values, so the saving
+# grows with n * (2 * (tasks // 2) - d): 3n at d = 3 (3 tasks against 3),
+# 44n at d = 10, and 0 at d = 2 (1 task against 2), which never forks.
+# Timed on a 2-CPU host (medians of 21 alternating serial and forked
+# runs), forking lost at every d from 4 to 20 with 50 000 (1.04-1.18
+# times the serial time, no wins) and tied at d = 3; it won at every d
+# from 3 to 20 with 80 000 (0.92-0.99) and with 100 000 (0.88-0.91, 20
+# or 21 wins of 21). At d = 2 it lost up to 100 000 rows.
 _FORK_SAVING = 100_000
 
 
@@ -154,38 +165,53 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     """d x d sample correlation matrix with an exactly-unit diagonal.
 
     Only the lower triangle is computed, and kept; raises ZeroVariance
-    naming the first constant column found. When ``n * (pairs - d)``
-    reaches ``_FORK_SAVING``, the dot products run in
-    ``parallel.chunk_map``: each is the same exact ``fsum`` of the same
-    rounded products, so the matrix is the same to the bit.
+    naming the first constant column found. Each column is centred here;
+    its sum of squares and its products with the columns before it are
+    the tasks (i, j <= i) of one map, in row-major order, each an exact
+    ``fsum`` of rounded products. When ``n * (2 * (tasks // 2) - d)``
+    reaches ``_FORK_SAVING`` the map runs in ``parallel.chunk_map``, and the
+    matrix is the same to the bit.
+
+    A column whose sum of squares ``_ordinary`` rejects is centred again
+    from its ``_scaled`` copy, and its row and column of tasks are
+    recomputed here. Tasks between two other columns are kept: by
+    Cauchy-Schwarz each is at most the root of two sums of squares in
+    range, so it is finite, and no product or partial sum overflowed.
     """
     d = data.n_vars
     for col, name in zip(data.columns, data.var_names):
         if col.count(col[0]) == len(col):
             raise ZeroVariance(f"column {name}")
-    moments = [_centered(col) for col in data.columns]
-    pairs = [(i, j) for i in range(d) for j in range(i)]
+    centred = list(map(_deviations, data.columns))
+    tasks = [(i, j) for i in range(d) for j in range(i + 1)]
 
-    def dot(k: int) -> float:
-        i, j = pairs[k]
-        return fsum(map(mul, moments[i][0], moments[j][0]))
+    def product(k: int) -> float:
+        i, j = tasks[k]
+        return _dot(centred[i], centred[j])
 
-    if data.n_obs * (len(pairs) - d) < _FORK_SAVING:
-        dots = map(dot, range(len(pairs)))
+    if data.n_obs * (2 * (len(tasks) // 2) - d) < _FORK_SAVING:
+        products = list(map(product, range(len(tasks))))
     else:
         from .parallel import chunk_map  # not loaded by import mcor.cli
-        dots = iter(chunk_map(dot, len(pairs)))
+        products = chunk_map(product, len(tasks))
+    diagonal = [i * (i + 3) // 2 for i in range(d)]  # task (i, i)
+    scaled = {i for i in range(d) if not _ordinary(products[diagonal[i]])}
+    for i in scaled:
+        centred[i] = _deviations(_scaled(data.columns[i])[0])
+    for k, (i, j) in enumerate(tasks):
+        if i in scaled or j in scaled:
+            products[k] = product(k)
     tri = []
-    for i in range(d):
-        sxx = moments[i][1]
-        for j in range(i):
-            # One sqrt of the product loses less than a product of two sqrts
-            # and keeps exactly-linear integer data at exactly +-1. _centered
-            # keeps the product a normal double, and Cauchy-Schwarz bounds
-            # the numerator by its root, so r is finite.
-            r = next(dots) / math.sqrt(sxx * moments[j][1])
-            tri.append(_clamp(r, -1.0, 1.0, "correlation", CLAMP_EPS))
-        tri.append(1.0)
+    for k, (i, j) in enumerate(tasks):
+        if i == j:
+            tri.append(1.0)
+            continue
+        # One sqrt of the product loses less than a product of two sqrts
+        # and keeps exactly-linear integer data at exactly +-1. _ordinary
+        # keeps the product a normal double, and Cauchy-Schwarz bounds the
+        # numerator by its root, so r is finite.
+        r = products[k] / math.sqrt(products[diagonal[i]] * products[diagonal[j]])
+        tri.append(_clamp(r, -1.0, 1.0, "correlation", CLAMP_EPS))
     return make_symmetric(d, tri)
 
 
@@ -199,10 +225,10 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
 def sample_sd(xs: Sequence[float]) -> float:
     """Sample standard deviation with the m-1 denominator.
 
-    The centred sum of squares comes from ``_centered``, which scales the
-    values by a power of two only when a sum would overflow or the sum of
-    squares leave [2**-500, 2**500]; the scaling is undone on the result,
-    and a result beyond the float range raises NonFiniteEntry.
+    The values are scaled by ``_scaled`` only when their sum overflows or
+    their centred sum of squares leaves [2**-500, 2**500], as in
+    ``correlation_matrix``; the scaling is undone on the result, and a
+    result beyond the float range raises NonFiniteEntry.
     """
     m = len(xs)
     if m < 2:
@@ -214,5 +240,10 @@ def sample_sd(xs: Sequence[float]) -> float:
 
 def _sd(xs: Sequence[float]) -> float:
     """``sample_sd`` of at least two finite values, which are not checked."""
-    _, sum_sq, shift = _centered(xs)
+    centred, shift = _deviations(xs), 0
+    sum_sq = _dot(centred, centred)
+    if not _ordinary(sum_sq):
+        values, shift = _scaled(xs)
+        centred = _deviations(values)
+        sum_sq = _dot(centred, centred)
     return _unscale(math.sqrt(sum_sq / (len(xs) - 1)), shift, "standard deviation")

@@ -61,7 +61,7 @@ def _rows(path) -> Iterator[list[str]]:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             for row in reader:
-                if row[1:] or row and row[0].strip():
+                if len(row) > 1 or row and row[0].strip():
                     yield row
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
@@ -121,7 +121,9 @@ def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
             except ValueError:
                 bad.append(i)
                 values.append(0.0)
-    if not all(map(math.isfinite, values)):
+    # Any inf or NaN makes the plain sum non-finite; a finite column whose
+    # sum overflows only takes the per-value pass too.
+    if not math.isfinite(sum(values)):
         bad = sorted(set(bad).union(
             i for i, v in enumerate(values) if not math.isfinite(v)))
         for i in bad:

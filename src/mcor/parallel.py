@@ -39,7 +39,7 @@ def chunk_map(f, count: int) -> list:
     when called from ``f`` of a forked map, here or in its children. A
     fork costs about 1.7 ms, and this function forks whatever the amount
     of work: a caller gates small work itself, as
-    ``corestats.correlation_matrix`` does.
+    ``corestats.correlation_matrix`` and ``simulate.monte_carlo`` do.
     """
     global _mapping
     workers = min(count, _usable_cpus())

@@ -125,19 +125,43 @@ def _value(scenario: Scenario, n_obs: int, seed: int, i: int) -> float:
     return _off_diagonal_rms(correlation_matrix(data).lower, CLAMP_EPS)
 
 
+# Forking pays when the replicates it takes off this process outweigh its
+# cost, about 1.7 ms. With two workers this process computes the first
+# replicates // 2 replicates and waits for the child's other ones, so the
+# saving grows with replicates // 2 times the cost of one replicate.
+# Timed serially, a replicate costs about 18 us plus 0.51 us a row for
+# ALL_LINEAR, whose rows are the cheapest, and up to 1.19 us a row for
+# CHAINED: at least as much as n_obs + 35 ALL_LINEAR rows. Timed on a
+# 2-CPU host (medians of 21 alternating serial and forked runs of
+# ALL_LINEAR, n_obs from 10 to 1000), forking lost with
+# (replicates // 2) * (n_obs + 35) from 1700 to 2475 (1.02-1.15 times the
+# serial time) and won from 2550 to 9000 (0.66-0.98), by 0.94 or better
+# from 2925 on; the other scenarios, whose rows cost more, won from lower
+# down.
+_FORK_SAVING = 3000
+
+
 def monte_carlo(
     scenario: Scenario, n_obs: int, replicates: int, seed: int
 ) -> MonteCarloSummary:
     """Coefficient summary over ``replicates`` fresh datasets, replicate i
     drawn from the substream seed derive_seed(seed, i): a pure function of
-    the four arguments, bit-identical whatever the process count."""
+    the four arguments, bit-identical whatever the process count.
+
+    When ``(replicates // 2) * (n_obs + 35)`` reaches ``_FORK_SAVING``
+    the replicates run in ``parallel.chunk_map``; below it, serially.
+    """
     _check_scenario(scenario)
     if replicates < 1:
         raise BadArguments(f"replicates must be >= 1, got {replicates}")
     if replicates > sys.maxsize:
         raise BadArguments(f"replicates must be <= {sys.maxsize}, got {replicates}")
     _check_n_obs(n_obs)  # before any process is forked
-    values = chunk_map(partial(_value, scenario, n_obs, seed), replicates)
+    value = partial(_value, scenario, n_obs, seed)
+    if (replicates // 2) * (n_obs + 35) < _FORK_SAVING:
+        values = list(map(value, range(replicates)))
+    else:
+        values = chunk_map(value, replicates)
     return MonteCarloSummary(
         scenario=scenario,
         n_obs=n_obs,

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcor.corestats as mcor_corestats
+import mcor.simulate as mcor_simulate
 from mcor import (
     DataMatrix,
     Scenario,
@@ -156,8 +157,8 @@ class TestCorrelationMatrix:
 
 
 def split(saving):
-    """Patch the threshold on ``n * (pairs - d)`` from which the dot
-    products are forked: -inf forks at every d, inf never."""
+    """Patch the threshold on ``n * (2 * (tasks // 2) - d)`` from which the
+    triangle's products are forked: -inf forks at every d, inf never."""
     return mock.patch.object(mcor_corestats, "_FORK_SAVING", saving)
 
 
@@ -172,8 +173,9 @@ def outcome(data):
 @st.composite
 def hard_columns(draw):
     """2-8 non-constant columns of 2-30 rows, each free, near-collinear
-    with a shared base column, or scaled to where ``_centered`` takes
-    ``_scaled``'s path (squares past the float maximum or below 2**-500)."""
+    with a shared base column, or scaled to where ``_ordinary`` sends
+    the column to ``_scaled``'s copy (squares past the float maximum or
+    below 2**-500)."""
     n = draw(st.integers(2, 30))
     values = st.lists(_moderate_floats, min_size=n, max_size=n)
     base = draw(values)
@@ -198,9 +200,42 @@ class TestForkedProducts:
     CPU count are forced, so the forked path runs on any host and data."""
 
     def test_benchmark_shapes_lie_on_either_side(self):
-        # A tall-csv file (about 19 800 rows of 10 columns after --drop-na)
-        # forks; a sim-noisy replicate (1000 rows of 3) does not.
-        assert 1000 * (3 - 3) < mcor_corestats._FORK_SAVING <= 19_000 * (45 - 10)
+        # n * (2 * (tasks // 2) - d): a tall-csv file (about 19 800 rows of
+        # 10 columns after --drop-na, 55 tasks) forks; a sim-noisy replicate
+        # (1000 rows of 3, 6 tasks) does not.
+        assert 1000 * (6 - 3) < mcor_corestats._FORK_SAVING <= 19_000 * (54 - 10)
+
+    # Columns whose sums of squares _ordinary rejects, among ordinary ones,
+    # with the triangles the serial code gave before the sums of squares
+    # joined the map. Unscaled, the products of the two huge columns ("huge
+    # pair"), and those of a huge column and one near 2**100 ("huge beside
+    # big"), reach both +inf and -inf.
+    A = [1.5, -2.25, 3.0, 0.5, -1.0, 2.75]
+    B = [0.25, 1.0, -0.5, 2.0, 1.75, -3.0]
+    C = [-1.25, 0.75, 2.5, -2.0, 3.25, 0.5]
+    E = [2.0, -0.75, 1.25, -3.5, 0.5, 1.0]
+    THREE = "((1.0,), (-0.702068806114664, 1.0), (-0.0821902857284309, -0.08300564670098687, 1.0))"
+    PINNED = {
+        "huge": ([A, B, [math.ldexp(x, 1000) for x in C]], THREE),
+        "tiny": ([A, [math.ldexp(x, -1000) for x in C], B],
+                 "((1.0,), (-0.0821902857284309, 1.0), "
+                 "(-0.702068806114664, -0.08300564670098687, 1.0))"),
+        "huge pair": ([[math.ldexp(x, 1000) for x in A], B, [math.ldexp(x, 1000) for x in C]],
+                      THREE),
+        "huge beside big": ([A, [math.ldexp(x, 100) for x in B], [math.ldexp(x, 1000) for x in C],
+                             E], THREE[:-1] + ", (0.4148849162885491, -0.5549160204365805, "
+                                              "0.4392756457187494, 1.0))"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_scaled_columns_among_ordinary_ones(self, cpus, forks, name, workers):
+        columns, expected = self.PINNED[name]
+        cpus(workers)
+        with split(-math.inf):
+            assert repr(correlation_matrix(DataMatrix.from_columns(columns)).lower) == expected
+        assert len(forks) == workers - 1
+        assert_no_child_left()
 
     @settings(max_examples=100, deadline=None)
     @given(hard_columns())
@@ -214,11 +249,11 @@ class TestForkedProducts:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forks_from_the_threshold_on(self, cpus, forks, workers):
         cpus(workers)
-        data = rand_data(SplitMix64(3), 40, 5)  # n * (pairs - d) = 40 * 5
-        with split(40 * 5 + 1):
+        data = rand_data(SplitMix64(3), 40, 5)  # 15 tasks: 40 * (14 - 5)
+        with split(40 * 9 + 1):
             below = correlation_matrix(data)
         assert forks == []
-        with split(40 * 5):
+        with split(40 * 9):
             at = correlation_matrix(data)
         assert len(forks) == workers - 1
         assert repr(at) == repr(below)
@@ -254,7 +289,7 @@ class TestForkedProducts:
         with split(math.inf):
             expected = monte_carlo(Scenario.CHAINED, 60, replicates, 4)
         cpus(workers)
-        with split(-math.inf):
+        with split(-math.inf), mock.patch.object(mcor_simulate, "_FORK_SAVING", -math.inf):
             assert monte_carlo(Scenario.CHAINED, 60, replicates, 4) == expected
         # One map forks: the replicates', or with one replicate the
         # products'. A replicate's products never fork inside it.

@@ -181,6 +181,12 @@ class TestBlankLinesAndStripping:
         path = write(tmp_path, "d.csv", "a,b\n1,2\n,\n3,5\n,,\n")
         assert read_cells(path) == [["a", "b"], ["1", "2"], ["", ""], ["3", "5"], ["", "", ""]]
 
+    def test_blank_rows_have_no_cells_or_one_blank_cell(self, tmp_path):
+        text = '\n""\n  \n,\n ,x\n'
+        assert list(csv.reader(text.splitlines(keepends=True))) == [
+            [], [""], ["  "], ["", ""], [" ", "x"]]
+        assert read_cells(write(tmp_path, "d.csv", text)) == [["", ""], [" ", "x"]]
+
     def test_line_of_one_delimiter_is_a_row_of_missing_cells(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n,\n3,5\n4,4\n")
         with pytest.raises(ParseError, match=r"^row 3, column a: cannot use cell ''$"):
@@ -225,6 +231,17 @@ class TestBlankLinesAndStripping:
         with pytest.raises(ParseError, match=r"^row 3, column a: cannot use cell "):
             read_csv_data(path)
         assert read_csv_data(path, drop_na=True).columns == ((1.0, 4.0, 5.0), (2.0, 3.0, 1.0))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_cells_are_named_as_written(self, tmp_path, cell):
+        data = write(tmp_path, "d.csv", f"a,b\n1,2\n3,{cell}\n4,3\n5,1\n")
+        with pytest.raises(ParseError) as info:
+            read_csv_data(data)
+        assert str(info.value) == f"row 3, column b: cannot use cell '{cell}'"
+        matrix = write(tmp_path, "m.csv", f"c1,c2\n1,0.5\n{cell},1\n")
+        with pytest.raises(ParseError) as info:
+            read_matrix(matrix)
+        assert str(info.value) == f"row 3, column 1: cannot parse '{cell}'"
 
 
 class TestTextColumnCost:
@@ -423,6 +440,9 @@ class TestParseColumn:
         ("x", "\u0663"),
         ("", "1"),
         ("id1", ""),
+        # A finite column whose plain sum overflows has no bad cell.
+        ("1e308", "1e308", "1"),
+        ("2", "inf", "-inf", "nan", "1e999", "3"),
     ])
     def test_matches_parse_number_cell_by_cell(self, cells):
         values, bad = _parse_column(cells)

@@ -195,6 +195,22 @@ def test_forked_map_has_two_callers():
         "corestats.correlation_matrix", "simulate.monte_carlo"]
 
 
+def forms_products(node) -> bool:
+    """Matches a call of ``_dot(...)`` or of ``map(mul, ...)``."""
+    return calls_bare("_dot")(node) or (
+        calls_bare("map")(node) and bool(node.args) and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "mul")
+
+
+# The correlation triangle's products, sums of squares included, are formed
+# in the one task function of its map, which the scaled route calls again:
+# there is no second product loop.
+def test_triangle_products_are_formed_in_one_function():
+    assert [site for site in package_sites(forms_products)
+            if site.startswith("corestats.correlation_matrix")] == [
+        "corestats.correlation_matrix.product"]
+
+
 # Values cross between processes in one format, written and read by the map.
 @pytest.mark.parametrize("name", ["dumps", "loads"])
 def test_marshal_is_called_once(name):
@@ -272,6 +288,9 @@ def test_rule_sites_are_caught():
     assert rule_sites("chunk_map(f, 2)\ndef g():\n    return parallel.chunk_map(f, 3)\n"
                       "def h():\n    return chunk_map, map(f, x)\n",
                       "m", calls_either("chunk_map")) == ["m", "m.g"]
+    assert rule_sites("def f(a, b):\n    def g(k):\n        return _dot(a[k], b[k])\n"
+                      "    return g, _dot, map(add, a, b), [fsum(map(mul, a, b))], x._dot(a)\n",
+                      "m", forms_products) == ["m.f.g", "m.f"]
     assert rule_sites("import gc\ngc.disable()\ndef f():\n    gc.enable()\n    gc.disable\n"
                       "class C:\n    def g(self):\n        x.disable()\n        gc.disable()\n",
                       "m", calls("disable", on="gc")) == ["m", "m.C.g"]

@@ -230,10 +230,45 @@ def serial_summary(scenario, n_obs, replicates, seed):
         sample_sd(values) if replicates > 1 else 0.0, min(values), max(values))
 
 
+@pytest.fixture
+def any_work_forks(monkeypatch):
+    """Fork the replicates whatever their amount of work."""
+    monkeypatch.setattr(mcor_simulate, "_FORK_SAVING", -math.inf)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestReplicateForkThreshold:
+    """The real threshold on ``(replicates // 2) * (n_obs + 35)``."""
+
+    def test_a_tiny_run_is_serial(self, cpus, forks):
+        cpus(2)
+        assert monte_carlo(Scenario.INDEPENDENT, 20, 2, 1) == serial_summary(
+            Scenario.INDEPENDENT, 20, 2, 1)
+        assert forks == []
+
+    def test_the_sim_noisy_run_forks(self, cpus, forks):
+        cpus(2)
+        assert monte_carlo(Scenario.NOISY_COMBO, 1000, 40, 1) == serial_summary(
+            Scenario.NOISY_COMBO, 1000, 40, 1)
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    def test_forks_from_the_threshold_on(self, cpus, forks):
+        # 29 * (65 + 35) and 30 * (65 + 35) lie either side of 3000.
+        assert mcor_simulate._FORK_SAVING == 3000
+        cpus(2)
+        monte_carlo(Scenario.INDEPENDENT, 65, 59, 1)
+        assert forks == []
+        monte_carlo(Scenario.INDEPENDENT, 65, 60, 1)
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.usefixtures("any_work_forks")
 class TestForkedReplicates:
-    """Replicates split over forked processes; the CPU count is forced through
-    the private helper, so the forked path runs on any host."""
+    """Replicates split over forked processes; the CPU count and the
+    threshold are forced, so the forked path runs on any host and size."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("scenario", list(Scenario))
