@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 
-from .errors import McorError, NonFiniteEntry, NotSquare, ParseError, UsageError
-from .io import read_cells, read_checked_matrix, read_csv_data, read_matrix
+from .errors import McorError, NonFiniteEntry, UsageError
+from .io import (CheckedMatrix, drain_rows, read_checked_matrix, read_compare_input,
+                 read_csv_data, read_matrix)
 from .linalg import eigenvalues_symmetric
 from .multiway import PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .scenarios import Scenario
@@ -179,29 +180,25 @@ def _run_single(args: argparse.Namespace):
             _report_lines(report, args.path))
 
 
-def _compare_input(path: str, cells, args: argparse.Namespace) -> tuple[str, McorReport]:
-    """Kind and report of one compare input, from one parse of its grid. Unless
-    ``--as`` forces the kind, a square numeric grid is a matrix when its diagonal
-    is 1 within 1e-9, so an asymmetric one fails as a matrix; else it is data."""
-    if args.as_kind != "data":
-        try:
-            checked = read_checked_matrix(path, cells)
-        except (ParseError, NotSquare):
-            if args.as_kind == "matrix":
-                raise
-        else:
-            if args.as_kind == "matrix" or checked.unit_diagonal:
-                return "matrix", mcor_from_matrix(checked.symmetric_matrix())
-    data = read_csv_data(path, columns=args.columns, drop_na=args.drop_na, cells=cells)
-    return "data", mcor(data)
+def _compare_input(path: str, args: argparse.Namespace) -> tuple[str, McorReport]:
+    """Kind and report of one compare input; one read as a matrix must be symmetric."""
+    read = read_compare_input(path, args.as_kind, args.columns, args.drop_na)
+    if isinstance(read, CheckedMatrix):
+        return "matrix", mcor_from_matrix(read.symmetric_matrix())
+    return "data", mcor(read)
 
 
 def _run_compare(args: argparse.Namespace):
     path_a, path_b = args.path_a, args.path_b
-    # Both files are read before either is judged: an unreadable file is reported first.
-    cells_a, cells_b = read_cells(path_a), read_cells(path_b)
-    kind_a, report_a = _compare_input(path_a, cells_a, args)
-    kind_b, report_b = _compare_input(path_b, cells_b, args)
+    try:
+        kind_a, report_a = _compare_input(path_a, args)
+    except McorError:
+        # A stream error of A, then of B, beats any other error. Each reader
+        # reads its whole stream before it raises any other, B's included.
+        drain_rows(path_a)
+        drain_rows(path_b)
+        raise
+    kind_b, report_b = _compare_input(path_b, args)
     delta = report_a.mcor - report_b.mcor
     if delta > TIE_THRESHOLD:
         verdict = "A"

@@ -5,9 +5,10 @@ means missing. A data file is read as a stream of rows and parsed one
 block of rows at a time, so its cell strings are never all alive at
 once. Matrix files are square numeric grids with an optional header row
 (detected when any first-row cell fails to parse as a number), read
-whole. Each reader checks the widths of the rows it holds before it
-parses their cells, and errors number the file's non-blank rows from 1,
-the header being row 1.
+whole, as is a ``compare`` input only if it is short enough to be one.
+Each reader reads a path's row stream once and checks the widths of the
+rows it holds before it parses their cells; errors number the file's
+non-blank rows from 1, the header being row 1.
 """
 
 from __future__ import annotations
@@ -71,16 +72,10 @@ def _rows(path) -> Iterator[list[str]]:
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-def read_cells(path) -> list[list[str]]:
-    """Every row of a CSV file, cells as written (not stripped), blank
-    lines dropped: the whole of ``_rows(path)``.
-
-    For a caller that reads a file more than once, as ``compare`` does to
-    sniff its kind. ``read_csv_data`` and ``read_checked_matrix`` take the
-    list as ``cells``; they strip only the header and the cells float()
-    rejects.
-    """
-    return list(_rows(path))
+def drain_rows(path) -> None:
+    """Read every row of ``path``, keeping none, so its stream errors raise."""
+    for _ in _rows(path):
+        pass
 
 
 def _parse_column(cells: Sequence[str]) -> tuple[list[float], list[int]]:
@@ -142,7 +137,6 @@ def read_csv_data(
     path,
     columns: Sequence[str] | None = None,
     drop_na: bool = False,
-    cells: list[list[str]] | None = None,
 ) -> DataMatrix:
     """Load a header-plus-rows CSV into a DataMatrix.
 
@@ -155,8 +149,14 @@ def read_csv_data(
 
     The file is read as a stream and parsed ``_BLOCK_ROWS`` rows at a
     time, so peak memory is about the parsed floats plus one block of
-    cell strings. ``cells``, rows a caller has already read from ``path``,
-    go through the same blocks.
+    cell strings.
+    """
+    return _data_matrix(path, _rows(path), columns, drop_na)
+
+
+def _data_matrix(path, rows: Iterator[list[str]], columns: Sequence[str] | None,
+                 drop_na: bool) -> DataMatrix:
+    """``read_csv_data`` of ``rows``, the ``_rows`` of ``path``, read to their end.
 
     Cyclic garbage collection is paused for the call and resumed, if it
     was enabled, once the stream is read: the row lists ``csv.reader``
@@ -168,7 +168,6 @@ def read_csv_data(
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        rows = _rows(path) if cells is None else iter(cells)
         names, cols, bad_rows = _parse_selected_columns(path, rows, columns, drop_na)
         keep = [True] * len(cols[0])
         for i in bad_rows:
@@ -292,32 +291,6 @@ def _check_widths(rows: list[list[str]], width: int, first: int) -> None:
             raise ParseError(f"row {number}: expected {width} cells, found {len(row)}")
 
 
-def _numeric_grid(path, cells: list[list[str]] | None) -> list[list[float]]:
-    """Square numeric block of a matrix CSV, optional header stripped; its
-    first data row sets the width."""
-    cells = read_cells(path) if cells is None else cells
-    if not cells:
-        raise ParseError(f"{path} is empty")
-    first = 1
-    if _parse_column(cells[0])[1]:
-        first = 2
-        cells = cells[1:]
-        if not cells:
-            raise ParseError(f"{path} has a header but no rows")
-    width = len(cells[0])
-    _check_widths(cells, width, first)
-    grid = []
-    for number, row in enumerate(cells, first):
-        values, bad = _parse_column(row)
-        if bad:
-            raise ParseError(f"row {number}, column {bad[0] + 1}: "
-                             f"cannot parse {row[bad[0]].strip()!r}")
-        grid.append(values)
-    if len(grid) != width:
-        raise NotSquare(f"{len(grid)} rows x {width} columns")
-    return grid
-
-
 class CheckedMatrix(NamedTuple):
     """A square matrix CSV with its two triangles averaged and how far the
     file itself was from symmetric. ``max_diagonal_deviation`` and
@@ -363,11 +336,35 @@ class CheckedMatrix(NamedTuple):
         return self.matrix
 
 
-def read_checked_matrix(path, cells: list[list[str]] | None = None) -> CheckedMatrix:
+def read_checked_matrix(path) -> CheckedMatrix:
     """Load a square matrix CSV without judging it: the averaged entries
     and the asymmetry the file had, with its worst pair."""
-    grid = _numeric_grid(path, cells)
+    return _checked_matrix(path, list(_rows(path)))
+
+
+def _checked_matrix(path, rows: list[list[str]]) -> CheckedMatrix:
+    """``read_checked_matrix`` of ``rows``, every row of ``path``; the first
+    data row, after an optional header, sets the width."""
+    if not rows:
+        raise ParseError(f"{path} is empty")
+    first = 1
+    if _parse_column(rows[0])[1]:
+        first = 2
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path} has a header but no rows")
+    width = len(rows[0])
+    _check_widths(rows, width, first)
+    grid = []
+    for number, row in enumerate(rows, first):
+        values, bad = _parse_column(row)
+        if bad:
+            raise ParseError(f"row {number}, column {bad[0] + 1}: "
+                             f"cannot parse {row[bad[0]].strip()!r}")
+        grid.append(values)
     d = len(grid)
+    if d != width:
+        raise NotSquare(f"{d} rows x {width} columns")
     # Pairs i < j in row-major order. Halved gaps are ranked: two full gaps
     # past the float maximum would both be inf and the first would win.
     worst = 0.0
@@ -395,3 +392,28 @@ def read_matrix(path) -> SymmetricMatrix:
     """Load a correlation-matrix CSV: ``read_checked_matrix`` followed by
     ``CheckedMatrix.symmetric_matrix``."""
     return read_checked_matrix(path).symmetric_matrix()
+
+
+def read_compare_input(path, as_kind: str | None, columns: Sequence[str] | None,
+                       drop_na: bool) -> CheckedMatrix | DataMatrix:
+    """One ``compare`` input, a matrix if ``as_kind`` says so or, unset, if
+    it is a square numeric grid with a diagonal of 1 within 1e-9; else data.
+    A square grid has at most a header row plus as many rows as its first
+    data row has cells: a longer file is data, streamed past that bound."""
+    if as_kind == "data":
+        return read_csv_data(path, columns, drop_na)
+    if as_kind == "matrix":
+        return read_checked_matrix(path)
+    rows = _rows(path)
+    held = list(islice(rows, 2))
+    bound = 1 + max(map(len, held), default=0)
+    held += islice(rows, bound + 1 - len(held))
+    if len(held) <= bound:  # the whole file
+        try:
+            checked = _checked_matrix(path, held)
+        except (ParseError, NotSquare):
+            pass
+        else:
+            if checked.unit_diagonal:
+                return checked
+    return _data_matrix(path, chain(held, rows), columns, drop_na)

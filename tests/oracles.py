@@ -1,13 +1,15 @@
 """Independent verification routes used by the tests.
 
-Nothing here may touch the package's eigensolver: eigenvalues come from
-bisection on the characteristic polynomial det(M - x*I), whose
-coefficients are computed by cofactor expansion (memoized on the active
-column subset, expanding along the first remaining row). A second route,
-the off-diagonal root-mean-square identity, checks the coefficient value
-without any eigensolver at all. A third, for a given spectrum, computes the
-coefficient in exact rational arithmetic (``fractions``) followed by one
-high-precision ``decimal`` square root, so it carries no float rounding.
+No numeric route here touches the package's eigensolver (only
+``whole_file_compare``, an oracle of how files are read, does):
+eigenvalues come from bisection on the characteristic polynomial
+det(M - x*I), whose coefficients are computed by cofactor expansion
+(memoized on the active column subset, expanding along the first
+remaining row). A second route, the off-diagonal root-mean-square
+identity, checks the coefficient value without any eigensolver at all.
+A third, for a given spectrum, computes the coefficient in exact
+rational arithmetic (``fractions``) followed by one high-precision
+``decimal`` square root, so it carries no float rounding.
 
 ``always_scaled_sample_sd`` is an earlier ``sample_sd`` formula, kept as a
 reference: it scales every list by a power of two before centring, where
@@ -22,7 +24,9 @@ only) that the package's column parser ``io._parse_column`` must match on
 each cell as ``str.strip`` leaves it. ``whole_file_csv_data`` is the
 earlier data-file reader, which held every cell of the file before it
 checked a width or parsed a column; the package's block reader must build
-the same DataMatrix or raise the same error.
+the same DataMatrix or raise the same error. ``whole_file_compare`` is the
+earlier ``compare``, which read both files whole before it judged either;
+``compare``, which streams each input, must print what it prints.
 
 ``ScalarSplitMix64`` is the seeded generator written one word at a time,
 straight from the description in the package's ``rng`` docstring, so the
@@ -39,10 +43,15 @@ from decimal import Context
 from fractions import Fraction
 from itertools import compress
 from math import fsum
+from unittest import mock
 
+from mcor import cli
+from mcor.cli import _run_compare
 from mcor.corestats import DataMatrix
-from mcor.errors import BadArguments, EmptySelection, FileError, ParseError, TooFewRows
-from mcor.io import _parse_column
+from mcor.errors import (BadArguments, EmptySelection, FileError, NotSquare, ParseError,
+                         TooFewRows)
+from mcor.io import _checked_matrix, _parse_column
+from mcor.multiway import mcor, mcor_from_matrix
 
 
 def char_poly(rows) -> list[float]:
@@ -227,11 +236,12 @@ def _whole_file_cells(path) -> list[list[str]]:
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-def whole_file_csv_data(path, columns=None, drop_na: bool = False) -> DataMatrix:
+def whole_file_csv_data(path, columns=None, drop_na: bool = False, cells=None) -> DataMatrix:
     """The data-file reader that reads every cell first: all decode and
     ``csv`` errors, then every row's width, then ``columns``, then the
-    first bad cell in row-major order."""
-    cells = _whole_file_cells(path)
+    first bad cell in row-major order. ``cells`` are the file's rows, if
+    they have been read already."""
+    cells = _whole_file_cells(path) if cells is None else cells
     if not cells:
         raise ParseError(f"{path} is empty")
     header = [name.strip() for name in cells[0]]
@@ -274,6 +284,32 @@ def whole_file_csv_data(path, columns=None, drop_na: bool = False) -> DataMatrix
     if bad_rows and n < 2:
         raise TooFewRows(f"{n} usable rows after deletion, need at least 2")
     return DataMatrix._from_finite(frozen, tuple(header[j] for j in selected))
+
+
+def whole_file_compare(args):
+    """``cli._run_compare`` reading both files whole before it judges
+    either: the decode and ``csv`` errors of A, then of B, come first.
+    Each input is then classified from its cells, A first: unless ``--as``
+    sets the kind, a square numeric grid with a unit diagonal is a matrix
+    and anything else, a grid that fails to parse included, is data. It
+    checks how files are read and classified, so its reports come from
+    the package's own ``mcor`` and ``mcor_from_matrix``."""
+    cells = {path: _whole_file_cells(path) for path in (args.path_a, args.path_b)}
+
+    def compare_input(path, args):
+        if args.as_kind != "data":
+            try:
+                checked = _checked_matrix(path, cells[path])
+            except (ParseError, NotSquare):
+                if args.as_kind == "matrix":
+                    raise
+            else:
+                if args.as_kind == "matrix" or checked.unit_diagonal:
+                    return "matrix", mcor_from_matrix(checked.symmetric_matrix())
+        return "data", mcor(whole_file_csv_data(path, args.columns, args.drop_na, cells[path]))
+
+    with mock.patch.object(cli, "_compare_input", compare_input):
+        return _run_compare(args)
 
 
 class ScalarSplitMix64:

@@ -358,29 +358,74 @@ class TestCompareCommand:
     def test_reads_each_file_once(self, capsys, monkeypatch, tmp_path, extra):
         data = write(tmp_path, "d.csv", "a,b,c\n1,2,3\n2,4.1,5\n3,5.8,8\n4,8.2,12\n")
         pairs = [(AREA1, AREA2)] if extra else [(AREA1, AREA2), (data, AREA2)]
-        real_read, real_grid = mcor_io.read_cells, mcor_io._numeric_grid
-        read, grids = [], []
+        real_matrix = mcor_io._checked_matrix
+        opened, grids = [], []
 
-        def counting(path):
-            read.append(path)
-            return real_read(path)
+        def recording_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
 
-        def counting_grid(path, cells):
+        def counting_matrix(path, rows):
             grids.append(path)
-            return real_grid(path, cells)
+            return real_matrix(path, rows)
 
-        # Wrapped where the CLI and where the io readers look it up.
-        monkeypatch.setattr(mcor_io, "read_cells", counting)
-        monkeypatch.setattr(mcor_cli, "read_cells", counting)
-        monkeypatch.setattr(mcor_io, "_numeric_grid", counting_grid)
+        # open() in mcor.io looks the name up in the module's globals.
+        monkeypatch.setattr(mcor_io, "open", recording_open, raising=False)
+        monkeypatch.setattr(mcor_io, "_checked_matrix", counting_matrix)
         for path_a, path_b in pairs:
-            read.clear()
+            opened.clear()
             grids.clear()
             code, _, err = run_cli(capsys, "compare", path_a, path_b, *extra)
             assert (code, err) == (0, "")
-            assert read == [path_a, path_b]
-            # One grid per file gives both its kind and its matrix.
-            assert grids == [path_a, path_b]
+            assert opened == [path_a, path_b]
+            # One grid per matrix gives both its kind and its matrix; a data
+            # file too long to be square is never parsed as a grid.
+            assert grids == [path for path in (path_a, path_b) if path != data]
+
+    # The stream errors of A, then those of B, come before any other error
+    # of either file; then A's other errors, then B's.
+    @pytest.mark.parametrize("text_a, text_b, line", [
+        (b"a,b\n1,2\n3,x\n4,5\n", None, "FILE_ERROR: cannot read {b}: "
+         "[Errno 2] No such file or directory: '{b}'"),
+        (b"a,b\n" + b"1,2\n" * 10 + b"\xff,3\n", b"a,b\n1,2\n3,5\n4,4\n",
+         "FILE_ERROR: {a} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+         "in position 44: invalid start byte"),
+        (b"a,b\n1,2\n3,4\n5,6\n7\n", b"a,b\n1,2\n\xc3\x28,5\n",
+         "FILE_ERROR: {b} is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 "
+         "in position 8: invalid continuation byte"),
+        (b"a,b\n1,2\n3,4\n5,6\n7\n", b"a,b\n1,2\n3,x\n4,5\n",
+         "PARSE_ERROR: row 5: expected 2 cells, found 1"),
+    ], ids=["bad-cell-then-missing", "late-bad-utf8-then-fine", "short-row-then-bad-utf8",
+            "short-row-then-bad-cell"])
+    def test_error_order(self, tmp_path, capsys, text_a, text_b, line):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_bytes(text_a)
+        if text_b is not None:
+            b.write_bytes(text_b)
+        code, out, err = run_cli(capsys, "compare", str(a), str(b))
+        assert (code, out, err) == (1, "", f"error: {line.format(a=a, b=b)}\n")
+
+    # A square grid has at most a header row plus as many rows as its first
+    # data row has cells; a file within that bound is held whole and judged
+    # as before, a longer one is data.
+    @pytest.mark.parametrize("text, extra, expected", [
+        ("u,v\n1,0.3\n0.3,1\n", [], "matrix"),
+        ("1,2\n3,4\n5,6\n", [], "data"),
+        ("a,b,c,d,e\n1,0.5\n0.5,1\n", [], "matrix"),
+        ("a,b\n1,0.5,0.2\n0.5,1,0.3\n0.2,0.3,1\n", [], "matrix"),
+        ("a,b\n1,0.5\n0.5,1\n0.2,0.4\n", [], "data"),
+        ("a,b\n1,2\n3,4\n5,6\n", ["--as", "matrix"],
+         "error: NOT_SQUARE: 3 rows x 2 columns\n"),
+    ], ids=["headed-2x2-at-the-bound", "headerless-3x2", "wide-header-over-2x2",
+            "narrow-header-over-3x3", "one-row-past-the-bound", "tall-as-matrix"])
+    def test_matrix_bound(self, tmp_path, capsys, text, extra, expected):
+        path = write(tmp_path, "f.csv", text)
+        code, out, err = run_cli(capsys, "compare", path, AREA2, *extra)
+        if expected.startswith("error: "):
+            assert (code, out, err) == (1, "", expected)
+        else:
+            assert (code, err) == (0, "")
+            assert f"  A ({expected}): {path}" in out.splitlines()
 
 
 class TestSimulateCommand:

@@ -28,8 +28,8 @@ from mcor.errors import (
 )
 from mcor.io import (
     _parse_column,
+    _rows,
     bundled_fixture,
-    read_cells,
     read_checked_matrix,
     read_csv_data,
     read_matrix,
@@ -174,18 +174,18 @@ class TestReadCsvData:
 class TestBlankLinesAndStripping:
     def test_whitespace_only_line_is_dropped(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n \t \n\n3,5\n4,4\n")
-        assert read_cells(path) == [["a", "b"], ["1", "2"], ["3", "5"], ["4", "4"]]
+        assert list(_rows(path)) == [["a", "b"], ["1", "2"], ["3", "5"], ["4", "4"]]
         assert read_csv_data(path).n_obs == 3
 
     def test_lines_of_delimiters_are_rows(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n,\n3,5\n,,\n")
-        assert read_cells(path) == [["a", "b"], ["1", "2"], ["", ""], ["3", "5"], ["", "", ""]]
+        assert list(_rows(path)) == [["a", "b"], ["1", "2"], ["", ""], ["3", "5"], ["", "", ""]]
 
     def test_blank_rows_have_no_cells_or_one_blank_cell(self, tmp_path):
         text = '\n""\n  \n,\n ,x\n'
         assert list(csv.reader(text.splitlines(keepends=True))) == [
             [], [""], ["  "], ["", ""], [" ", "x"]]
-        assert read_cells(write(tmp_path, "d.csv", text)) == [["", ""], [" ", "x"]]
+        assert list(_rows(write(tmp_path, "d.csv", text))) == [["", ""], [" ", "x"]]
 
     def test_line_of_one_delimiter_is_a_row_of_missing_cells(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n,\n3,5\n4,4\n")
@@ -201,7 +201,7 @@ class TestBlankLinesAndStripping:
 
     def test_cells_come_as_written(self, tmp_path):
         path = write(tmp_path, "d.csv", " a ,b\n\x1c1.5, 2\n")
-        assert read_cells(path) == [[" a ", "b"], ["\x1c1.5", " 2"]]
+        assert list(_rows(path)) == [[" a ", "b"], ["\x1c1.5", " 2"]]
 
     def test_padded_header_name_is_selected_by_its_name(self, tmp_path, capsys):
         path = write(tmp_path, "d.csv", " a ,b,\tc\u3000\n1,2,3\n2,3,5\n4,3,4\n")
@@ -378,10 +378,20 @@ class TestBlockStream:
         assert auto == by_name
         assert auto_peak - named_peak < 8 * 20_000
 
+    def test_compare_peaks_like_reading_one_file(self, tmp_path, capsys):
+        # compare streams each input through the block reader, one after
+        # the other; holding every cell of both files peaked at 3.8x.
+        path_a, path_b = write_tall(tmp_path / "a"), write_tall(tmp_path / "b")
+        _, _, one_peak = traced(read_csv_data, path_a, drop_na=True)
+        code, _, compare_peak = traced(main, ["compare", str(path_a), str(path_b), "--drop-na"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert compare_peak <= 1.1 * one_peak
+
 
 def write_tall(tmp_path):
     """A text id and ten 9-digit columns of 20 000 rows, about 1% of rows
-    missing a value."""
+    missing a value, written in ``tmp_path``, which is made if need be."""
+    tmp_path.mkdir(exist_ok=True)
     rng = random.Random(0)
     lines = ["id," + ",".join(f"x{j}" for j in range(10))]
     for i in range(20_000):
