@@ -3,12 +3,18 @@
 Data files are RFC-4180-style with a header row; ``NA`` or an empty cell
 means missing. A data file is read as a stream of rows and parsed one
 block of rows at a time, so its cell strings are never all alive at
-once. Matrix files are square numeric grids with an optional header row
-(detected when any first-row cell fails to parse as a number), read
-whole, as is a ``compare`` input only if it is short enough to be one.
-Each reader reads a path's row stream once and checks the widths of the
-rows it holds before it parses their cells; errors number the file's
-non-blank rows from 1, the header being row 1.
+once. A large one with no quote and no lone carriage return is cut at a
+newline past its middle byte, and its halves are parsed side by side,
+the second in a forked process; it gives what the serial read gives, and
+a half that meets an error leaves the file to the serial read. Matrix
+files are square numeric grids with an optional header row (detected
+when any first-row cell fails to parse as a number), streamed too: only
+the values of as many rows as a square grid has are kept. A ``compare``
+input is held whole only if it is short enough to be such a grid. Each
+reader reads a path's row stream to its end before it raises an error
+other than the stream's own, and checks the widths of the rows before it
+reports a bad cell; errors number the file's non-blank rows from 1, the
+header being row 1.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ from __future__ import annotations
 import csv
 import gc
 import math
-from collections.abc import Iterator, Sequence
+import os
+import re
+from collections.abc import Iterable, Iterator, Sequence
+from io import TextIOWrapper
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
@@ -27,6 +36,7 @@ from .errors import (
     BadArguments,
     EmptySelection,
     FileError,
+    McorError,
     NotSquare,
     NotSymmetric,
     ParseError,
@@ -46,9 +56,11 @@ def bundled_fixture(name: str) -> Path:
 _NUMBER_SIGNS = frozenset("+-.")
 
 
-def _rows(path) -> Iterator[list[str]]:
+def _rows(path, start: int = 0, lines: int | None = None) -> Iterator[list[str]]:
     """Rows of a CSV file as ``csv.reader`` gives them, cells as written
-    (not stripped), blank lines dropped, read as they are asked for.
+    (not stripped), blank lines dropped, read as they are asked for: the
+    rows of the whole file, or of the byte range that begins at ``start``
+    and holds ``lines`` lines.
 
     A line with no cells or with one cell that is only whitespace is
     blank; a line of delimiters like ",," is still a row. An unreadable
@@ -57,10 +69,13 @@ def _rows(path) -> Iterator[list[str]]:
     is closed.
     """
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet exports put
-        # before the first header name.
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+        with open(path, "rb") as raw:
+            raw.seek(start)
+            # utf-8-sig drops the byte-order mark spreadsheet exports put
+            # before the first header name; a range that starts later keeps
+            # one, as a read of the whole file does.
+            handle = TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", newline="")
+            reader = csv.reader(handle if lines is None else islice(handle, lines))
             for row in reader:
                 if len(row) > 1 or row and row[0].strip():
                     yield row
@@ -149,26 +164,36 @@ def read_csv_data(
 
     The file is read as a stream and parsed ``_BLOCK_ROWS`` rows at a
     time, so peak memory is about the parsed floats plus one block of
-    cell strings.
+    cell strings. A file of ``_SPLIT_BYTES`` or more is parsed in two
+    halves side by side, the second in a forked process, when
+    ``_split_point`` allows; the DataMatrix, or the error, is the one a
+    serial read gives.
     """
-    return _data_matrix(path, _rows(path), columns, drop_na)
+    return _data_matrix(path, None, columns, drop_na)
 
 
-def _data_matrix(path, rows: Iterator[list[str]], columns: Sequence[str] | None,
+def _data_matrix(path, rows: Iterator[list[str]] | None, columns: Sequence[str] | None,
                  drop_na: bool) -> DataMatrix:
-    """``read_csv_data`` of ``rows``, the ``_rows`` of ``path``, read to their end.
+    """``read_csv_data`` of ``path``. ``rows``, when given, is the ``_rows``
+    stream of ``path``, perhaps started, and is read serially to its end;
+    otherwise the file is read from its start, in halves side by side
+    where ``_parse_halves`` can, else serially.
 
     Cyclic garbage collection is paused for the call and resumed, if it
     was enabled, once the stream is read: the row lists ``csv.reader``
     makes hold only strings and form no cycles, yet every collection
-    would scan them. The switch is process-wide, so other threads run
-    without cyclic collection meanwhile; reference counting still frees
-    their objects.
+    would scan them. A forked child parsing the second half inherits the
+    pause. The switch is process-wide, so other threads run without
+    cyclic collection meanwhile; reference counting still frees their
+    objects.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        names, cols, bad_rows = _parse_selected_columns(path, rows, columns, drop_na)
+        parsed = _parse_halves(path, columns, drop_na) if rows is None else None
+        if parsed is None:
+            parsed = _parse_selected_columns(path, rows or _rows(path), columns, drop_na)
+        names, cols, bad_rows = parsed
         keep = [True] * len(cols[0])
         for i in bad_rows:
             keep[i] = False
@@ -184,8 +209,25 @@ def _data_matrix(path, rows: Iterator[list[str]], columns: Sequence[str] | None,
 
 
 # Body rows of a data file parsed at a time. A block's cell strings are
-# freed before the next block is read; larger blocks are no faster.
-_BLOCK_ROWS = 4096
+# freed before the next block is read. In-process read_csv_data of the
+# 20 000 x 11 tall-csv input (best of 21 alternating runs, 2-CPU host)
+# took 28.6, 28.8, 29.0, 29.3, 30.6 and 31.9 ms split, and 38.0, 37.8,
+# 38.4, 38.6, 38.7 and 41.1 ms serially, at 256, 512, 1024, 2048, 4096
+# and 8192 rows.
+_BLOCK_ROWS = 512
+
+# Bytes of a data file read at a time by _split_point's scan.
+_SCAN_BYTES = 1 << 16
+
+# A data file is split from this size up. The split costs a fork (about
+# 1.7 ms), a scan of the file's bytes and a marshal round trip of the
+# second half's floats, and takes about half the parse off this process.
+# Timed on a 2-CPU host (in-process read_csv_data, medians of 31 or 41
+# alternating serial and split runs), it broke even at about 390 KB on 11
+# columns of 9-digit numbers (the tall-csv shape), at 300-400 KB on 40
+# columns of two-digit integers and at 120 KB on 3 such columns; from
+# 500 KB it won in each shape, at 0.92 of the serial time or less.
+_SPLIT_BYTES = 500_000
 
 
 def _parse_selected_columns(
@@ -200,61 +242,98 @@ def _parse_selected_columns(
     raised before the last row is read: an error of the stream itself
     (raised where it is met), then the first row of the wrong width, then
     a ``columns`` name that cannot be selected, then the first bad cell in
-    row-major order. A block is not parsed once a row of the wrong width
-    is met, so no short row is cut by the transpose.
+    row-major order.
     """
-    first_row = next(rows, None)
-    if first_row is None:
-        raise ParseError(f"{path} is empty")
-    header = [name.strip() for name in first_row]
+    header = _header(path, rows)
     selection_error = None
     try:
         wanted = range(len(header)) if columns is None else _column_indices(header, columns)
     except (EmptySelection, BadArguments) as exc:
         selection_error, wanted = exc, []
-    parsed = {j: ([], []) for j in wanted}  # values and bad row indices
-    # Columns whose every cell so far is bad. Their values (all 0.0) and bad
-    # indices (all rows so far) are written only once a block holds a
-    # number, so a text column that auto-selection drops never holds them.
-    all_bad = set(wanted)
-    first_bad_text = {}  # the stripped text of a column's first bad cell
+    parsed, first_bad_text, n, width_error = _parse_body(rows, len(header), wanted)
+    if width_error is not None:
+        raise width_error
+    if selection_error is not None:
+        raise selection_error
+    return _select(header, columns, parsed, first_bad_text, n, drop_na)
+
+
+def _header(path, rows: Iterator[list[str]]) -> list[str]:
+    """The stripped names of a data file's first row, taken from ``rows``."""
+    first_row = next(rows, None)
+    if first_row is None:
+        raise ParseError(f"{path} is empty")
+    return [name.strip() for name in first_row]
+
+
+def _parse_body(rows: Iterator[list[str]], width: int, wanted: Sequence[int]
+                ) -> tuple[dict, dict[int, str], int, ParseError | None]:
+    """The body of a data file, the ``rows`` after its header, parsed
+    ``_BLOCK_ROWS`` rows at a time: for each ``wanted`` column its values
+    and bad row indices (see ``_extend``), the stripped text of its first
+    bad cell, the row count and the first row not ``width`` cells wide, as
+    a ParseError numbered as if ``rows`` began at row 2, or None.
+
+    Every row is read, but none is parsed once a row of the wrong width is
+    met, so no short row is cut by the transpose.
+    """
+    parsed = dict.fromkeys(wanted)
+    first_bad_text = {}
     width_error = None
     n = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
         if width_error is None:
             try:
-                _check_widths(block, len(header), n + 2)
+                _check_widths(block, width, n + 2)
             except ParseError as exc:
                 width_error = exc
         if width_error is None and parsed:
             by_column = list(zip(*block))
-            for j, (values, bad) in parsed.items():
-                block_values, block_bad = _parse_column(by_column[j])
-                if block_bad:
-                    first_bad_text.setdefault(j, by_column[j][block_bad[0]].strip())
-                if j in all_bad:
-                    if len(block_bad) == len(block):
-                        continue
-                    all_bad.remove(j)
-                    values.extend([0.0] * n)
-                    bad.extend(range(n))
-                values.extend(block_values)
-                bad.extend([i + n for i in block_bad])
+            for j in parsed:
+                values, bad = _parse_column(by_column[j])
+                if bad:
+                    first_bad_text.setdefault(j, by_column[j][bad[0]].strip())
+                _extend(parsed, j, n, values, bad)
         n += len(block)
-    if width_error is not None:
-        raise width_error
-    if selection_error is not None:
-        raise selection_error
+    return parsed, first_bad_text, n, width_error
+
+
+def _extend(parsed: dict, j: int, n: int, values: Sequence[float], bad: Sequence[int]) -> None:
+    """Append ``values`` and ``bad``, column ``j``'s values and bad indices
+    in the rows after the first ``n``, to ``parsed[j]``, its values and bad
+    indices in those ``n`` rows.
+
+    ``parsed[j]`` is None while every cell of the column is bad. Its values
+    (all 0.0) and bad indices (all rows so far) are written only once a
+    later row holds a number, so a text column that auto-selection drops
+    never holds them.
+    """
+    held = parsed[j]
+    if held is None:
+        if len(bad) == len(values):
+            return
+        held = parsed[j] = ([0.0] * n, list(range(n)))
+    held[0].extend(values)
+    held[1].extend([i + n for i in bad])
+
+
+def _select(header: list[str], columns: Sequence[str] | None, parsed: dict,
+            first_bad_text: dict[int, str], n: int, drop_na: bool
+            ) -> tuple[list[str], list[list[float]], set[int]]:
+    """Names, values and bad row indices of the selected columns of a data
+    file's parsed body of ``n`` rows (see ``_parse_body``), once no row
+    had the wrong width and ``columns`` could be selected. Without
+    ``drop_na`` the first bad cell in row-major order is an error."""
     if columns is None:
         # Every cell bad drops a column, unless it has no cells: no rows.
-        selected = [j for j in parsed if j not in all_bad or not n]
+        selected = [j for j, held in parsed.items() if held is not None or not n]
     else:
-        selected = wanted
+        selected = list(parsed)
     if not selected:
         raise EmptySelection("no numeric columns to select")
-    for j in all_bad.intersection(selected):
-        parsed[j] = ([0.0] * n, list(range(n)))
-
+    for j in selected:
+        if parsed[j] is None:
+            parsed[j] = ([0.0] * n, list(range(n)))
     bad_rows = set()
     for j in selected:
         bad_rows.update(parsed[j][1])
@@ -265,6 +344,89 @@ def _parse_selected_columns(
         raise ParseError(
             f"row {i + 2}, column {header[j]}: cannot use cell {first_bad_text[j]!r}")
     return [header[j] for j in selected], [parsed[j][0] for j in selected], bad_rows
+
+
+def _split_point(path) -> tuple[int, int] | None:
+    """Where a data file is cut for ``_parse_halves``: the offset just past
+    the first newline at or after its middle byte, and the number of lines
+    before it. None, for a serial read, when the file is smaller than
+    ``_SPLIT_BYTES``, when ``parallel.chunk_map`` would not fork, when no
+    newline follows the middle, or when the file holds a '"' (a quoted
+    field may span lines) or a '\\r' that no '\\n' follows; a file that
+    cannot be read is left to the serial read to report.
+
+    The file is scanned as bytes, ``_SCAN_BYTES`` at a time.
+    """
+    try:
+        size = os.path.getsize(path)
+        if size < _SPLIT_BYTES:
+            return None
+        from .parallel import workers  # not loaded by import mcor.cli
+        if workers(2) < 2:
+            return None
+        with open(path, "rb") as handle:
+            handle.seek(size // 2)
+            line = handle.readline()
+            if not line.endswith(b"\n"):
+                return None
+            offset = size // 2 + len(line)
+            handle.seek(0)
+            lines = start = 0
+            while chunk := handle.read(_SCAN_BYTES):
+                if chunk.endswith(b"\r"):
+                    chunk += handle.read(1)
+                if b'"' in chunk or b"\r" in chunk and re.search(b"\r(?!\n)", chunk):
+                    return None
+                lines += chunk.count(b"\n", 0, max(0, offset - start))
+                start += len(chunk)
+    except OSError:
+        return None
+    return offset, lines
+
+
+def _parse_halves(path, columns: Sequence[str] | None, drop_na: bool
+                  ) -> tuple[list[str], list[list[float]], set[int]] | None:
+    """``_parse_selected_columns`` of the whole file at ``path``, its two
+    halves, cut at ``_split_point``, parsed side by side by
+    ``parallel.chunk_map``: the header and the first half here, the rest in
+    a forked child. Each half is a ``_rows`` byte range through
+    ``_parse_body``; the child's rows are numbered after this half's, and
+    a column is numeric if either half holds a number in it. The halves
+    are joined into what a serial read of the body gives, to the bit.
+
+    None when the file is not to be split, or when the header or either
+    half meets an error, which the serial read then raises in its place.
+    """
+    split = _split_point(path)
+    if split is None:
+        return None
+    offset, lines = split
+    head = _rows(path, 0, lines)
+    try:
+        header = _header(path, head)
+        wanted = range(len(header)) if columns is None else _column_indices(header, columns)
+    except McorError:
+        return None
+
+    def part(k):
+        try:
+            *body, width_error = _parse_body(_rows(path, offset) if k else head,
+                                             len(header), wanted)
+        except McorError:  # an error of the stream
+            return None
+        return None if width_error else body
+
+    from .parallel import chunk_map  # not loaded by import mcor.cli
+    first, second = chunk_map(part, 2)
+    if first is None or second is None:
+        return None
+    parsed, first_bad_text, n = first
+    later, later_text, later_n = second
+    for j, held in later.items():
+        _extend(parsed, j, n, *(held or ([0.0] * later_n, range(later_n))))
+    for j, text in later_text.items():
+        first_bad_text.setdefault(j, text)
+    return _select(header, columns, parsed, first_bad_text, n + later_n, drop_na)
 
 
 def _column_indices(header: list[str], columns: Sequence[str]) -> list[int]:
@@ -339,30 +501,50 @@ class CheckedMatrix(NamedTuple):
 def read_checked_matrix(path) -> CheckedMatrix:
     """Load a square matrix CSV without judging it: the averaged entries
     and the asymmetry the file had, with its worst pair."""
-    return _checked_matrix(path, list(_rows(path)))
+    return _checked_matrix(path, _rows(path))
 
 
-def _checked_matrix(path, rows: list[list[str]]) -> CheckedMatrix:
-    """``read_checked_matrix`` of ``rows``, every row of ``path``; the first
-    data row, after an optional header, sets the width."""
-    if not rows:
+def _checked_matrix(path, rows: Iterable[list[str]]) -> CheckedMatrix:
+    """``read_checked_matrix`` of ``rows``, the rows of ``path``, read to
+    their end; the first data row, after an optional header, sets the width.
+
+    Rows are taken one at a time, and the values of at most ``width`` rows
+    are kept, since a longer file cannot be square: past them a row's width
+    is checked and its cells parsed, for the first error, and it is counted.
+    Errors keep the order of a whole-file read: the first row of the wrong
+    width, then the first bad cell, then a file that is not square.
+    """
+    rows = iter(rows)
+    row = next(rows, None)
+    if row is None:
         raise ParseError(f"{path} is empty")
     first = 1
-    if _parse_column(rows[0])[1]:
+    if _parse_column(row)[1]:
         first = 2
-        rows = rows[1:]
-        if not rows:
+        row = next(rows, None)
+        if row is None:
             raise ParseError(f"{path} has a header but no rows")
-    width = len(rows[0])
-    _check_widths(rows, width, first)
+    width = len(row)
+    width_error = cell_error = None
     grid = []
-    for number, row in enumerate(rows, first):
-        values, bad = _parse_column(row)
-        if bad:
-            raise ParseError(f"row {number}, column {bad[0] + 1}: "
-                             f"cannot parse {row[bad[0]].strip()!r}")
-        grid.append(values)
-    d = len(grid)
+    d = 0
+    for number, row in enumerate(chain([row], rows), first):
+        d += 1
+        if len(row) != width:
+            if width_error is None:
+                width_error = ParseError(
+                    f"row {number}: expected {width} cells, found {len(row)}")
+        elif width_error is None and cell_error is None:
+            values, bad = _parse_column(row)
+            if bad:
+                cell_error = ParseError(f"row {number}, column {bad[0] + 1}: "
+                                        f"cannot parse {row[bad[0]].strip()!r}")
+            elif d <= width:
+                grid.append(values)
+    if width_error is not None:
+        raise width_error
+    if cell_error is not None:
+        raise cell_error
     if d != width:
         raise NotSquare(f"{d} rows x {width} columns")
     # Pairs i < j in row-major order. Halved gaps are ranked: two full gaps

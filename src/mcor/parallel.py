@@ -21,10 +21,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def workers(count: int) -> int:
+    """Processes ``chunk_map(f, count)`` runs its chunks in: one per usable
+    CPU, at most ``count``; 1, a serial run, without ``os.fork``, while
+    another thread is alive (forking a threaded process can deadlock), or
+    when called from ``f`` of a forked map, here or in its children."""
+    if _mapping or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(count, _usable_cpus())
+
+
 def chunk_map(f, count: int) -> list:
     """``[f(i) for i in range(count)]``, computed in one chunk of
-    ``range(count)`` per usable CPU, at most ``count``, with bounds
-    ``count * k // workers``. ``f`` returns what ``marshal`` writes exactly:
+    ``range(count)`` per process of ``workers(count)``, with bounds
+    ``count * k // workers(count)``. ``f`` returns what ``marshal`` writes exactly:
     None, bool, int, float, str, bytes, or lists, tuples or dicts of them.
 
     Each chunk after the first runs in a forked child that writes its
@@ -34,18 +44,16 @@ def chunk_map(f, count: int) -> list:
     error is raised as a serial run raises it. Children still running when
     this process raises, KeyboardInterrupt included, are killed and reaped.
 
-    The run is serial with one usable CPU, without ``os.fork``, while
-    another thread is alive (forking a threaded process can deadlock), or
-    when called from ``f`` of a forked map, here or in its children. A
-    fork costs about 1.7 ms, and this function forks whatever the amount
-    of work: a caller gates small work itself, as
-    ``corestats.correlation_matrix`` and ``simulate.monte_carlo`` do.
+    The run is serial when ``workers(count)`` is below 2. A fork costs
+    about 1.7 ms, and this function forks whatever the amount of work: a
+    caller gates small work itself, as ``corestats.correlation_matrix``,
+    ``io.read_csv_data`` and ``simulate.monte_carlo`` do.
     """
     global _mapping
-    workers = min(count, _usable_cpus())
-    if workers < 2 or _mapping or not hasattr(os, "fork") or threading.active_count() > 1:
+    processes = workers(count)
+    if processes < 2:
         return list(map(f, range(count)))
-    bounds = [count * k // workers for k in range(workers + 1)]
+    bounds = [count * k // processes for k in range(processes + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     children = []
     try:

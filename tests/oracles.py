@@ -24,9 +24,12 @@ only) that the package's column parser ``io._parse_column`` must match on
 each cell as ``str.strip`` leaves it. ``whole_file_csv_data`` is the
 earlier data-file reader, which held every cell of the file before it
 checked a width or parsed a column; the package's block reader must build
-the same DataMatrix or raise the same error. ``whole_file_compare`` is the
-earlier ``compare``, which read both files whole before it judged either;
-``compare``, which streams each input, must print what it prints.
+the same DataMatrix or raise the same error. ``whole_file_checked_matrix``
+is the earlier matrix-file reader, which held every row before it checked
+one; the package's reader, which keeps the values of at most as many rows
+as a square grid has, must raise the same error. ``whole_file_compare`` is
+the earlier ``compare``, which read both files whole before it judged
+either; ``compare``, which streams each input, must print what it prints.
 
 ``ScalarSplitMix64`` is the seeded generator written one word at a time,
 straight from the description in the package's ``rng`` docstring, so the
@@ -286,6 +289,33 @@ def whole_file_csv_data(path, columns=None, drop_na: bool = False, cells=None) -
     return DataMatrix._from_finite(frozen, tuple(header[j] for j in selected))
 
 
+def whole_file_checked_matrix(path, rows=None):
+    """The matrix-file reader that held every row first: all decode and
+    ``csv`` errors, then every row's width, then the first bad cell in row
+    order, then a grid that is not square; then the package's
+    ``_checked_matrix`` of those rows. ``rows`` are the file's rows, if
+    they have been read already."""
+    rows = _whole_file_cells(path) if rows is None else rows
+    if not rows:
+        raise ParseError(f"{path} is empty")
+    first = 2 if _parse_column(rows[0])[1] else 1
+    grid = rows[first - 1:]
+    if not grid:
+        raise ParseError(f"{path} has a header but no rows")
+    width = len(grid[0])
+    for number, row in enumerate(grid, first):
+        if len(row) != width:
+            raise ParseError(f"row {number}: expected {width} cells, found {len(row)}")
+    for number, row in enumerate(grid, first):
+        bad = _parse_column(row)[1]
+        if bad:
+            raise ParseError(f"row {number}, column {bad[0] + 1}: "
+                             f"cannot parse {row[bad[0]].strip()!r}")
+    if len(grid) != width:
+        raise NotSquare(f"{len(grid)} rows x {width} columns")
+    return _checked_matrix(path, rows)
+
+
 def whole_file_compare(args):
     """``cli._run_compare`` reading both files whole before it judges
     either: the decode and ``csv`` errors of A, then of B, come first.
@@ -299,7 +329,7 @@ def whole_file_compare(args):
     def compare_input(path, args):
         if args.as_kind != "data":
             try:
-                checked = _checked_matrix(path, cells[path])
+                checked = whole_file_checked_matrix(path, cells[path])
             except (ParseError, NotSquare):
                 if args.as_kind == "matrix":
                     raise

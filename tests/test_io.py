@@ -3,6 +3,7 @@
 import csv
 import gc
 import math
+import os
 import random
 import re
 import sys
@@ -35,7 +36,7 @@ from mcor.io import (
     read_matrix,
 )
 from oracles import _parse_number
-from support import assert_as_checked
+from support import assert_as_checked, assert_no_child_left
 
 
 def write(tmp_path, name, text):
@@ -245,7 +246,8 @@ class TestBlankLinesAndStripping:
 
 
 class TestTextColumnCost:
-    """A column whose cells cannot start a number costs one float() call."""
+    """A column whose cells cannot start a number costs one float() call a
+    block of rows."""
 
     @staticmethod
     def id_csv(tmp_path, n=1000):
@@ -266,7 +268,8 @@ class TestTextColumnCost:
         monkeypatch.setattr(mcor_io, "float", counting, raising=False)
         data = read_csv_data(path)
         assert data.var_names == ("x", "y")
-        assert len(calls) == 1 + 2 * 1000
+        blocks = -(-1000 // mcor_io._BLOCK_ROWS)
+        assert blocks > 1 and len(calls) == blocks + 2 * 1000
 
     def test_selected_text_column_errors_keep_their_bytes(self, tmp_path, capsys):
         path = str(self.id_csv(tmp_path))
@@ -360,9 +363,10 @@ class TestBlockStream:
         assert str(caught.value) == message.format(path=path)
         assert len(handles) == 1 and handles[0].closed
 
-    def test_peak_memory_is_a_block_above_what_is_kept(self, tmp_path):
+    def test_peak_memory_is_a_block_above_what_is_kept(self, tmp_path, monkeypatch):
         # Reading every cell before parsing peaked at 4x the DataMatrix; a
-        # block at a time peaks at about 2x.
+        # block at a time peaks at about 2x. The file is read serially here.
+        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
         data, kept, peak = traced(read_csv_data, write_tall(tmp_path), drop_na=True)
         assert data.n_vars == 10 and 19_000 < data.n_obs < 20_000
         assert peak <= 2.5 * kept
@@ -378,14 +382,172 @@ class TestBlockStream:
         assert auto == by_name
         assert auto_peak - named_peak < 8 * 20_000
 
-    def test_compare_peaks_like_reading_one_file(self, tmp_path, capsys):
+    def test_compare_peaks_like_reading_one_file(self, tmp_path, capsys, monkeypatch):
         # compare streams each input through the block reader, one after
-        # the other; holding every cell of both files peaked at 3.8x.
+        # the other; holding every cell of both files peaked at 3.8x the
+        # report of one file. Its inputs are read serially, and so is the
+        # one file here. Centring the columns for their correlations, not
+        # the read, sets the peak of each report.
+        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
         path_a, path_b = write_tall(tmp_path / "a"), write_tall(tmp_path / "b")
-        _, _, one_peak = traced(read_csv_data, path_a, drop_na=True)
+        code, _, one_peak = traced(main, ["compute", str(path_a), "--drop-na"])
+        assert (code, capsys.readouterr().err) == (0, "")
         code, _, compare_peak = traced(main, ["compare", str(path_a), str(path_b), "--drop-na"])
         assert (code, capsys.readouterr().err) == (0, "")
         assert compare_peak <= 1.1 * one_peak
+
+
+def outcome(path, columns=None, drop_na=False):
+    """The repr of the DataMatrix read from ``path``, which shows every
+    float to the bit, or the type and message of the McorError raised."""
+    try:
+        return repr(read_csv_data(path, columns, drop_na))
+    except McorError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def numbered(count, first=0, newline=b"\n"):
+    """Body lines "i,7i mod 13" for i from ``first``, each ending in ``newline``."""
+    return b"".join(b"%d,%d" % (i, i * 7 % 13) + newline for i in range(first, first + count))
+
+
+# 6000 rows put row 5990 more than the 8 KB the first half's text decoder
+# reads ahead past the cut, so only the child meets its damage.
+SPLIT_BODY = numbered(6000)
+
+
+def damaged(*edits, header=b"a,b\n"):
+    """``header`` and ``SPLIT_BODY`` with each row (i, new) starting ``new``."""
+    body = SPLIT_BODY
+    for i, new in edits:
+        body = body.replace(b"\n%d," % i, b"\n" + new, 1)
+    return header + body
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestSplitRead:
+    """A data file cut at the first newline past its middle byte, its halves
+    parsed side by side, gives the serial read's DataMatrix or error."""
+
+    @pytest.fixture
+    def both(self, tmp_path, cpus, forks, monkeypatch):
+        """Write ``data`` and read it serially, then split: the two outcomes,
+        the forks of the split read and the offset of its cut."""
+        cpus(2)
+
+        def read(data, columns=None, drop_na=False):
+            path = tmp_path / "d.csv"
+            path.write_bytes(data)
+            monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
+            serial = outcome(path, columns, drop_na)
+            assert forks == []
+            monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", 0)
+            split = outcome(path, columns, drop_na)
+            cut = mcor_io._split_point(path)
+            count = len(forks)
+            forks.clear()
+            assert_no_child_left()
+            return serial, split, count, cut and cut[0]
+
+        return read
+
+    @pytest.mark.parametrize("columns", [None, ("b", "a")])
+    @pytest.mark.parametrize("drop_na", [False, True])
+    @pytest.mark.parametrize("data, fork", [
+        (damaged(), 1),
+        (b"a,b\r\n" + numbered(6000, newline=b"\r\n"), 1),
+        (damaged(header=b"\xef\xbb\xbfa,b\n"), 1),
+        (damaged((3, b"x,"), (5990, b"y,")), 1),
+        (damaged((5990, b"NA,")), 1),
+        (damaged((5990, b"5990,4,")), 1),
+        (damaged((5990, b"59\xff90,")), 1),
+        (damaged((5990, b'"5990",')), 0),
+        (damaged((5990, b"\r5990,")), 0),
+        (damaged() + b"\r", 0),
+    ], ids=["plain", "crlf", "bom", "bad-cell-in-each-half", "bad-cell-in-the-second-half",
+            "wide-row-in-the-second-half", "not-utf8-in-the-second-half", "quoted", "lone-cr",
+            "lone-cr-at-the-end"])
+    def test_pinned_cases(self, both, data, fork, columns, drop_na):
+        serial, split, forks, cut = both(data, columns, drop_na)
+        assert split == serial
+        assert forks == fork
+        if fork:
+            assert cut + 8192 < data.index(b"\n5989,")
+
+    def test_errors_of_the_pinned_cases(self, both):
+        assert both(damaged((5990, b"5990,4,")))[1] == (
+            "ParseError", "row 5992: expected 2 cells, found 3")
+        kind, message = both(damaged((5990, b"59\xff90,")))[1]
+        assert kind == "FileError" and re.search(
+            r" is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position \d+: ",
+            message)
+        assert both(damaged((3, b"x,"), (5990, b"y,")))[1] == (
+            "ParseError", "row 5, column a: cannot use cell 'x'")
+        assert both(damaged((5990, b"NA,")))[1] == (
+            "ParseError", "row 5992, column a: cannot use cell 'NA'")
+        assert "('a', 'b')" in both(damaged(header=b"\xef\xbb\xbfa,b\n"))[1]
+
+    @pytest.mark.parametrize("drop_na", [False, True])
+    @pytest.mark.parametrize("text_half", [0, 1])
+    def test_a_text_column_in_one_half_only_is_selected(self, both, drop_na, text_half):
+        # Rows of one length put the cut between rows 19 and 20.
+        rows = [b"%s,%02d,%d\n" % (b"t%02d" % i if (i < 20) == (text_half == 0) else b"%03d" % i,
+                                    i, i % 7) for i in range(40)]
+        data = b"t,a,b\n" + b"".join(rows)
+        serial, split, forks, cut = both(data, drop_na=drop_na)
+        assert (split, forks) == (serial, 1)
+        assert data[cut:] == b"".join(rows[20:])
+        if drop_na:
+            assert "'t', 'a', 'b'" in split
+        else:
+            assert split == ("ParseError", "row %d, column t: cannot use cell 't%02d'"
+                             % ((2, 0) if text_half == 0 else (22, 20)))
+
+    def test_a_text_column_in_both_halves_is_dropped(self, both):
+        rows = b"".join(b"t%d,%d,%d\n" % (i, i, i % 7) for i in range(40))
+        serial, split, forks, _ = both(b"t,a,b\n" + rows)
+        assert (split, forks) == (serial, 1)
+        assert "('a', 'b')" in split
+
+    @pytest.mark.parametrize("blank", [b"\n", b" \n", b"\r\n"], ids=["empty", "space", "crlf"])
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_a_cut_next_to_a_blank_line(self, both, blank, side):
+        # The first file, over blank line positions and a padded last row,
+        # whose cut (the first newline at or past the middle byte) has the
+        # blank line just before or just after it.
+        lines = [b"a,b\n"] + [b"%d,%d\n" % (i, i * 7 % 13) for i in range(40)]
+        for at, pad in ((at, pad) for pad in range(8) for at in range(10, 32)):
+            data = b"".join(lines[:at] + [blank] + lines[at:]) + b"1" * pad + b",0\n"
+            cut = data.index(b"\n", len(data) // 2) + 1
+            if (data[:cut].endswith(b"\n" + blank) if side == "before"
+                    else data[cut:].startswith(blank)):
+                break
+        serial, split, forks, split_cut = both(data)
+        assert (split, forks, split_cut) == (serial, 1, cut)
+
+    def test_a_bom_just_past_the_cut_is_part_of_a_cell(self, both):
+        # Only the file's first bytes can be a byte-order mark; the child
+        # starts mid-file, so its row k keeps the mark and is bad.
+        for k in range(15, 25):
+            data = b"a,b\n" + numbered(k) + b"\xef\xbb\xbf" + numbered(40 - k, k)
+            if data.index(b"\n", len(data) // 2) + 1 == data.index(b"\xef"):
+                break
+        serial, split, forks, cut = both(data, drop_na=True)
+        assert (split, forks, cut) == (serial, 1, data.index(b"\xef"))
+        assert "%d.0" % (k - 1) in split and "%d.0" % k not in split
+
+    def test_the_parent_holds_no_half_whole(self, tmp_path, cpus, monkeypatch):
+        # The parent parses its half a block at a time and takes the child's
+        # floats, never a half as one string: its peak stays that of the
+        # serial read, which a 1 MB half held whole would raise by a sixth.
+        cpus(2)
+        path = write_tall(tmp_path)
+        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
+        serial, _, serial_peak = traced(read_csv_data, path, drop_na=True)
+        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", 0)
+        split, _, split_peak = traced(read_csv_data, path, drop_na=True)
+        assert split == serial
+        assert split_peak <= 1.05 * serial_peak
 
 
 def write_tall(tmp_path):
@@ -494,6 +656,34 @@ class TestReadMatrix:
         path = write(tmp_path, "m.csv", "1,0.5,0.2\n0.5,1,0.1\n")
         with pytest.raises(NotSquare):
             read_matrix(path)
+
+    # A file longer than a square grid can be is streamed past the rows a
+    # grid can hold; its errors keep the whole-file order: a row of the
+    # wrong width, then the first bad cell, then NOT_SQUARE counting every row.
+    @pytest.mark.parametrize("text, error, message", [
+        ("1,0\n0,x\n" + "1,2\n" * 50 + "3\n", ParseError, "row 53: expected 2 cells, found 1"),
+        ("1,0\n0,x\n" + "1,2\n" * 50 + "1,y\n", ParseError, "row 2, column 2: cannot parse 'x'"),
+        ("1,0\n0,1\n" + "1,2\n" * 50 + "1,y\n", ParseError,
+         "row 53, column 2: cannot parse 'y'"),
+        ("1,0\n0,1\n" + "1,2\n" * 50, NotSquare, "52 rows x 2 columns"),
+        ("a,b\n1,0\n0,1\n" + "1,2\n" * 50, NotSquare, "52 rows x 2 columns"),
+    ], ids=["wide-row-after-bad-cell", "first-bad-cell", "bad-cell-past-the-grid",
+            "not-square", "not-square-under-a-header"])
+    def test_long_file_errors_keep_their_whole_file_order(self, tmp_path, text, error, message):
+        with pytest.raises(error) as caught:
+            read_checked_matrix(write(tmp_path, "m.csv", text))
+        assert str(caught.value) == message
+
+    def test_a_long_file_is_not_held(self, tmp_path):
+        # Holding every row of the 2.5 MB data file first peaked at 30 MB.
+        path = write_tall(tmp_path)
+
+        def read():
+            with pytest.raises(ParseError, match="^row 2, column 1: cannot parse 'r0'$"):
+                read_checked_matrix(path)
+
+        _, _, peak = traced(read)
+        assert peak < 500_000
 
     def test_not_symmetric_names_worst_pair(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0.5,0.2\n0.4,1,0.1\n0.2,0.1,1\n")

@@ -187,12 +187,12 @@ def calls_either(name: str):
     return matches
 
 
-# Two computations fork: the Monte Carlo replicates and a large data set's
-# dot products. A map inside a map runs serially, so neither forks within
-# the other.
-def test_forked_map_has_two_callers():
+# Three computations fork: the Monte Carlo replicates, a large data set's
+# dot products and the parse of a large data file's second half. A map
+# inside a map runs serially, so none forks within another.
+def test_forked_map_has_three_callers():
     assert package_sites(calls_either("chunk_map")) == [
-        "corestats.correlation_matrix", "simulate.monte_carlo"]
+        "corestats.correlation_matrix", "io._parse_halves", "simulate.monte_carlo"]
 
 
 def forms_products(node) -> bool:

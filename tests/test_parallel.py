@@ -2,6 +2,7 @@
 
 import marshal
 import os
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -50,6 +51,31 @@ def return_what_marshal_cannot_write(monkeypatch):
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert mcor_parallel._usable_cpus() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("usable, count, expected", [(1, 2, 1), (2, 2, 2), (3, 2, 2), (3, 5, 3)])
+def test_workers_is_a_process_per_usable_cpu_at_most_count(cpus, usable, count, expected):
+    cpus(usable)
+    assert mcor_parallel.workers(count) == (expected if hasattr(os, "fork") else 1)
+
+
+def test_workers_is_one_while_another_thread_is_alive(cpus):
+    cpus(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert mcor_parallel.workers(2) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_workers_is_one_without_fork(cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert mcor_parallel.workers(2) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")

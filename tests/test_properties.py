@@ -14,7 +14,7 @@ from math import fsum
 from statistics import fmean
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcor import (
@@ -31,10 +31,11 @@ from mcor import (
 )
 from mcor.cli import main
 from mcor.errors import McorError, ParseError
-from mcor.io import _parse_column, bundled_fixture, read_csv_data, read_matrix
-from oracles import (_parse_number, always_scaled_sample_sd, whole_file_compare,
-                     whole_file_csv_data)
-from support import assert_as_checked
+from mcor.io import (_parse_column, _split_point, bundled_fixture, read_checked_matrix,
+                     read_csv_data, read_matrix)
+from oracles import (_parse_number, always_scaled_sample_sd, whole_file_checked_matrix,
+                     whole_file_compare, whole_file_csv_data)
+from support import assert_as_checked, assert_no_child_left
 
 EPS = sys.float_info.epsilon
 
@@ -241,6 +242,46 @@ def test_block_reader_matches_the_whole_file_reader(tmp_path_factory, data, bloc
     expected = repr(outcome(whole_file_csv_data, path, columns, drop_na))
     with mock.patch("mcor.io._BLOCK_ROWS", block_rows):
         assert repr(outcome(read_csv_data, path, columns, drop_na)) == expected
+
+
+# The split read forced onto every file (no size gate, 2 CPUs) against the
+# serial read: the same DataMatrix to the bit (its repr shows every float
+# exactly) or the same error, from the library and on the CLI's error line.
+# A file the serial read accepts is split whenever _split_point cuts it.
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hostile_csv(), st.integers(1, 3), HOSTILE_SELECTIONS, st.booleans())
+def test_split_read_matches_the_serial_read(tmp_path_factory, cpus, forks, data, block_rows,
+                                            columns, drop_na):
+    cpus(2)
+    path = tmp_path_factory.mktemp("split") / "d.csv"
+    path.write_bytes(data)
+    argv = ["compute", str(path), *(["--drop-na"] if drop_na else [])]
+    if columns:
+        argv += ["--columns", ",".join(columns)]
+    seen = []
+    for split_bytes in (sys.maxsize, 0):
+        forks.clear()
+        with mock.patch("mcor.io._BLOCK_ROWS", block_rows), \
+                mock.patch("mcor.io._SPLIT_BYTES", split_bytes):
+            read = outcome(read_csv_data, path, columns, drop_na)
+            seen.append((repr(read), cli_outcome(argv)))
+            cut = _split_point(path)
+    assert seen[1] == seen[0]
+    if isinstance(read, DataMatrix) and cut is not None:
+        assert len(forks) == 2  # the library read and the CLI's
+    assert_no_child_left()
+
+
+# The matrix reader keeps the values of at most as many rows as a square
+# grid has, yet raises what holding every row first raised.
+@settings(max_examples=150, deadline=None)
+@given(hostile_csv())
+def test_matrix_reader_matches_the_whole_file_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    path.write_bytes(data)
+    assert repr(outcome(read_checked_matrix, path)) == repr(
+        outcome(whole_file_checked_matrix, path))
 
 
 # compare streams each input and holds a file whole only while it is short
