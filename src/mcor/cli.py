@@ -4,7 +4,8 @@ Subcommands: compute (CSV data), matrix (precomputed correlation matrix),
 compare (two inputs, auto-detected), simulate (bundled scenarios),
 validate (matrix diagnostics only). Exit codes: 0 success, 1 domain
 error or out of memory, 2 usage error; every failure prints exactly one
-``error: <CODE>: <detail>`` line on stderr.
+``error: <CODE>: <detail>`` line on stderr. Each handler imports the
+reader it runs, so a command loads no file reader it does not call.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import json
 import sys
 
 from .errors import McorError, NonFiniteEntry, UsageError
-from .io import (CheckedMatrix, drain_rows, read_checked_matrix, read_compare_input,
-                 read_csv_data, read_matrix)
 from .linalg import eigenvalues_symmetric
 from .multiway import PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .scenarios import Scenario
@@ -171,6 +170,19 @@ def _report_lines(report: McorReport, source: str) -> list[str]:
     ]
 
 
+def read_csv_data(path, columns=None, drop_na=False):
+    """``datafile.read_csv_data``, imported on the first call: only ``compute``
+    and ``compare`` load it."""
+    from .datafile import read_csv_data
+    return read_csv_data(path, columns, drop_na)
+
+
+def read_matrix(path):
+    """``io.read_matrix``, imported on the first call: ``simulate`` never loads it."""
+    from .io import read_matrix
+    return read_matrix(path)
+
+
 def _run_single(args: argparse.Namespace):
     if args.kind == "matrix":
         report = mcor_from_matrix(read_matrix(args.path))
@@ -182,6 +194,8 @@ def _run_single(args: argparse.Namespace):
 
 def _compare_input(path: str, args: argparse.Namespace) -> tuple[str, McorReport]:
     """Kind and report of one compare input; one read as a matrix must be symmetric."""
+    from .datafile import read_compare_input
+    from .io import CheckedMatrix
     read = read_compare_input(path, args.as_kind, args.columns, args.drop_na)
     if isinstance(read, CheckedMatrix):
         return "matrix", mcor_from_matrix(read.symmetric_matrix())
@@ -195,6 +209,7 @@ def _run_compare(args: argparse.Namespace):
     except McorError:
         # A stream error of A, then of B, beats any other error. Each reader
         # reads its whole stream before it raises any other, B's included.
+        from .io import drain_rows
         drain_rows(path_a)
         drain_rows(path_b)
         raise
@@ -249,6 +264,7 @@ def _run_simulate(args: argparse.Namespace):
 
 
 def _run_validate(args: argparse.Namespace):
+    from .io import read_checked_matrix
     path = args.path
     checked = read_checked_matrix(path)
     min_eig = eigenvalues_symmetric(checked.matrix).values[-1]

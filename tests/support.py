@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
+from types import CodeType
 
 import pytest
 
@@ -33,6 +35,26 @@ def assert_no_child_left() -> None:
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def looks_up(code: CodeType, name: str) -> bool:
+    """Whether ``code``, or code nested in it, looks ``name`` up as a global
+    or attribute; an annotation, a string under ``from __future__ import
+    annotations``, looks nothing up."""
+    return name in code.co_names or any(
+        looks_up(const, name) for const in code.co_consts if isinstance(const, CodeType))
+
+
+def shadow_builtin(monkeypatch, name: str, value, *modules) -> None:
+    """Bind the builtin ``name`` to ``value`` in the globals of each of
+    ``modules``, where their code looks it up. Each module must look the
+    name up, so a patch aimed at the wrong module fails here instead of
+    patching nothing."""
+    for module in modules:
+        path = Path(module.__file__)
+        if not looks_up(compile(path.read_text(encoding="utf-8"), path, "exec"), name):
+            raise AssertionError(f"{module.__name__} never looks up {name}")
+        monkeypatch.setattr(module, name, value, raising=False)
 
 
 def rand_correlation(rng: SplitMix64, d: int, n: int | None = None) -> SymmetricMatrix:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mcor.cli as mcor_cli
+import mcor.datafile as mcor_datafile
 import mcor.io as mcor_io
 import mcor.linalg as mcor_linalg
 import mcor.parallel as mcor_parallel
@@ -16,7 +17,7 @@ from mcor import Scenario, SplitMix64, mcor, monte_carlo
 from mcor.cli import _build_parser, main, parse_args
 from mcor.errors import NotSymmetric, UsageError
 from mcor.io import bundled_fixture, read_matrix
-from support import assert_no_child_left, rand_data
+from support import assert_no_child_left, rand_data, shadow_builtin
 
 AREA1 = str(bundled_fixture("tb_area1.csv"))
 AREA2 = str(bundled_fixture("tb_area2.csv"))
@@ -369,9 +370,11 @@ class TestCompareCommand:
             grids.append(path)
             return real_matrix(path, rows)
 
-        # open() in mcor.io looks the name up in the module's globals.
-        monkeypatch.setattr(mcor_io, "open", recording_open, raising=False)
+        # open() looks the name up in the globals of the module that calls
+        # it; read_compare_input calls its own import of _checked_matrix.
+        shadow_builtin(monkeypatch, "open", recording_open, mcor_io, mcor_datafile)
         monkeypatch.setattr(mcor_io, "_checked_matrix", counting_matrix)
+        monkeypatch.setattr(mcor_datafile, "_checked_matrix", counting_matrix)
         for path_a, path_b in pairs:
             opened.clear()
             grids.clear()

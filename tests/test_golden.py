@@ -34,7 +34,8 @@ import pytest
 
 from mcor import Scenario, SplitMix64, correlation_matrix, derive_seed, generate, monte_carlo
 from mcor.cli import main
-from mcor.io import bundled_fixture, read_csv_data
+from mcor.datafile import read_csv_data
+from mcor.io import bundled_fixture
 from oracles import full_square, rms_mcor
 
 GOLDEN = Path(__file__).with_name("golden")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mcor.datafile as mcor_datafile
 import mcor.io as mcor_io
 from mcor import mcor_from_matrix
 from mcor.cli import main
@@ -27,16 +28,10 @@ from mcor.errors import (
     ParseError,
     TooFewRows,
 )
-from mcor.io import (
-    _parse_column,
-    _rows,
-    bundled_fixture,
-    read_checked_matrix,
-    read_csv_data,
-    read_matrix,
-)
+from mcor.datafile import read_csv_data
+from mcor.io import _parse_column, _rows, bundled_fixture, read_checked_matrix, read_matrix
 from oracles import _parse_number
-from support import assert_as_checked, assert_no_child_left
+from support import assert_as_checked, assert_no_child_left, shadow_builtin
 
 
 def write(tmp_path, name, text):
@@ -264,11 +259,12 @@ class TestTextColumnCost:
             return float(text)
 
         path = self.id_csv(tmp_path)
-        # map(float, ...) in mcor.io looks the name up in the module's globals.
-        monkeypatch.setattr(mcor_io, "float", counting, raising=False)
+        # map(float, ...) in io._parse_column looks the name up in the
+        # module's globals.
+        shadow_builtin(monkeypatch, "float", counting, mcor_io)
         data = read_csv_data(path)
         assert data.var_names == ("x", "y")
-        blocks = -(-1000 // mcor_io._BLOCK_ROWS)
+        blocks = -(-1000 // mcor_datafile._BLOCK_ROWS)
         assert blocks > 1 and len(calls) == blocks + 2 * 1000
 
     def test_selected_text_column_errors_keep_their_bytes(self, tmp_path, capsys):
@@ -294,13 +290,13 @@ class TestGarbageCollectionState:
     def test_state_is_left_as_found(self, tmp_path, monkeypatch, enabled, text, drop_na, error):
         path = write(tmp_path, "d.csv", text)
         seen = []
-        real = mcor_io._parse_selected_columns
+        real = mcor_datafile._parse_selected_columns
 
         def recording(*args):
             seen.append(gc.isenabled())
             return real(*args)
 
-        monkeypatch.setattr(mcor_io, "_parse_selected_columns", recording)
+        monkeypatch.setattr(mcor_datafile, "_parse_selected_columns", recording)
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
@@ -355,9 +351,9 @@ class TestBlockStream:
             handles.append(open(*args, **kwargs))
             return handles[-1]
 
-        # open() in mcor.io looks the name up in the module's globals.
-        monkeypatch.setattr(mcor_io, "open", recording_open, raising=False)
-        monkeypatch.setattr(mcor_io, "_BLOCK_ROWS", block_rows)
+        # open() looks the name up in the globals of the module that calls it.
+        shadow_builtin(monkeypatch, "open", recording_open, mcor_io, mcor_datafile)
+        monkeypatch.setattr(mcor_datafile, "_BLOCK_ROWS", block_rows)
         with pytest.raises(McorError) as caught:
             read_csv_data(path, columns=columns)
         assert str(caught.value) == message.format(path=path)
@@ -366,7 +362,7 @@ class TestBlockStream:
     def test_peak_memory_is_a_block_above_what_is_kept(self, tmp_path, monkeypatch):
         # Reading every cell before parsing peaked at 4x the DataMatrix; a
         # block at a time peaks at about 2x. The file is read serially here.
-        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
+        monkeypatch.setattr(mcor_datafile, "_SPLIT_BYTES", sys.maxsize)
         data, kept, peak = traced(read_csv_data, write_tall(tmp_path), drop_na=True)
         assert data.n_vars == 10 and 19_000 < data.n_obs < 20_000
         assert peak <= 2.5 * kept
@@ -388,7 +384,7 @@ class TestBlockStream:
         # report of one file. Its inputs are read serially, and so is the
         # one file here. Centring the columns for their correlations, not
         # the read, sets the peak of each report.
-        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
+        monkeypatch.setattr(mcor_datafile, "_SPLIT_BYTES", sys.maxsize)
         path_a, path_b = write_tall(tmp_path / "a"), write_tall(tmp_path / "b")
         code, _, one_peak = traced(main, ["compute", str(path_a), "--drop-na"])
         assert (code, capsys.readouterr().err) == (0, "")
@@ -438,12 +434,12 @@ class TestSplitRead:
         def read(data, columns=None, drop_na=False):
             path = tmp_path / "d.csv"
             path.write_bytes(data)
-            monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
+            monkeypatch.setattr(mcor_datafile, "_SPLIT_BYTES", sys.maxsize)
             serial = outcome(path, columns, drop_na)
             assert forks == []
-            monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", 0)
+            monkeypatch.setattr(mcor_datafile, "_SPLIT_BYTES", 0)
             split = outcome(path, columns, drop_na)
-            cut = mcor_io._split_point(path)
+            cut = mcor_datafile._split_point(path)
             count = len(forks)
             forks.clear()
             assert_no_child_left()
@@ -542,9 +538,9 @@ class TestSplitRead:
         # serial read, which a 1 MB half held whole would raise by a sixth.
         cpus(2)
         path = write_tall(tmp_path)
-        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", sys.maxsize)
+        monkeypatch.setattr(mcor_datafile, "_SPLIT_BYTES", sys.maxsize)
         serial, _, serial_peak = traced(read_csv_data, path, drop_na=True)
-        monkeypatch.setattr(mcor_io, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(mcor_datafile, "_SPLIT_BYTES", 0)
         split, _, split_peak = traced(read_csv_data, path, drop_na=True)
         assert split == serial
         assert split_peak <= 1.05 * serial_peak

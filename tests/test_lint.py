@@ -192,7 +192,7 @@ def calls_either(name: str):
 # inside a map runs serially, so none forks within another.
 def test_forked_map_has_three_callers():
     assert package_sites(calls_either("chunk_map")) == [
-        "corestats.correlation_matrix", "io._parse_halves", "simulate.monte_carlo"]
+        "corestats.correlation_matrix", "datafile._parse_halves", "simulate.monte_carlo"]
 
 
 def forms_products(node) -> bool:
@@ -220,7 +220,7 @@ def test_marshal_is_called_once(name):
 # Cyclic collection is a process-wide switch, paused only while a data file's
 # cells are alive.
 def test_garbage_collection_is_paused_once():
-    assert package_sites(calls("disable", on="gc")) == ["io._data_matrix"]
+    assert package_sites(calls("disable", on="gc")) == ["datafile._data_matrix"]
 
 
 # CSV text is tokenised in one place, the row stream, so whole-file reads
@@ -231,13 +231,13 @@ def test_csv_is_tokenised_once():
 
 # Listwise deletion is written once, and every data file goes through it.
 def test_listwise_deletion_is_written_once():
-    assert package_sites(calls_bare("compress")) == ["io._data_matrix"]
+    assert package_sites(calls_bare("compress")) == ["datafile._data_matrix"]
 
 
 # Only producers whose values are finite floats by construction skip the checks.
 def test_unchecked_data_matrix_core_has_three_callers():
     assert package_sites(calls("_from_finite")) == [
-        "corestats.DataMatrix.from_columns", "io._data_matrix", "simulate.generate"]
+        "corestats.DataMatrix.from_columns", "datafile._data_matrix", "simulate.generate"]
 
 
 def squares_off_the_diagonal(node) -> bool:

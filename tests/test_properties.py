@@ -31,8 +31,8 @@ from mcor import (
 )
 from mcor.cli import main
 from mcor.errors import McorError, ParseError
-from mcor.io import (_parse_column, _split_point, bundled_fixture, read_checked_matrix,
-                     read_csv_data, read_matrix)
+from mcor.datafile import _split_point, read_csv_data
+from mcor.io import _parse_column, bundled_fixture, read_checked_matrix, read_matrix
 from oracles import (_parse_number, always_scaled_sample_sd, whole_file_checked_matrix,
                      whole_file_compare, whole_file_csv_data)
 from support import assert_as_checked, assert_no_child_left
@@ -240,7 +240,7 @@ def test_block_reader_matches_the_whole_file_reader(tmp_path_factory, data, bloc
     path = tmp_path_factory.mktemp("blocks") / "d.csv"
     path.write_bytes(data)
     expected = repr(outcome(whole_file_csv_data, path, columns, drop_na))
-    with mock.patch("mcor.io._BLOCK_ROWS", block_rows):
+    with mock.patch("mcor.datafile._BLOCK_ROWS", block_rows):
         assert repr(outcome(read_csv_data, path, columns, drop_na)) == expected
 
 
@@ -262,8 +262,8 @@ def test_split_read_matches_the_serial_read(tmp_path_factory, cpus, forks, data,
     seen = []
     for split_bytes in (sys.maxsize, 0):
         forks.clear()
-        with mock.patch("mcor.io._BLOCK_ROWS", block_rows), \
-                mock.patch("mcor.io._SPLIT_BYTES", split_bytes):
+        with mock.patch("mcor.datafile._BLOCK_ROWS", block_rows), \
+                mock.patch("mcor.datafile._SPLIT_BYTES", split_bytes):
             read = outcome(read_csv_data, path, columns, drop_na)
             seen.append((repr(read), cli_outcome(argv)))
             cut = _split_point(path)
