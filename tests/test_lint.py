@@ -195,6 +195,12 @@ def test_forked_map_has_three_callers():
         "corestats.correlation_matrix", "datafile._parse_halves", "simulate.monte_carlo"]
 
 
+# The forked map binds each of its children to a CPU, and nothing else in the
+# package sets an affinity: the caller's own mask is never changed.
+def test_cpu_binding_is_written_once():
+    assert package_sites(calls_either("sched_setaffinity")) == ["parallel.chunk_map"]
+
+
 def forms_products(node) -> bool:
     """Matches a call of ``_dot(...)`` or of ``map(mul, ...)``."""
     return calls_bare("_dot")(node) or (

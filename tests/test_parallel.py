@@ -1,5 +1,6 @@
 """The forked map over an index range, with an ``f`` that returns its index."""
 
+import io
 import marshal
 import os
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 import mcor.parallel as mcor_parallel
 from mcor.parallel import chunk_map
-from support import assert_no_child_left
+from support import assert_no_child_left, shadow_builtin
 
 
 def recording(in_a_child):
@@ -46,6 +47,40 @@ def overstate_the_length(monkeypatch):
 
 def return_what_marshal_cannot_write(monkeypatch):
     return lambda i: object()
+
+
+def refused(*args):
+    raise OSError("affinity refused")
+
+
+def refuse_to_bind(monkeypatch):
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+
+
+def refuse_both_affinity_calls(monkeypatch):
+    refuse_to_bind(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", refused, raising=False)
+
+
+def delete_both_affinity_calls(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+
+
+def run_on(monkeypatch, stat: bytes) -> None:
+    """Make ``parallel`` read ``stat`` as this process's ``/proc/self/stat``."""
+    real = open
+
+    def fake(file, *args, **kwargs):
+        return io.BytesIO(stat) if file == "/proc/self/stat" else real(file, *args, **kwargs)
+
+    shadow_builtin(monkeypatch, "open", fake, mcor_parallel)
+
+
+def stat_on(cpu: int) -> bytes:
+    """A ``/proc/self/stat`` line whose field 39 names ``cpu``, after a
+    name holding a space and a parenthesis."""
+    return b"4242 (a) b) S " + b"0 " * 35 + str(cpu).encode() + b" 0 0\n"
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
@@ -115,4 +150,74 @@ class TestChunkMap:
         assert forks == [os.getpid()]
         assert chunk_map(abs, 4) == [0, 1, 2, 3]  # and a later map forks again
         assert forks == [os.getpid()] * 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("affinity", [refuse_to_bind, refuse_both_affinity_calls,
+                                          delete_both_affinity_calls],
+                             ids=["bind-refused", "both-refused", "both-missing"])
+    def test_child_left_unbound_still_sends_its_chunk(self, cpus, monkeypatch, affinity):
+        cpus(2)
+        affinity(monkeypatch)
+        f, here = recording(lambda i: i)
+        assert chunk_map(f, 4) == [0, 1, 2, 3]
+        assert here == [0, 1]
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="no os.fork or no affinity call on this platform")
+class TestCpuBinding:
+    @pytest.mark.parametrize("start", [0, -1], ids=["on-first-cpu", "on-last-cpu"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_k_runs_on_the_kth_cpu_after_this_one(self, cpus, monkeypatch, workers, start):
+        cpus(workers)
+        mask = sorted(os.sched_getaffinity(0))
+        run_on(monkeypatch, stat_on(mask[start]))
+        order = mask[start:] + mask[:start]
+        f, here = recording(lambda i: sorted(os.sched_getaffinity(0)))
+        # With count == workers, child k computes index k alone.
+        assert chunk_map(f, workers)[1:] == [[order[k % len(order)]] for k in range(1, workers)]
+        assert here == [0]
+        assert_no_child_left()
+
+    def test_cpus_start_at_the_one_this_process_runs_on(self, monkeypatch):
+        mask = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+        os.sched_setaffinity(0, mask[-1:])  # moves this process there before it returns
+        try:
+            assert mcor_parallel._cpus_from_here() == mask[-1:] + mask[:-1]
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    @pytest.mark.parametrize("stat", [b"", b"4242 (a) S 0\n", stat_on(-1)],
+                             ids=["empty", "short", "cpu-outside-the-mask"])
+    def test_cpus_unrotated_where_proc_names_no_cpu_of_the_mask(self, monkeypatch, stat):
+        run_on(monkeypatch, stat)
+        assert mcor_parallel._cpus_from_here() == sorted(os.sched_getaffinity(0))
+
+    def test_cpus_unrotated_without_proc(self, monkeypatch):
+        def missing(file, *args, **kwargs):
+            raise FileNotFoundError(file)
+
+        shadow_builtin(monkeypatch, "open", missing, mcor_parallel)
+        assert mcor_parallel._cpus_from_here() == sorted(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("in_a_child, computed_here",
+                             [(lambda i: i, [0, 1]), (lambda i: os._exit(0), list(range(6)))],
+                             ids=["chunks-sent", "chunks-recomputed"])
+    def test_this_process_keeps_its_cpus(self, cpus, in_a_child, computed_here):
+        cpus(3)
+        before = os.sched_getaffinity(0)
+        f, here = recording(in_a_child)
+        assert chunk_map(f, 6) == list(range(6))
+        assert here == computed_here
+        assert os.sched_getaffinity(0) == before
+        assert_no_child_left()
+
+    def test_this_process_keeps_its_cpus_when_f_raises(self, cpus):
+        cpus(3)
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ZeroDivisionError):  # index 0 is in this process's chunk
+            chunk_map(lambda i: 1 // i, 6)
+        assert os.sched_getaffinity(0) == before
         assert_no_child_left()
