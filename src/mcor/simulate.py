@@ -139,11 +139,10 @@ def _value(scenario: Scenario, n_obs: int, seed: int, i: int) -> float:
 # to 2430 (0.78-1.24) and won from 2700 to 9315 (0.56-0.98) in three
 # sets. In five sets taken while a fork cost the host about twice as
 # much, it lost at all but one point up to 3105 (0.98-3.14) and won only
-# at some points from 3240 on; unbound children lost up to 9315 in such a state. Before
-# children were bound, the crossover was about 2500 (lost from 1700 to
-# 2475, won from 2550). The host's state moves the crossover more than
-# binding did, so the gate stays here. The other scenarios, whose rows
-# cost more, win from lower down.
+# at some points from 3240 on. Unbound children crossed at about 2500.
+# The host's state moves the crossover more than binding does, so the
+# gate stays between the two. The other scenarios, whose rows cost
+# more, win from lower down.
 _FORK_SAVING = 3000
 
 

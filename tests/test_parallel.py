@@ -67,12 +67,17 @@ def delete_both_affinity_calls(monkeypatch):
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
 
 
-def run_on(monkeypatch, stat: bytes) -> None:
-    """Make ``parallel`` read ``stat`` as this process's ``/proc/self/stat``."""
+def run_on(monkeypatch, stat: bytes | None) -> None:
+    """Make ``parallel`` read ``stat`` as this process's ``/proc/self/stat``,
+    or find no such file where ``stat`` is None."""
     real = open
 
     def fake(file, *args, **kwargs):
-        return io.BytesIO(stat) if file == "/proc/self/stat" else real(file, *args, **kwargs)
+        if file != "/proc/self/stat":
+            return real(file, *args, **kwargs)
+        if stat is None:
+            raise FileNotFoundError(file)
+        return io.BytesIO(stat)
 
     shadow_builtin(monkeypatch, "open", fake, mcor_parallel)
 
@@ -189,17 +194,10 @@ class TestCpuBinding:
         finally:
             os.sched_setaffinity(0, mask)
 
-    @pytest.mark.parametrize("stat", [b"", b"4242 (a) S 0\n", stat_on(-1)],
-                             ids=["empty", "short", "cpu-outside-the-mask"])
+    @pytest.mark.parametrize("stat", [b"", b"4242 (a) S 0\n", stat_on(-1), None],
+                             ids=["empty", "short", "cpu-outside-the-mask", "no-proc"])
     def test_cpus_unrotated_where_proc_names_no_cpu_of_the_mask(self, monkeypatch, stat):
         run_on(monkeypatch, stat)
-        assert mcor_parallel._cpus_from_here() == sorted(os.sched_getaffinity(0))
-
-    def test_cpus_unrotated_without_proc(self, monkeypatch):
-        def missing(file, *args, **kwargs):
-            raise FileNotFoundError(file)
-
-        shadow_builtin(monkeypatch, "open", missing, mcor_parallel)
         assert mcor_parallel._cpus_from_here() == sorted(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("in_a_child, computed_here",
