@@ -21,21 +21,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cpus_from_here() -> list:
-    """The CPUs this process may run on, in order, starting with the one it
-    runs on where ``/proc`` says which; [] without an affinity call."""
+def _other_cpus() -> set:
+    """The CPUs this process may run on but the one it runs on, as
+    ``/proc`` names it; empty without an affinity call, or where ``/proc``
+    names no CPU of this process's mask."""
     try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # no affinity call, or it is refused
-        return []
+        cpus = os.sched_getaffinity(0)
+    except AttributeError:  # no affinity call on this platform
+        return set()
     try:
         with open("/proc/self/stat", "rb") as stat:
             # Field 39 is the CPU this process last ran on. Field 2, its
             # name, may hold spaces and parentheses: count from its end.
-            here = cpus.index(int(stat.read().rsplit(b")", 1)[1].split()[36]))
-    except (OSError, IndexError, ValueError):  # no /proc, or a CPU not in cpus
-        return cpus
-    return cpus[here:] + cpus[:here]
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):  # no /proc, or no such field
+        return set()
+    return cpus - {here} if here in cpus else set()
 
 
 def workers(count: int) -> int:
@@ -61,12 +62,12 @@ def chunk_map(f, count: int) -> list:
     error is raised as a serial run raises it. Children still running when
     this process raises, KeyboardInterrupt included, are killed and reaped.
 
-    Child k is bound to the k-th CPU after the one this process runs on,
-    counting round this process's affinity set, so that children and this
-    process run side by side: left alone, the kernel can keep a child on
-    its parent's CPU while another CPU idles, and it need not move this
-    process off a CPU a child is bound to. This process stays unbound;
-    where the affinity calls are missing or refused, a child runs unbound.
+    Each child is bound to this process's CPUs but the one it runs on, so
+    that children and this process run side by side: left alone, the kernel
+    can keep a child on its parent's CPU while another CPU idles. This
+    process stays unbound. A child runs unbound where there is no affinity
+    call, where ``/proc`` does not say which CPU this process runs on, or
+    where the binding is refused.
 
     The run is serial when ``workers(count)`` is below 2. A fork costs
     about 1.7 ms, and this function forks whatever the amount of work: a
@@ -79,11 +80,11 @@ def chunk_map(f, count: int) -> list:
         return list(map(f, range(count)))
     bounds = [count * k // processes for k in range(processes + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    cpus = _cpus_from_here()
+    others = _other_cpus()
     children = []
     try:
         _mapping = True
-        for k, chunk in enumerate(chunks[1:], 1):
+        for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -92,10 +93,10 @@ def chunk_map(f, count: int) -> list:
                 code = 1
                 try:
                     os.close(read_fd)
-                    if cpus:
+                    if others:
                         try:
-                            os.sched_setaffinity(0, (cpus[k % len(cpus)],))
-                        except (AttributeError, OSError):  # the chunk runs unbound
+                            os.sched_setaffinity(0, others)
+                        except OSError:  # the chunk runs unbound
                             pass
                     payload = marshal.dumps(list(map(f, chunk)))
                     with open(write_fd, "wb") as pipe:

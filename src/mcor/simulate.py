@@ -132,17 +132,12 @@ def _value(scenario: Scenario, n_obs: int, seed: int, i: int) -> float:
 # Timed serially, a replicate costs about 18 us plus 0.51 us a row for
 # ALL_LINEAR, whose rows are the cheapest, and up to 1.19 us a row for
 # CHAINED: at least as much as n_obs + 35 ALL_LINEAR rows. Timed on a
-# 2-CPU host with each child bound to a CPU of its own (medians of 21
-# alternating serial and forked runs of ALL_LINEAR, n_obs from 10 to
-# 1000), forking lost with (replicates // 2) * (n_obs + 35) at 1035 and
-# 1215 (0.99-1.62 times the serial time), won or lost by turns from 1485
-# to 2430 (0.78-1.24) and won from 2700 to 9315 (0.56-0.98) in three
-# sets. In five sets taken while a fork cost the host about twice as
-# much, it lost at all but one point up to 3105 (0.98-3.14) and won only
-# at some points from 3240 on. Unbound children crossed at about 2500.
-# The host's state moves the crossover more than binding does, so the
-# gate stays between the two. The other scenarios, whose rows cost
-# more, win from lower down.
+# 2-CPU host (medians of 21 alternating serial and forked runs of
+# ALL_LINEAR, n_obs from 10 to 1000), forking began to win at
+# (replicates // 2) * (n_obs + 35) of 2500 to 3240: the host's state moves
+# that crossover more than binding the children does, so the gate sits
+# inside it. The other scenarios, whose rows cost more, win from lower
+# down.
 _FORK_SAVING = 3000
 
 

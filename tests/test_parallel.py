@@ -57,11 +57,6 @@ def refuse_to_bind(monkeypatch):
     monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
 
 
-def refuse_both_affinity_calls(monkeypatch):
-    refuse_to_bind(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", refused, raising=False)
-
-
 def delete_both_affinity_calls(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
@@ -157,9 +152,8 @@ class TestChunkMap:
         assert forks == [os.getpid()] * 2
         assert_no_child_left()
 
-    @pytest.mark.parametrize("affinity", [refuse_to_bind, refuse_both_affinity_calls,
-                                          delete_both_affinity_calls],
-                             ids=["bind-refused", "both-refused", "both-missing"])
+    @pytest.mark.parametrize("affinity", [refuse_to_bind, delete_both_affinity_calls],
+                             ids=["bind-refused", "both-missing"])
     def test_child_left_unbound_still_sends_its_chunk(self, cpus, monkeypatch, affinity):
         cpus(2)
         affinity(monkeypatch)
@@ -174,31 +168,33 @@ class TestChunkMap:
 class TestCpuBinding:
     @pytest.mark.parametrize("start", [0, -1], ids=["on-first-cpu", "on-last-cpu"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_child_k_runs_on_the_kth_cpu_after_this_one(self, cpus, monkeypatch, workers, start):
+    def test_each_child_runs_off_this_process_cpu(self, cpus, monkeypatch, workers, start):
         cpus(workers)
-        mask = sorted(os.sched_getaffinity(0))
-        run_on(monkeypatch, stat_on(mask[start]))
-        order = mask[start:] + mask[:start]
-        f, here = recording(lambda i: sorted(os.sched_getaffinity(0)))
-        # With count == workers, child k computes index k alone.
-        assert chunk_map(f, workers)[1:] == [[order[k % len(order)]] for k in range(1, workers)]
-        assert here == [0]
+        mask = os.sched_getaffinity(0)
+        here = sorted(mask)[start]
+        run_on(monkeypatch, stat_on(here))
+        f, computed_here = recording(lambda i: sorted(os.sched_getaffinity(0)))
+        # With count == workers, child k computes index k alone; on one CPU
+        # there is no other, and the child keeps the whole mask.
+        others = sorted(mask - {here}) or sorted(mask)
+        assert chunk_map(f, workers)[1:] == [others] * (workers - 1)
+        assert computed_here == [0]
         assert_no_child_left()
 
-    def test_cpus_start_at_the_one_this_process_runs_on(self, monkeypatch):
-        mask = sorted(os.sched_getaffinity(0))
+    def test_other_cpus_leave_out_the_one_this_process_runs_on(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
-        os.sched_setaffinity(0, mask[-1:])  # moves this process there before it returns
+        os.sched_setaffinity(0, {max(mask)})  # moves this process there before it returns
         try:
-            assert mcor_parallel._cpus_from_here() == mask[-1:] + mask[:-1]
+            assert mcor_parallel._other_cpus() == mask - {max(mask)}
         finally:
             os.sched_setaffinity(0, mask)
 
     @pytest.mark.parametrize("stat", [b"", b"4242 (a) S 0\n", stat_on(-1), None],
                              ids=["empty", "short", "cpu-outside-the-mask", "no-proc"])
-    def test_cpus_unrotated_where_proc_names_no_cpu_of_the_mask(self, monkeypatch, stat):
+    def test_no_other_cpus_where_proc_names_no_cpu_of_the_mask(self, monkeypatch, stat):
         run_on(monkeypatch, stat)
-        assert mcor_parallel._cpus_from_here() == sorted(os.sched_getaffinity(0))
+        assert mcor_parallel._other_cpus() == set()
 
     @pytest.mark.parametrize("in_a_child, computed_here",
                              [(lambda i: i, [0, 1]), (lambda i: os._exit(0), list(range(6)))],
