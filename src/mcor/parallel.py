@@ -62,12 +62,15 @@ def chunk_map(f, count: int) -> list:
     error is raised as a serial run raises it. Children still running when
     this process raises, KeyboardInterrupt included, are killed and reaped.
 
-    Each child is bound to this process's CPUs but the one it runs on, so
-    that children and this process run side by side: left alone, the kernel
-    can keep a child on its parent's CPU while another CPU idles. This
-    process stays unbound. A child runs unbound where there is no affinity
-    call, where ``/proc`` does not say which CPU this process runs on, or
-    where the binding is refused.
+    Each child starts bound to this process's CPUs but the one it runs on,
+    so that children and this process run side by side: left alone, the
+    kernel can keep a child on its parent's CPU while another CPU idles.
+    Once this process has computed its own chunk, the children still
+    running get its whole mask back, so that one whose CPUs are busy with
+    other work can move onto the CPU this process leaves free. This
+    process's own mask is never changed. A child runs unbound where there
+    is no affinity call, where ``/proc`` does not say which CPU this
+    process runs on, or where the binding is refused.
 
     The run is serial when ``workers(count)`` is below 2. A fork costs
     about 1.7 ms, and this function forks whatever the amount of work: a
@@ -107,6 +110,13 @@ def chunk_map(f, count: int) -> list:
             os.close(write_fd)  # so that the pipe ends when this child exits
             children.append((pid, open(read_fd, "rb"), chunk))
         values = list(map(f, chunks[0]))
+        if others:  # this process's CPU is free now: a child may move onto it
+            mask = os.sched_getaffinity(0)
+            for pid, _, _ in children:
+                try:
+                    os.sched_setaffinity(pid, mask)
+                except OSError:  # the child has exited, or the call is refused
+                    pass
         while children:
             pid, pipe, chunk = children[0]
             with pipe:

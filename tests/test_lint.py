@@ -195,10 +195,11 @@ def test_forked_map_has_three_callers():
         "corestats.correlation_matrix", "datafile._parse_halves", "simulate.monte_carlo"]
 
 
-# The forked map binds each of its children off the caller's CPU, and nothing
-# else in the package sets an affinity: the caller's own mask is never changed.
+# The forked map binds each of its children off the caller's CPU and later
+# frees it, and nothing else in the package sets an affinity: the caller's
+# own mask is never changed.
 def test_cpu_binding_is_written_once():
-    assert package_sites(calls_either("sched_setaffinity")) == ["parallel.chunk_map"]
+    assert set(package_sites(calls_either("sched_setaffinity"))) == {"parallel.chunk_map"}
 
 
 def forms_products(node) -> bool:

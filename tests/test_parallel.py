@@ -3,7 +3,9 @@
 import io
 import marshal
 import os
+import select
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -81,6 +83,30 @@ def stat_on(cpu: int) -> bytes:
     """A ``/proc/self/stat`` line whose field 39 names ``cpu``, after a
     name holding a space and a parenthesis."""
     return b"4242 (a) b) S " + b"0 " * 35 + str(cpu).encode() + b" 0 0\n"
+
+
+def started_then_released(workers: int):
+    """An ``f`` for ``chunk_map(f, workers)`` and the pipe it signals on. A
+    child returns its CPU mask as it starts and again once it holds this
+    process's whole mask (or after 10 s); index 0 here returns when each
+    child has read its first mask, so that no child is released before."""
+    parent, mask = os.getpid(), sorted(os.sched_getaffinity(0))
+    read_fd, write_fd = os.pipe()
+
+    def f(i):
+        if os.getpid() == parent:
+            for _ in range(workers - 1):
+                if select.select([read_fd], [], [], 10)[0]:
+                    os.read(read_fd, 1)
+            return i
+        first = sorted(os.sched_getaffinity(0))
+        os.write(write_fd, b".")
+        deadline = time.monotonic() + 10
+        while sorted(os.sched_getaffinity(0)) != mask and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return [first, sorted(os.sched_getaffinity(0))]
+
+    return f, (read_fd, write_fd)
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
@@ -168,17 +194,21 @@ class TestChunkMap:
 class TestCpuBinding:
     @pytest.mark.parametrize("start", [0, -1], ids=["on-first-cpu", "on-last-cpu"])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_each_child_runs_off_this_process_cpu(self, cpus, monkeypatch, workers, start):
+    def test_each_child_starts_off_this_process_cpu_and_gets_it_back(self, cpus, monkeypatch,
+                                                                      workers, start):
         cpus(workers)
         mask = os.sched_getaffinity(0)
         here = sorted(mask)[start]
         run_on(monkeypatch, stat_on(here))
-        f, computed_here = recording(lambda i: sorted(os.sched_getaffinity(0)))
-        # With count == workers, child k computes index k alone; on one CPU
-        # there is no other, and the child keeps the whole mask.
-        others = sorted(mask - {here}) or sorted(mask)
-        assert chunk_map(f, workers)[1:] == [others] * (workers - 1)
-        assert computed_here == [0]
+        f, pipe = started_then_released(workers)
+        try:
+            # With count == workers, child k computes index k alone; on one
+            # CPU there is no other, and the child keeps the whole mask.
+            started = sorted(mask - {here}) or sorted(mask)
+            assert chunk_map(f, workers)[1:] == [[started, sorted(mask)]] * (workers - 1)
+        finally:
+            for fd in pipe:
+                os.close(fd)
         assert_no_child_left()
 
     def test_other_cpus_leave_out_the_one_this_process_runs_on(self, monkeypatch):
