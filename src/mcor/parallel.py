@@ -39,6 +39,15 @@ def _other_cpus() -> set:
     return cpus - {here} if here in cpus else set()
 
 
+def _bind(pid: int, cpus: set) -> None:
+    """Bind process ``pid`` to ``cpus``; where the call is refused, or the
+    process has exited, it runs as it was."""
+    try:
+        os.sched_setaffinity(pid, cpus)
+    except OSError:
+        pass
+
+
 def workers(count: int) -> int:
     """Processes ``chunk_map(f, count)`` runs its chunks in: one per usable
     CPU, at most ``count``; 1, a serial run, without ``os.fork``, while
@@ -62,9 +71,10 @@ def chunk_map(f, count: int) -> list:
     error is raised as a serial run raises it. Children still running when
     this process raises, KeyboardInterrupt included, are killed and reaped.
 
-    Each child starts bound to this process's CPUs but the one it runs on,
-    so that children and this process run side by side: left alone, the
-    kernel can keep a child on its parent's CPU while another CPU idles.
+    Each child is bound, as it is forked, to this process's CPUs but the
+    one it runs on, so that children and this process run side by side:
+    left alone, the kernel can keep a child on its parent's CPU while
+    another CPU idles.
     Once this process has computed its own chunk, the children still
     running get its whole mask back, so that one whose CPUs are busy with
     other work can move onto the CPU this process leaves free. This
@@ -96,11 +106,6 @@ def chunk_map(f, count: int) -> list:
                 code = 1
                 try:
                     os.close(read_fd)
-                    if others:
-                        try:
-                            os.sched_setaffinity(0, others)
-                        except OSError:  # the chunk runs unbound
-                            pass
                     payload = marshal.dumps(list(map(f, chunk)))
                     with open(write_fd, "wb") as pipe:
                         pipe.writelines((len(payload).to_bytes(8, "little"), payload))
@@ -109,14 +114,13 @@ def chunk_map(f, count: int) -> list:
                     os._exit(code)
             os.close(write_fd)  # so that the pipe ends when this child exits
             children.append((pid, open(read_fd, "rb"), chunk))
+            if others:
+                _bind(pid, others)
         values = list(map(f, chunks[0]))
         if others:  # this process's CPU is free now: a child may move onto it
             mask = os.sched_getaffinity(0)
             for pid, _, _ in children:
-                try:
-                    os.sched_setaffinity(pid, mask)
-                except OSError:  # the child has exited, or the call is refused
-                    pass
+                _bind(pid, mask)
         while children:
             pid, pipe, chunk = children[0]
             with pipe:

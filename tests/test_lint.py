@@ -199,7 +199,8 @@ def test_forked_map_has_three_callers():
 # frees it, and nothing else in the package sets an affinity: the caller's
 # own mask is never changed.
 def test_cpu_binding_is_written_once():
-    assert set(package_sites(calls_either("sched_setaffinity"))) == {"parallel.chunk_map"}
+    assert package_sites(calls_either("sched_setaffinity")) == ["parallel._bind"]
+    assert set(package_sites(calls_either("_bind"))) == {"parallel.chunk_map"}
 
 
 def forms_products(node) -> bool:

@@ -85,11 +85,20 @@ def stat_on(cpu: int) -> bytes:
     return b"4242 (a) b) S " + b"0 " * 35 + str(cpu).encode() + b" 0 0\n"
 
 
-def started_then_released(workers: int):
+def mask_once(expected: list) -> list:
+    """This process's sorted CPU mask once it is ``expected``, or after 10 s."""
+    deadline = time.monotonic() + 10
+    while sorted(os.sched_getaffinity(0)) != expected and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return sorted(os.sched_getaffinity(0))
+
+
+def started_then_released(workers: int, started: list):
     """An ``f`` for ``chunk_map(f, workers)`` and the pipe it signals on. A
-    child returns its CPU mask as it starts and again once it holds this
-    process's whole mask (or after 10 s); index 0 here returns when each
-    child has read its first mask, so that no child is released before."""
+    child returns its CPU mask once it is ``started`` and again once it
+    holds this process's whole mask (each after at most 10 s); index 0 here
+    returns when each child has read its first mask, so that no child is
+    released before."""
     parent, mask = os.getpid(), sorted(os.sched_getaffinity(0))
     read_fd, write_fd = os.pipe()
 
@@ -99,12 +108,9 @@ def started_then_released(workers: int):
                 if select.select([read_fd], [], [], 10)[0]:
                     os.read(read_fd, 1)
             return i
-        first = sorted(os.sched_getaffinity(0))
+        first = mask_once(started)
         os.write(write_fd, b".")
-        deadline = time.monotonic() + 10
-        while sorted(os.sched_getaffinity(0)) != mask and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return [first, sorted(os.sched_getaffinity(0))]
+        return [first, mask_once(mask)]
 
     return f, (read_fd, write_fd)
 
@@ -200,15 +206,24 @@ class TestCpuBinding:
         mask = os.sched_getaffinity(0)
         here = sorted(mask)[start]
         run_on(monkeypatch, stat_on(here))
-        f, pipe = started_then_released(workers)
+        # With count == workers, child k computes index k alone; on one CPU
+        # there is no other, and the child keeps the whole mask.
+        started = sorted(mask - {here}) or sorted(mask)
+        f, pipe = started_then_released(workers, started)
         try:
-            # With count == workers, child k computes index k alone; on one
-            # CPU there is no other, and the child keeps the whole mask.
-            started = sorted(mask - {here}) or sorted(mask)
             assert chunk_map(f, workers)[1:] == [[started, sorted(mask)]] * (workers - 1)
         finally:
             for fd in pipe:
                 os.close(fd)
+        assert_no_child_left()
+
+    def test_a_child_is_freed_however_soon_this_process_is_done(self, cpus, monkeypatch):
+        cpus(2)
+        mask = sorted(os.sched_getaffinity(0))
+        run_on(monkeypatch, stat_on(mask[0]))
+        parent = os.getpid()
+        # Index 0 here returns at once, likely before the child first runs.
+        assert chunk_map(lambda i: i if os.getpid() == parent else mask_once(mask), 2) == [0, mask]
         assert_no_child_left()
 
     def test_other_cpus_leave_out_the_one_this_process_runs_on(self, monkeypatch):
