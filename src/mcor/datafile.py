@@ -8,8 +8,9 @@ newline past its middle byte, and its halves are parsed side by side,
 the second in a forked process; it gives what the serial read gives, and
 a half that meets an error leaves the file to the serial read. A
 ``compare`` input is held whole only if it is short enough to be a
-square matrix grid. The row stream, the cell parser, the matrix reader
-and the rules on error order and row numbers are ``io``'s.
+square matrix grid; a data input is then read again from its start. The
+row stream, the cell parser, the matrix reader and the rules on error
+order and row numbers are ``io``'s.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import gc
 import os
 import re
 from collections.abc import Iterator, Sequence
-from itertools import chain, compress, islice
+from itertools import compress, islice
 
 from .corestats import DataMatrix
 from .errors import BadArguments, EmptySelection, McorError, NotSquare, ParseError, TooFewRows
@@ -45,19 +46,9 @@ def read_csv_data(
     halves side by side, the second in a forked process, when
     ``_split_point`` allows; the DataMatrix, or the error, is the one a
     serial read gives.
-    """
-    return _data_matrix(path, None, columns, drop_na)
-
-
-def _data_matrix(path, rows: Iterator[list[str]] | None, columns: Sequence[str] | None,
-                 drop_na: bool) -> DataMatrix:
-    """``read_csv_data`` of ``path``. ``rows``, when given, is the ``_rows``
-    stream of ``path``, perhaps started, and is read serially to its end;
-    otherwise the file is read from its start, in halves side by side
-    where ``_parse_halves`` can, else serially.
 
     Cyclic garbage collection is paused for the call and resumed, if it
-    was enabled, once the stream is read: the row lists ``csv.reader``
+    was enabled, once the file is read: the row lists ``csv.reader``
     makes hold only strings and form no cycles, yet every collection
     would scan them. A forked child parsing the second half inherits the
     pause. The switch is process-wide, so other threads run without
@@ -67,9 +58,9 @@ def _data_matrix(path, rows: Iterator[list[str]] | None, columns: Sequence[str] 
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        parsed = _parse_halves(path, columns, drop_na) if rows is None else None
+        parsed = _parse_halves(path, columns, drop_na)
         if parsed is None:
-            parsed = _parse_selected_columns(path, rows or _rows(path), columns, drop_na)
+            parsed = _parse_selected_columns(path, columns, drop_na)
         names, cols, bad_rows = parsed
         keep = [True] * len(cols[0])
         for i in bad_rows:
@@ -107,11 +98,10 @@ _SCAN_BYTES = 1 << 16
 _SPLIT_BYTES = 500_000
 
 
-def _parse_selected_columns(
-    path, rows: Iterator[list[str]], columns: Sequence[str] | None, drop_na: bool
-) -> tuple[list[str], list[list[float]], set[int]]:
+def _parse_selected_columns(path, columns: Sequence[str] | None, drop_na: bool
+                            ) -> tuple[list[str], list[list[float]], set[int]]:
     """Names, parsed values and bad row indices of the selected columns of
-    a data file's ``rows``, the header first.
+    the data file at ``path``, read serially from its header on.
 
     The body is parsed ``_BLOCK_ROWS`` rows at a time, only the selected
     columns when ``columns`` is given. Without ``drop_na`` a bad row is an
@@ -121,6 +111,7 @@ def _parse_selected_columns(
     a ``columns`` name that cannot be selected, then the first bad cell in
     row-major order.
     """
+    rows = _rows(path)
     header = _header(path, rows)
     selection_error = None
     try:
@@ -334,22 +325,24 @@ def read_compare_input(path, as_kind: str | None, columns: Sequence[str] | None,
                        drop_na: bool) -> CheckedMatrix | DataMatrix:
     """One ``compare`` input, a matrix if ``as_kind`` says so or, unset, if
     it is a square numeric grid with a diagonal of 1 within 1e-9; else data.
-    A square grid has at most a header row plus as many rows as its first
-    data row has cells: a longer file is data, streamed past that bound."""
-    if as_kind == "data":
-        return read_csv_data(path, columns, drop_na)
+    A square grid has at most a header row plus w rows, w the wider of its
+    first two rows, so at most w + 2 rows are held to judge it; a data
+    input is then read from its start by ``read_csv_data``, as ``--as
+    data`` reads it."""
     if as_kind == "matrix":
         return read_checked_matrix(path)
-    rows = _rows(path)
-    held = list(islice(rows, 2))
-    bound = 1 + max(map(len, held), default=0)
-    held += islice(rows, bound + 1 - len(held))
-    if len(held) <= bound:  # the whole file
-        try:
-            checked = _checked_matrix(path, held)
-        except (ParseError, NotSquare):
-            pass
-        else:
-            if checked.unit_diagonal:
-                return checked
-    return _data_matrix(path, chain(held, rows), columns, drop_na)
+    if as_kind is None:
+        rows = _rows(path)
+        held = list(islice(rows, 2))
+        bound = 1 + max(map(len, held), default=0)
+        held += islice(rows, bound + 1 - len(held))
+        rows.close()
+        if len(held) <= bound:  # the whole file
+            try:
+                checked = _checked_matrix(path, held)
+            except (ParseError, NotSquare):
+                pass
+            else:
+                if checked.unit_diagonal:
+                    return checked
+    return read_csv_data(path, columns, drop_na)

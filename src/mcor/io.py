@@ -71,13 +71,19 @@ def _rows(path, start: int = 0, lines: int | None = None) -> Iterator[list[str]]
             # one, as a read of the whole file does.
             handle = TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", newline="")
             reader = csv.reader(handle if lines is None else islice(handle, lines))
-            for row in reader:
-                if len(row) > 1 or row and row[0].strip():
-                    yield row
+            try:
+                for row in reader:
+                    if len(row) > 1 or row and row[0].strip():
+                        yield row
+            except UnicodeDecodeError as exc:
+                # exc.object, the bytes the decoder held, ends at raw.tell().
+                at, span = raw.tell() - len(exc.object) + exc.start, exc.end - exc.start
+                where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
+                         else f"bytes in position {at}-{at + span - 1}")
+                raise FileError(f"{path} is not valid UTF-8: '{exc.encoding}' codec can't "
+                                f"decode {where}: {exc.reason}") from exc
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FileError(f"{path} is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:  # a cell past csv.field_size_limit(), for one
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
 

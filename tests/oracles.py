@@ -44,6 +44,7 @@ import csv
 import math
 from decimal import Context
 from fractions import Fraction
+from io import StringIO
 from itertools import compress
 from math import fsum
 from unittest import mock
@@ -227,14 +228,21 @@ def _parse_number(token: str) -> float | None:
 
 
 def _whole_file_cells(path) -> list[list[str]]:
+    """The non-blank rows of the file at ``path``, its bytes decoded at
+    once: a byte that is not UTF-8 is placed by its offset in the file, a
+    leading byte-order mark counted, and the mark is dropped after."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            return [row for row in reader if row[1:] or row and row[0].strip()]
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FileError(f"{path} is not valid UTF-8: {exc}") from exc
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        return [row for row in reader if row[1:] or row and row[0].strip()]
     except csv.Error as exc:
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
 

@@ -298,6 +298,10 @@ class TestMatrixCommand:
         assert (result["mcor"], result["rescaled_sphericity"]) == (0.0, 0.0)
 
 
+# A data file of at least the size from which it is parsed in two halves.
+SPLIT_SIZED = b"a,b\n" + b"1,2\n" * (mcor_datafile._SPLIT_BYTES // 4)
+
+
 class TestCompareCommand:
     @pytest.mark.parametrize("options", [[], ["--columns", "a,b"], ["--drop-na"]])
     def test_header_without_rows(self, tmp_path, capsys, options):
@@ -356,7 +360,8 @@ class TestCompareCommand:
         assert as_data == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("extra", [[], ["--as", "matrix"]])
-    def test_reads_each_file_once(self, capsys, monkeypatch, tmp_path, extra):
+    def test_opens_a_matrix_once_and_a_data_file_twice(self, capsys, monkeypatch, tmp_path,
+                                                         extra):
         data = write(tmp_path, "d.csv", "a,b,c\n1,2,3\n2,4.1,5\n3,5.8,8\n4,8.2,12\n")
         pairs = [(AREA1, AREA2)] if extra else [(AREA1, AREA2), (data, AREA2)]
         real_matrix = mcor_io._checked_matrix
@@ -380,13 +385,40 @@ class TestCompareCommand:
             grids.clear()
             code, _, err = run_cli(capsys, "compare", path_a, path_b, *extra)
             assert (code, err) == (0, "")
-            assert opened == [path_a, path_b]
+            # A data file is opened to sniff its kind, then read from its
+            # start as --as data reads it.
+            assert opened == [path_a] * (1 + (path_a == data)) + [path_b]
             # One grid per matrix gives both its kind and its matrix; a data
             # file too long to be square is never parsed as a grid.
             assert grids == [path for path in (path_a, path_b) if path != data]
 
+    def test_a_sniffed_data_input_forks_as_one_read_as_data(self, tmp_path, capsys, cpus,
+                                                            forks):
+        # Both inputs are past the size from which a data file is parsed in
+        # two halves, so each read forks for its second half.
+        cpus(2)
+        rows = mcor_datafile._SPLIT_BYTES // 14 + 1
+        paths = []
+        for k in (7, 11):
+            path = tmp_path / f"d{k}.csv"
+            path.write_bytes(b"a,b,c\n" + b"".join(
+                b"%06d,%02d,%03d\n" % (i, i * k % 13, i * i % 101) for i in range(rows)))
+            assert path.stat().st_size >= mcor_datafile._SPLIT_BYTES
+            paths.append(str(path))
+        runs = []
+        for extra in ([], ["--as", "data"]):
+            forks.clear()
+            code, out, err = run_cli(capsys, "compare", *paths, "--drop-na", "--output", "json",
+                                     *extra)
+            assert (code, err) == (0, "")
+            runs.append((out, len(forks)))
+        assert runs[0] == runs[1]
+        assert_no_child_left()
+
     # The stream errors of A, then those of B, come before any other error
-    # of either file; then A's other errors, then B's.
+    # of either file; then A's other errors, then B's. A file past the
+    # split size names a bad byte at its offset in the file, as a small one
+    # does.
     @pytest.mark.parametrize("text_a, text_b, line", [
         (b"a,b\n1,2\n3,x\n4,5\n", None, "FILE_ERROR: cannot read {b}: "
          "[Errno 2] No such file or directory: '{b}'"),
@@ -398,15 +430,20 @@ class TestCompareCommand:
          "in position 8: invalid continuation byte"),
         (b"a,b\n1,2\n3,4\n5,6\n7\n", b"a,b\n1,2\n3,x\n4,5\n",
          "PARSE_ERROR: row 5: expected 2 cells, found 1"),
+        (SPLIT_SIZED + b"\xff,3\n", b"a,b\n1,2\n3,5\n4,4\n",
+         "FILE_ERROR: {a} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+         "in position %d: invalid start byte" % len(SPLIT_SIZED)),
     ], ids=["bad-cell-then-missing", "late-bad-utf8-then-fine", "short-row-then-bad-utf8",
-            "short-row-then-bad-cell"])
-    def test_error_order(self, tmp_path, capsys, text_a, text_b, line):
+            "short-row-then-bad-cell", "bad-utf8-past-the-split-then-fine"])
+    def test_error_order(self, tmp_path, capsys, cpus, text_a, text_b, line):
+        cpus(2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_bytes(text_a)
         if text_b is not None:
             b.write_bytes(text_b)
         code, out, err = run_cli(capsys, "compare", str(a), str(b))
         assert (code, out, err) == (1, "", f"error: {line.format(a=a, b=b)}\n")
+        assert_no_child_left()
 
     # A square grid has at most a header row plus as many rows as its first
     # data row has cells; a file within that bound is held whole and judged

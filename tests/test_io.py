@@ -314,6 +314,10 @@ class TestGarbageCollectionState:
 # 5000 rows put the damage past the first block of rows and the first
 # 8 KB chunk the text decoder reads.
 MANY_ROWS = b"1,2\n" * 5000
+LATE_FF = b"a,b\n1,2\n3\n" + MANY_ROWS + b"6,\xff\n"
+LATE_C3 = b"a,b\n1,2\n" + MANY_ROWS + b"\xc3\x28,5\n"
+# A byte-order mark the decoder drops still counts in the offset.
+EARLY_FF_AFTER_BOM = b"\xef\xbb\xbfa,b\n1,2\n3\n4,\xff\n" + MANY_ROWS
 
 
 class TestBlockStream:
@@ -323,22 +327,25 @@ class TestBlockStream:
     @pytest.mark.parametrize("data, columns, message", [
         (b"a,b\n1,2\nx,3\n" + MANY_ROWS + b"4\n5,6\n", None,
          "row 5004: expected 2 cells, found 1"),
-        (b"a,b\n1,2\n3\n" + MANY_ROWS + b"6,\xff\n", None,
-         "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 3628: "
-         "invalid start byte"),
+        (LATE_FF, None,
+         "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position %d: "
+         "invalid start byte" % LATE_FF.index(b"\xff")),
         (b"a,b\n1,x\n2\n" + MANY_ROWS + b"5," + b"9" * 140_000 + b"\n6,7\n", None,
          "{path}, line 5004: field larger than field limit (131072)"),
-        (b"a,b\n1,2\n" + MANY_ROWS + b"\xc3\x28,5\n", ("a", "zz"),
-         "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 3624: "
-         "invalid continuation byte"),
+        (LATE_C3, ("a", "zz"),
+         "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position %d: "
+         "invalid continuation byte" % LATE_C3.index(b"\xc3")),
+        (EARLY_FF_AFTER_BOM, None,
+         "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position %d: "
+         "invalid start byte" % EARLY_FF_AFTER_BOM.index(b"\xff")),
         (b"a,b\n1,2\n" + MANY_ROWS + b"3\n4,5\n", ("a", "a"),
          "row 5003: expected 2 cells, found 1"),
         (b"a,b\n1,2\n3,x\n" + MANY_ROWS + b"4,y\n", None,
          "row 3, column b: cannot use cell 'x'"),
         (b"a,b\n1,x\n2,y\n" + MANY_ROWS, None, "row 2, column b: cannot use cell 'x'"),
     ], ids=["short-row-after-bad-cell", "bad-utf8-after-short-row", "field-limit-late",
-            "missing-name-bad-utf8", "repeated-name-short-row", "bad-cells-in-two-blocks",
-            "text-blocks-then-numbers"])
+            "missing-name-bad-utf8", "bom-then-bad-utf8", "repeated-name-short-row",
+            "bad-cells-in-two-blocks", "text-blocks-then-numbers"])
     @pytest.mark.parametrize("block_rows", [1, 4096])
     def test_errors_keep_their_whole_file_precedence(self, tmp_path, monkeypatch, data, columns,
                                                      message, block_rows):

@@ -228,7 +228,15 @@ def test_marshal_is_called_once(name):
 # Cyclic collection is a process-wide switch, paused only while a data file's
 # cells are alive.
 def test_garbage_collection_is_paused_once():
-    assert package_sites(calls("disable", on="gc")) == ["datafile._data_matrix"]
+    assert package_sites(calls("disable", on="gc")) == ["datafile.read_csv_data"]
+
+
+# A data file becomes a DataMatrix by one route: both parsers, the split
+# and the serial one, are called only from read_csv_data, which compute
+# and compare alike go through.
+@pytest.mark.parametrize("name", ["_parse_halves", "_parse_selected_columns"])
+def test_data_files_are_parsed_by_one_reader(name):
+    assert package_sites(calls_bare(name)) == ["datafile.read_csv_data"]
 
 
 # CSV text is tokenised in one place, the row stream, so whole-file reads
@@ -239,13 +247,13 @@ def test_csv_is_tokenised_once():
 
 # Listwise deletion is written once, and every data file goes through it.
 def test_listwise_deletion_is_written_once():
-    assert package_sites(calls_bare("compress")) == ["datafile._data_matrix"]
+    assert package_sites(calls_bare("compress")) == ["datafile.read_csv_data"]
 
 
 # Only producers whose values are finite floats by construction skip the checks.
 def test_unchecked_data_matrix_core_has_three_callers():
     assert package_sites(calls("_from_finite")) == [
-        "corestats.DataMatrix.from_columns", "datafile._data_matrix", "simulate.generate"]
+        "corestats.DataMatrix.from_columns", "datafile.read_csv_data", "simulate.generate"]
 
 
 def squares_off_the_diagonal(node) -> bool:
