@@ -1,9 +1,11 @@
 """Pearson correlation, sample correlation matrices, sample standard deviation.
 
 All moments are two-pass (means first, then centered sums) with exact
-summation via math.fsum; n is small in this domain and robustness beats
-speed. Constant columns are a hard error: a correlation is undefined for
-them and failing loudly beats emitting a misleading number.
+summation via math.fsum: accuracy is kept over speed at every n, and
+tall inputs get their speed from running the products in forked
+processes instead. Constant columns are a hard error: a correlation is
+undefined for them and failing loudly beats emitting a misleading
+number.
 """
 
 from __future__ import annotations
@@ -146,11 +148,14 @@ def _ordinary(sum_sq: float) -> bool:
 
 
 # Forking pays when the products it takes off this process outweigh its
-# cost: about 1.7 ms, plus a page copy for each value that both processes
-# read (a read writes the value's reference count), about half a
-# product's time. With two workers this process computes the first
-# tasks // 2 of the d (d + 1) / 2 tasks and waits for the child's other
-# ones, and each process reads about all n * d values, so the saving
+# cost: about 1.7 ms, plus, for centred lists, a page copy for each value
+# that both processes read (a read writes the value's reference count),
+# about half a product's time. The timings below were taken with lists;
+# the packed columns read past the gate copy no page, but a product of
+# two of them takes about a quarter longer (1.39 against 1.12 ms for
+# 20 000 values, best of 7). With two workers this process computes the
+# first tasks // 2 of the d (d + 1) / 2 tasks and waits for the child's
+# other ones, and each process reads about all n * d values, so the saving
 # grows with n * (2 * (tasks // 2) - d): 3n at d = 3 (3 tasks against 3),
 # 44n at d = 10, and 0 at d = 2 (1 task against 2), which never forks.
 # Timed on a 2-CPU host (medians of 21 alternating serial and forked
@@ -170,7 +175,12 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     the tasks (i, j <= i) of one map, in row-major order, each an exact
     ``fsum`` of rounded products. When ``n * (2 * (tasks // 2) - d)``
     reaches ``_FORK_SAVING`` the map runs in ``parallel.chunk_map``, and the
-    matrix is the same to the bit.
+    matrix is the same to the bit. There each centred column is an
+    ``array('d')``, filled from one column's list of deviations at a time:
+    8 bytes a value instead of a list's reference and float object, about
+    32, and a forked child reads packed doubles, writing no reference
+    count into pages it shares with this process. Below the gate the
+    columns stay lists, which the products read faster.
 
     A column whose sum of squares ``_ordinary`` rejects is centred again
     from its ``_scaled`` copy, and its row and column of tasks are
@@ -182,7 +192,6 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
     for col, name in zip(data.columns, data.var_names):
         if col.count(col[0]) == len(col):
             raise ZeroVariance(f"column {name}")
-    centred = list(map(_deviations, data.columns))
     tasks = [(i, j) for i in range(d) for j in range(i + 1)]
 
     def product(k: int) -> float:
@@ -190,9 +199,12 @@ def correlation_matrix(data: DataMatrix) -> SymmetricMatrix:
         return _dot(centred[i], centred[j])
 
     if data.n_obs * (2 * (len(tasks) // 2) - d) < _FORK_SAVING:
+        centred = list(map(_deviations, data.columns))
         products = list(map(product, range(len(tasks))))
     else:
-        from .parallel import chunk_map  # not loaded by import mcor.cli
+        from array import array  # neither is loaded by import mcor.cli
+        from .parallel import chunk_map
+        centred = [array("d", _deviations(col)) for col in data.columns]
         products = chunk_map(product, len(tasks))
     diagonal = [i * (i + 3) // 2 for i in range(d)]  # task (i, i)
     scaled = {i for i in range(d) if not _ordinary(products[diagonal[i]])}

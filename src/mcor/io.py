@@ -75,6 +75,13 @@ def _rows(path, start: int = 0, lines: int | None = None) -> Iterator[list[str]]
                 for row in reader:
                     if len(row) > 1 or row and row[0].strip():
                         yield row
+                if not start and raw.tell() < 3:
+                    # The stream decoder reads a file that is only a cut-off
+                    # mark, b"\xef" or b"\xef\xbb", as empty, where a whole
+                    # decode raises; a file this short is decoded again whole,
+                    # which raises for those two alone.
+                    raw.seek(0)
+                    raw.read().decode("utf-8-sig")
             except UnicodeDecodeError as exc:
                 # exc.object, the bytes the decoder held, ends at raw.tell().
                 at, span = raw.tell() - len(exc.object) + exc.start, exc.end - exc.start

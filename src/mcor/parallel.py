@@ -68,7 +68,10 @@ def chunk_map(f, count: int) -> list:
     values, marshalled after an 8-byte length, to a pipe; this process runs
     the first. A chunk whose child fails, as on a value marshal cannot
     write, or sends an incomplete payload is computed again here, so an
-    error is raised as a serial run raises it. Children still running when
+    error is raised as a serial run raises it. Where ``os.pipe`` or
+    ``os.fork`` raises OSError (no file descriptor, process or memory left),
+    that chunk and every later one are computed here, after the children's,
+    and the fds of a half-made pipe are closed. Children still running when
     this process raises, KeyboardInterrupt included, are killed and reaped.
 
     Each child is bound, as it is forked, to this process's CPUs but the
@@ -98,8 +101,16 @@ def chunk_map(f, count: int) -> list:
     try:
         _mapping = True
         for chunk in chunks[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:  # no file descriptor left
+                break
+            try:
+                pid = os.fork()
+            except OSError:  # no process or memory left (EAGAIN, ENOMEM)
+                os.close(read_fd)
+                os.close(write_fd)
+                break
             if pid == 0:
                 # The child only computes and writes: it never returns into the
                 # caller's stack, prints, or flushes the stdio it inherited.
@@ -116,6 +127,7 @@ def chunk_map(f, count: int) -> list:
             children.append((pid, open(read_fd, "rb"), chunk))
             if others:
                 _bind(pid, others)
+        unforked = chunks[1 + len(children):]  # left here by a failed pipe or fork
         values = list(map(f, chunks[0]))
         if others:  # this process's CPU is free now: a child may move onto it
             mask = os.sched_getaffinity(0)
@@ -131,6 +143,8 @@ def chunk_map(f, count: int) -> list:
                 values += marshal.loads(payload)
             else:
                 values += map(f, chunk)
+        for chunk in unforked:
+            values += map(f, chunk)
         return values
     finally:
         _mapping = False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 from types import CodeType
 
@@ -55,6 +56,23 @@ def shadow_builtin(monkeypatch, name: str, value, *modules) -> None:
         if not looks_up(compile(path.read_text(encoding="utf-8"), path, "exec"), name):
             raise AssertionError(f"{module.__name__} never looks up {name}")
         monkeypatch.setattr(module, name, value, raising=False)
+
+
+def traced(f, *args, **kwargs):
+    """``f(*args, **kwargs)``, with the memory it left allocated and the
+    peak it reached, both over what was allocated before, as
+    ``tracemalloc`` counts them."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f(*args, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, kept - before, peak - before
 
 
 def rand_correlation(rng: SplitMix64, d: int, n: int | None = None) -> SymmetricMatrix:

@@ -680,6 +680,18 @@ class TestOutputStability:
         assert run_cli(capsys, "compute", path) == (1, "", f"error: PARSE_ERROR: {path} is empty\n")
 
     @pytest.mark.parametrize("command", ["compute", "matrix", "validate", "compare"])
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["one-byte", "two-bytes"])
+    def test_a_cut_off_byte_order_mark_is_not_utf8(self, tmp_path, capsys, command, data):
+        # The stream decoder waits for the rest of the mark; a whole decode raises.
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            data.decode("utf-8")
+        paths = [AREA1, str(path)] if command == "compare" else [str(path)]
+        assert run_cli(capsys, command, *paths) == (1, "", (
+            f"error: FILE_ERROR: {path} is not valid UTF-8: {decoded.value}\n"))
+
+    @pytest.mark.parametrize("command", ["compute", "matrix", "validate", "compare"])
     def test_cell_past_the_csv_field_limit(self, tmp_path, capsys, command):
         # csv.reader refuses a field over 131072 characters.
         path = write(tmp_path, "d.csv", "a,b\n1,2\n3," + "4" * 140_000 + "\n")

@@ -31,7 +31,7 @@ from mcor.errors import (
 )
 from mcor.linalg import eigenvalues_symmetric
 from oracles import full_square
-from support import assert_no_child_left, rand_data
+from support import assert_no_child_left, rand_data, traced
 
 _moderate_floats = st.floats(min_value=-10.0, max_value=10.0)
 # hundredth-quantized values keep centered squares clear of underflow
@@ -257,6 +257,19 @@ class TestForkedProducts:
             at = correlation_matrix(data)
         assert len(forks) == workers - 1
         assert repr(at) == repr(below)
+        assert_no_child_left()
+
+    def test_forked_products_read_packed_doubles(self, cpus, forks):
+        # Past the real gate each centred column is an array('d'), 8 bytes a
+        # value, filled from one column's list at a time; centred lists
+        # peaked at about 33 bytes a value.
+        cpus(2)
+        data = rand_data(SplitMix64(7), 20_000, 10)
+        matrix, _, peak = traced(correlation_matrix, data)
+        assert forks == [os.getpid()]
+        assert peak <= 16 * 20_000 * 10
+        with split(math.inf):
+            assert repr(matrix) == repr(correlation_matrix(data))
         assert_no_child_left()
 
     def test_zero_variance_is_raised_before_any_fork(self, cpus, forks):

@@ -7,7 +7,6 @@ import os
 import random
 import re
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,7 +30,7 @@ from mcor.errors import (
 from mcor.datafile import read_csv_data
 from mcor.io import _parse_column, _rows, bundled_fixture, read_checked_matrix, read_matrix
 from oracles import _parse_number
-from support import assert_as_checked, assert_no_child_left, shadow_builtin
+from support import assert_as_checked, assert_no_child_left, shadow_builtin, traced
 
 
 def write(tmp_path, name, text):
@@ -565,23 +564,6 @@ def write_tall(tmp_path):
             cells[rng.randrange(10)] = "NA"
         lines.append(f"r{i}," + ",".join(cells))
     return write(tmp_path, "tall.csv", "\n".join(lines) + "\n")
-
-
-def traced(f, *args, **kwargs):
-    """``f(*args, **kwargs)``, with the memory it left allocated and the
-    peak it reached, both over what was allocated before, as
-    ``tracemalloc`` counts them."""
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = f(*args, **kwargs)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return result, kept - before, peak - before
 
 
 class TestUncheckedCore:

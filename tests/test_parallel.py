@@ -1,5 +1,6 @@
 """The forked map over an index range, with an ``f`` that returns its index."""
 
+import errno
 import io
 import marshal
 import os
@@ -166,6 +167,43 @@ class TestChunkMap:
         f, here = recording(fault(monkeypatch))
         assert chunk_map(f, 6) == list(range(6))
         assert here == list(range(6))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("name, call, error, here_expected", [
+        ("fork", 1, errno.EAGAIN, list(range(6))),
+        ("fork", 2, errno.ENOMEM, [0, 1, 4, 5]),
+        ("pipe", 1, errno.EMFILE, list(range(6))),
+        ("pipe", 2, errno.EMFILE, [0, 1, 4, 5]),
+    ], ids=["first-fork", "second-fork", "first-pipe", "second-pipe"])
+    def test_chunks_left_unforked_are_computed_here(self, cpus, monkeypatch, name, call,
+                                                    error, here_expected):
+        # Only the patch fails: no real limit on processes or fds is reached.
+        cpus(3)
+        real_pipe, real_fork, pipe_fds, calls = os.pipe, os.fork, [], []
+
+        def pipe():
+            calls.append("pipe")
+            if name == "pipe" and calls.count("pipe") == call:
+                raise OSError(error, os.strerror(error))
+            fds = real_pipe()
+            pipe_fds.extend(fds)
+            return fds
+
+        def fork():
+            calls.append("fork")
+            if name == "fork" and calls.count("fork") == call:
+                raise OSError(error, os.strerror(error))
+            return real_fork()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        f, here = recording(lambda i: i)
+        assert chunk_map(f, 6) == list(range(6))
+        assert here == here_expected
+        assert calls.count(name) == call  # no attempt after the failed one
+        for fd in pipe_fds:  # a half-made pipe's fds included
+            with pytest.raises(OSError):
+                os.fstat(fd)
         assert_no_child_left()
 
     def test_a_map_inside_a_forked_map_runs_serially(self, cpus, forks):

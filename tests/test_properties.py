@@ -60,7 +60,8 @@ def hostile_csv(draw) -> bytes:
     """A CSV file as bytes: a square grid (unit diagonal, so some read as
     correlation matrices and some as data) or an empty or header-only
     file, then damaged by hostile cells, ragged rows, line endings, a
-    byte-order mark and bytes that are not UTF-8."""
+    byte-order mark (or, for an empty file, a cut-off one) and bytes that
+    are not UTF-8."""
     d = draw(st.integers(2, 4))
     layout = draw(st.sampled_from(["grid", "grid", "grid", "empty", "header-only"]))
     header = [f"c{j}" for j in range(d)]
@@ -88,6 +89,8 @@ def hostile_csv(draw) -> bytes:
     data = text.encode("utf-8")
     if draw(st.booleans()):
         data = BOM + data
+    elif not data and draw(ONE_IN_FOUR):
+        data = BOM[:draw(st.integers(1, 2))]  # the whole file a cut-off mark
     if draw(ONE_IN_FOUR):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]

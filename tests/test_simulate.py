@@ -1,5 +1,6 @@
 """Scenario generators, population values, Monte Carlo harness."""
 
+import errno
 import math
 import os
 import sys
@@ -251,6 +252,21 @@ class TestReplicateForkThreshold:
         assert monte_carlo(Scenario.NOISY_COMBO, 1000, 40, 1) == serial_summary(
             Scenario.NOISY_COMBO, 1000, 40, 1)
         assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    def test_a_run_that_cannot_fork_runs_here(self, cpus, monkeypatch, capfd):
+        argv = ["simulate", "noisy-combo", "--n", "1000", "--reps", "40"]
+        cpus(1)
+        assert main(argv) == 0
+        serial = capfd.readouterr()
+
+        def no_process_left():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        cpus(3)
+        monkeypatch.setattr(os, "fork", no_process_left)
+        assert main(argv) == 0
+        assert capfd.readouterr() == serial
         assert_no_child_left()
 
     def test_forks_from_the_threshold_on(self, cpus, forks):

@@ -34,8 +34,8 @@ def test_cli_import_skips_what_only_some_commands_need():
                            "print(' '.join(sorted(set(sys.modules) - before)))").stdout
     loaded = set(out.decode().split())
     assert "mcor.cli" in loaded
-    assert loaded.isdisjoint({"csv", "dataclasses", "fractions", "inspect", "mcor.parallel",
-                               "mcor.rng", "mcor.simulate", *READERS})
+    assert loaded.isdisjoint({"array", "csv", "dataclasses", "fractions", "inspect",
+                               "mcor.parallel", "mcor.rng", "mcor.simulate", *READERS})
 
 
 # Each command loads the reader modules it calls and no other.
