@@ -6,15 +6,22 @@ validate (matrix diagnostics only). Exit codes: 0 success, 1 domain
 error or out of memory, 2 usage error; every failure prints exactly one
 ``error: <CODE>: <detail>`` line on stderr. Each handler imports the
 reader it runs, so a command loads no file reader it does not call.
+
+``main`` leaves the process as it found it, so it can be called in any
+process. ``script_main``, the entry of ``mcor`` and ``python -m mcor.cli``,
+owns its process: after ``main`` it freezes the heap, so the interpreter's
+exit sweeps no import-time object.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
-from .errors import McorError, NonFiniteEntry, UsageError
+from .errors import FileError, McorError, NonFiniteEntry, UsageError
 from .linalg import eigenvalues_symmetric
 from .multiway import PSD_EIG_FLOOR, McorReport, mcor, mcor_from_matrix
 from .scenarios import Scenario
@@ -23,9 +30,26 @@ TIE_THRESHOLD = 1e-9
 U64_MAX = (1 << 64) - 1
 
 
+def _stdout_error(exc: OSError) -> FileError:
+    return FileError(f"cannot write standard output: {exc}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def _print_message(self, message, file=None):
+        # Only --help writes here, to stdout, since error() raises; unlike
+        # argparse's own version, this one does not drop a failed write.
+        # As there, a closed stdout (None) sends the text to stderr.
+        file = file or sys.stderr
+        if not message or file is None:
+            return
+        try:
+            file.write(message)
+            file.flush()
+        except OSError as exc:
+            raise _stdout_error(exc) from None
 
 
 def _u64(text: str) -> int:
@@ -133,8 +157,8 @@ def _report_dict(report: McorReport) -> dict:
 
 
 def _emit(output: str, kind: str, inputs, result: dict, warnings, lines) -> None:
-    """Print one command's record ``(kind, inputs, result, warnings, lines)``,
-    the only writer of stdout. ``json`` prints ``kind``, ``inputs``, the
+    """Print and flush one command's record ``(kind, inputs, result, warnings,
+    lines)``, the only writer of stdout. ``json`` prints ``kind``, ``inputs``, the
     rounded ``result`` and ``warnings``; ``text`` prints ``lines`` followed by
     one ``  warning: <w>`` line per warning."""
     if output == "json":
@@ -150,7 +174,10 @@ def _emit(output: str, kind: str, inputs, result: dict, warnings, lines) -> None
             raise NonFiniteEntry(f"{kind} result is not finite, which JSON cannot hold") from None
     else:
         text = "\n".join(lines + [f"  warning: {w}" for w in warnings])
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise _stdout_error(exc) from None
 
 
 def _fmt_eigs(values) -> str:
@@ -308,13 +335,41 @@ def main(argv=None) -> int:
         # Column names and paths may hold any character: escape, as repr
         # does, those that do not print, so the error stays on one line.
         message = f"error: {exc.code}: {exc}"
-        print("".join(c if c.isprintable() else repr(c)[1:-1] for c in message), file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+        code = 2 if isinstance(exc, UsageError) else 1
     except MemoryError:
-        print("error: OUT_OF_MEMORY: not enough memory for this input file or --n",
-              file=sys.stderr)
-        return 1
+        line = "error: OUT_OF_MEMORY: not enough memory for this input file or --n"
+        code = 1
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass  # stderr cannot be written either; the exit code still tells
+    return code
+
+
+def script_main(argv=None) -> int:
+    """``main`` as the whole process: the entry of ``mcor`` and of
+    ``python -m mcor.cli``.
+
+    A standard stream that still cannot be flushed is pointed at
+    ``os.devnull``, so the interpreter's exit-time flush neither prints a
+    second error nor changes the exit code. Then every object is frozen
+    (``gc.freeze``): the exit-time collections skip the permanent
+    generation, so the heap that start-up built is neither traversed nor
+    freed one object at a time, and the OS reclaims it. ``atexit``
+    handlers and the exit flush still run."""
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None: the fd was closed at start-up
+                stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main())

@@ -231,6 +231,19 @@ def test_garbage_collection_is_paused_once():
     assert package_sites(calls("disable", on="gc")) == ["datafile.read_csv_data"]
 
 
+# The heap is frozen once, by the script entry after main returns: no
+# library call, and no in-process main call, changes its caller's collector
+# for good.
+def test_heap_is_frozen_only_by_the_script_entry():
+    assert package_sites(calls_either("freeze")) == ["cli.script_main"]
+
+
+# Only a forked child of the map skips the interpreter's exit; every CLI run
+# ends through it, atexit handlers and the stream flushes included.
+def test_interpreter_exit_is_skipped_only_by_a_forked_child():
+    assert package_sites(calls_either("_exit")) == ["parallel.chunk_map"]
+
+
 # A data file becomes a DataMatrix by one route: both parsers, the split
 # and the serial one, are called only from read_csv_data, which compute
 # and compare alike go through.
